@@ -15,6 +15,7 @@ I/O errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from importlib import resources
 from pathlib import Path
@@ -145,7 +146,9 @@ def _run_suite(args) -> int:
     return worst
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``framesum`` argument parser, built on first use and then reused."""
     parser = argparse.ArgumentParser(
         prog="framesum",
         description="Frame bounds, sums-of-frames predictions with certification, "

@@ -15,7 +15,7 @@ class NotHermitianError(FrameToolkitError):
 
 
 class NoConvergenceError(FrameToolkitError):
-    """Iterative eigensolver exhausted its sweep budget."""
+    """The LAPACK eigensolver reported that it did not converge."""
 
 
 class SingularOperatorError(FrameToolkitError):

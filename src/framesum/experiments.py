@@ -216,7 +216,12 @@ _EXPECT_KEYS = {
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A parsed, schema-validated experiment document."""
+    """A parsed, schema-validated experiment document.
+
+    ``payload`` is what the kind's payload extractor returned while
+    :func:`parse_spec_text` validated the document; the runners read it from
+    here, so each document is validated and extracted exactly once.
+    """
 
     kind: str
     label: str
@@ -226,6 +231,7 @@ class ExperimentSpec:
     discrepancies: tuple = ()
     expect: dict = field(default_factory=dict)
     csv_name: str | None = None
+    payload: object = field(default=None, repr=False)
 
     def __eq__(self, other):
         return isinstance(other, ExperimentSpec) and self.document == other.document
@@ -280,8 +286,9 @@ def parse_spec_text(text: str, origin: str = "<string>") -> ExperimentSpec:
         expect=expect,
         csv_name=csv_name,
     )
-    # validate the payload eagerly so schema errors surface at parse time
-    _PAYLOAD_VALIDATORS[kind](spec)
+    # validate the payload eagerly so schema errors surface at parse time, and
+    # keep it for the runner
+    object.__setattr__(spec, "payload", _PAYLOAD_VALIDATORS[kind](spec))
     return spec
 
 
@@ -303,7 +310,7 @@ def render_spec(spec: ExperimentSpec) -> str:
 
 
 # ---------------------------------------------------------------------------
-# payload extraction (shared by validation and execution)
+# payload extraction (run once, at parse time)
 
 
 def _payload_bounds(spec: ExperimentSpec) -> FrameInput:
@@ -746,7 +753,7 @@ def _check_expected_certified(rep: _Reporter) -> None:
 
 def _run_bounds(spec: ExperimentSpec, rng) -> ExperimentResult:
     rep = _Reporter(spec)
-    fi = _payload_bounds(spec)
+    fi = spec.payload
     cert = exact_bounds(fi.frame)
     oracle = _describe_frame(rep, fi)
     rep.line(
@@ -772,7 +779,7 @@ def _run_bounds(spec: ExperimentSpec, rng) -> ExperimentResult:
 
 def _run_width(spec: ExperimentSpec, rng) -> ExperimentResult:
     rep = _Reporter(spec)
-    entries = _payload_width(spec)
+    entries = spec.payload
     report = width_report(entries)
     for entry in report:
         rep.line(f"width {entry.label}: {entry.text} ({_fmt(entry.width)})")
@@ -788,7 +795,7 @@ def _run_width(spec: ExperimentSpec, rng) -> ExperimentResult:
 
 def _run_dual(spec: ExperimentSpec, rng) -> ExperimentResult:
     rep = _Reporter(spec)
-    payload = _payload_dual(spec)
+    payload = spec.payload
     expect = spec.expect
     if payload[2] is None:
         b1, b2, _ = payload
@@ -854,7 +861,7 @@ def _run_dual(spec: ExperimentSpec, rng) -> ExperimentResult:
 
 def _run_finite_sum(spec: ExperimentSpec, rng) -> ExperimentResult:
     rep = _Reporter(spec)
-    frames, pairs, coefficients, pivot = _payload_finite_sum(spec)
+    frames, pairs, coefficients, pivot = spec.payload
     rep.line(
         "coefficients: "
         + ", ".join(_fmt(c.real) if c.imag == 0 else f"{_fmt(c.real)}{c.imag:+.12g}i" for c in coefficients)
@@ -915,7 +922,7 @@ def _run_finite_sum(spec: ExperimentSpec, rng) -> ExperimentResult:
 
 def _run_operator_sum(spec: ExperimentSpec, rng) -> ExperimentResult:
     rep = _Reporter(spec)
-    f1, f2, b1, b2, theta1, theta2 = _payload_operator_sum(spec)
+    f1, f2, b1, b2, theta1, theta2 = spec.payload
 
     if f1 is None:
         m1, n1 = extreme_singular_values(theta1)
@@ -957,7 +964,7 @@ def _run_operator_sum(spec: ExperimentSpec, rng) -> ExperimentResult:
 
 def _run_perturbed_sum(spec: ExperimentSpec, rng) -> ExperimentResult:
     rep = _Reporter(spec)
-    f1, f2, b1, b2, alpha, beta = _payload_perturbed_sum(spec)
+    f1, f2, b1, b2, alpha, beta = spec.payload
     env1 = ScalarEnvelope.from_sequence(np.array(alpha, dtype=complex))
     env2 = ScalarEnvelope.from_sequence(np.array(beta, dtype=complex))
     rep.line(f"alpha envelope: |.| in [{_fmt(env1.inf_abs)}, {_fmt(env1.sup_abs)}]")
@@ -994,7 +1001,7 @@ def _run_perturbed_sum(spec: ExperimentSpec, rng) -> ExperimentResult:
 
 def _run_gabor(spec: ExperimentSpec, rng) -> ExperimentResult:
     rep = _Reporter(spec)
-    generator, lattice, wh, stated = _payload_gabor(spec)
+    generator, lattice, wh, stated = spec.payload
     rep.line(
         f"window: {len(generator.pieces)} pieces supported on "
         f"[{_fmt(generator.support_lo)}, {_fmt(generator.support_hi)})"
@@ -1040,7 +1047,7 @@ def _run_gabor(spec: ExperimentSpec, rng) -> ExperimentResult:
 
 def _run_algo(spec: ExperimentSpec, rng) -> ExperimentResult:
     rep = _Reporter(spec)
-    runs, max_iters = _payload_algo(spec)
+    runs, max_iters = spec.payload
     configs, targets, labels, widths = [], [], [], []
     for label, fi, bounds in runs:
         oracle = fi.oracle_bounds()

@@ -1,11 +1,11 @@
 """Dense complex linear algebra kernel.
 
 Everything downstream (frame bounds, canonical duals, operator norms) reduces
-to the Hermitian eigenproblem solved here.  The solver is a cyclic complex
-Jacobi iteration: it is self-contained, has no convergence trouble on the
-Hermitian matrices this toolkit produces, and stays accurate to a few ulp at
-the sizes we care about (dimension up to a few hundred; beyond that it works
-but is not tuned).
+to the Hermitian eigenproblem solved here, by LAPACK through
+``numpy.linalg.eigh``.  This module adds what LAPACK does not check: finite
+entries, a square shape, and Hermitian symmetry up to ``HERMITIAN_TOLERANCE``.
+A LAPACK convergence failure surfaces as :class:`NoConvergenceError`, so it
+stays inside the package's error hierarchy.
 
 Conventions
 -----------
@@ -32,12 +32,6 @@ from .errors import (
 #: relative max-norm asymmetry tolerated before a matrix is rejected as
 #: non-Hermitian.
 HERMITIAN_TOLERANCE = 1e-10
-
-#: sweep convergence: off-diagonal Frobenius mass below this times ||M||_F.
-JACOBI_OFF_TOLERANCE = 1e-14
-
-#: hard cap on cyclic sweeps before giving up.
-JACOBI_MAX_SWEEPS = 100
 
 #: relative spectral floor: eigenvalues below RANK_TOLERANCE * lambda_max are
 #: treated as zero by the positive-definite solver.
@@ -76,18 +70,12 @@ class EigenResult:
     eigenvectors: np.ndarray
 
 
-def _off_diagonal_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
 def hermitian_eig(matrix) -> EigenResult:
-    """Eigendecomposition of a Hermitian matrix by cyclic complex Jacobi rotations.
+    """Eigendecomposition of a Hermitian matrix by LAPACK (``numpy.linalg.eigh``).
 
     Raises :class:`NotHermitianError` if the input is asymmetric beyond
     ``HERMITIAN_TOLERANCE`` (relative to the largest entry) and
-    :class:`NoConvergenceError` if ``JACOBI_MAX_SWEEPS`` sweeps do not push the
-    off-diagonal mass below ``JACOBI_OFF_TOLERANCE * ||M||_F``.
+    :class:`NoConvergenceError` if LAPACK reports that it did not converge.
     """
     a = as_cmatrix(matrix)
     n, m = a.shape
@@ -101,59 +89,13 @@ def hermitian_eig(matrix) -> EigenResult:
             f"asymmetry {asym:.3e} exceeds {HERMITIAN_TOLERANCE:.0e} * max entry {scale:.3e}"
         )
 
-    # Work on the Hermitian average so round-off in the input cannot drift.
-    a = (a + a.conj().T) / 2.0
-    q = np.eye(n, dtype=complex)
-    fro = float(np.linalg.norm(a))
-    if fro == 0.0:
-        return EigenResult(np.zeros(n), q)
-
-    # Rotations with pivots this small cannot move the off-diagonal mass
-    # anywhere near the convergence threshold; skip them.
-    skip = JACOBI_OFF_TOLERANCE * fro / (10.0 * n)
-
-    converged = False
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if _off_diagonal_norm(a) <= JACOBI_OFF_TOLERANCE * fro:
-            converged = True
-            break
-        for p in range(n - 1):
-            for r in range(p + 1, n):
-                pivot = a[p, r]
-                abs_pivot = abs(pivot)
-                if abs_pivot <= skip:
-                    continue
-                app = a[p, p].real
-                arr = a[r, r].real
-                phase = pivot / abs_pivot
-                tau = (app - arr) / (2.0 * abs_pivot)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # Unitary plane rotation U: U[p,p]=U[r,r]=c, U[p,r]=-s*phase,
-                # U[r,p]=s*conj(phase); apply A <- U* A U, accumulate Q <- Q U.
-                col_p = a[:, p].copy()
-                col_r = a[:, r].copy()
-                a[:, p] = c * col_p + s * np.conj(phase) * col_r
-                a[:, r] = -s * phase * col_p + c * col_r
-                row_p = a[p, :].copy()
-                row_r = a[r, :].copy()
-                a[p, :] = c * row_p + s * phase * row_r
-                a[r, :] = -s * np.conj(phase) * row_p + c * row_r
-                a[p, r] = 0.0
-                a[r, p] = 0.0
-                q_p = q[:, p].copy()
-                q_r = q[:, r].copy()
-                q[:, p] = c * q_p + s * np.conj(phase) * q_r
-                q[:, r] = -s * phase * q_p + c * q_r
-    else:
-        converged = _off_diagonal_norm(a) <= JACOBI_OFF_TOLERANCE * fro
-    if not converged:
-        raise NoConvergenceError(f"Jacobi sweep limit {JACOBI_MAX_SWEEPS} exceeded")
-
-    eigenvalues = np.diag(a).real.copy()
-    order = np.argsort(eigenvalues, kind="stable")
-    return EigenResult(eigenvalues[order], q[:, order])
+    # Solve the Hermitian average so round-off asymmetry in the input is not
+    # silently dropped by reading only one triangle.
+    try:
+        eigenvalues, eigenvectors = np.linalg.eigh((a + a.conj().T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"LAPACK eigensolver failed: {exc}") from None
+    return EigenResult(eigenvalues, eigenvectors)
 
 
 def extreme_singular_values(matrix) -> tuple[float, float]:
@@ -185,19 +127,15 @@ def solve_hpd(matrix, rhs) -> np.ndarray:
         raise DimensionMismatchError(
             f"matrix is {m.shape[0]}x{m.shape[1]} but right-hand side has length {b.shape[0]}"
         )
-    eig = hermitian_eig(m)
-    lam = eig.eigenvalues
-    if lam[0] <= RANK_TOLERANCE * max(lam[-1], 0.0) or lam[-1] <= 0.0:
-        raise SingularOperatorError(
-            f"smallest eigenvalue {lam[0]:.3e} is below the rank floor of "
-            f"{RANK_TOLERANCE:.0e} * {lam[-1]:.3e}"
-        )
-    qs = eig.eigenvectors
-    return qs @ ((qs.conj().T @ b) / lam)
+    return hpd_inverse_apply(m, b[np.newaxis, :])[0]
 
 
 def hpd_inverse_apply(matrix, vectors) -> np.ndarray:
-    """Apply ``M^-1`` to each row of ``vectors`` (one factorization, many solves)."""
+    """Apply ``M^-1`` to each row of ``vectors`` (one factorization, many solves).
+
+    Raises :class:`SingularOperatorError` when the smallest eigenvalue sits at
+    or below ``RANK_TOLERANCE`` times the largest.
+    """
     m = as_cmatrix(matrix)
     rows = as_cmatrix(vectors)
     if rows.shape[1] != m.shape[0]:

@@ -17,7 +17,7 @@ arithmetic; a tie reports the condition as failed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,7 +43,8 @@ class PredictedBounds:
 
     ``condition_margin`` is the left side minus the right side of the strict
     inequality backing the prediction; the condition holds exactly when the
-    margin is positive.
+    margin is positive.  Fields are stored as plain ``float`` and ``bool``
+    (numpy scalars are converted), so reports serialize as JSON.
     """
 
     lower: float
@@ -52,6 +53,10 @@ class PredictedBounds:
     condition_margin: float
 
     def __post_init__(self):
+        object.__setattr__(self, "lower", float(self.lower))
+        object.__setattr__(self, "upper", float(self.upper))
+        object.__setattr__(self, "condition_holds", bool(self.condition_holds))
+        object.__setattr__(self, "condition_margin", float(self.condition_margin))
         if self.condition_holds != (self.condition_margin > 0.0):
             raise InvalidBoundsError("condition flag disagrees with its margin")
         if self.condition_holds and not (0.0 < self.lower <= self.upper):
@@ -345,10 +350,6 @@ class CertificationReport:
     upper_slack: float
     predicted_width: float
     exact_width: float
-    notes: tuple = ()
-
-    def with_notes(self, notes) -> "CertificationReport":
-        return replace(self, notes=tuple(notes))
 
 
 def certify(predicted: PredictedBounds, actual: FiniteFrame) -> CertificationReport:

@@ -158,6 +158,17 @@ def test_cli_failing_condition_exits_two(tmp_path, capsys):
     assert "status: fail" in out
 
 
+def test_cli_eigensolver_failure_exits_two(tmp_path, capsys, monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    path = _fixture_path(tmp_path, "exact_bounds_c2.json")
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    code = main(["bounds", "--spec", str(path)])
+    assert code == 2
+    assert "NoConvergenceError" in capsys.readouterr().err
+
+
 def test_cli_json_report(tmp_path):
     path = _fixture_path(tmp_path, "dual_sum_c3.json")
     report_path = tmp_path / "report.json"
@@ -248,10 +259,12 @@ def test_paper_suite_runs_clean(tmp_path, capsys):
     assert summary in out or summary == out
 
 
-def test_paper_suite_deterministic(tmp_path, capsys):
-    main(["paper-suite", "--out", str(tmp_path / "one"), "--seed", "0"])
-    main(["paper-suite", "--out", str(tmp_path / "two"), "--seed", "0"])
-    capsys.readouterr()
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_paper_suite_deterministic(tmp_path, capsys, flags):
+    for out in ("one", "two"):
+        code = main(["paper-suite", "--out", str(tmp_path / out), "--seed", "0", *flags])
+        assert code == 0
+    assert "13 pass, 6 flagged, 0 fail" in capsys.readouterr().out
     one, two = tmp_path / "one", tmp_path / "two"
     names_one = sorted(p.name for p in one.iterdir())
     names_two = sorted(p.name for p in two.iterdir())

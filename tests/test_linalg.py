@@ -4,6 +4,7 @@ import pytest
 from conftest import random_hermitian
 from framesum import (
     DimensionMismatchError,
+    NoConvergenceError,
     NotHermitianError,
     SingularOperatorError,
     extreme_singular_values,
@@ -65,13 +66,39 @@ def test_eig_reconstruction_orthonormality_trace(dim, rng):
 
 
 @pytest.mark.parametrize("dim", [2, 4, 9])
-def test_eig_matches_lapack(dim, rng):
-    # cross-check the self-contained solver against an independent implementation
+def test_eig_matches_real_embedding(dim, rng):
+    # H = X + iY is unitarily similar to diag(H, conj H) through the real
+    # symmetric embedding [[X, -Y], [Y, X]], so the embedding's spectrum is
+    # each eigenvalue of H twice; it is solved on the real symmetric path
     for _ in range(20):
         m = random_hermitian(rng, dim)
-        ours = hermitian_eig(m).eigenvalues
-        reference = np.linalg.eigvalsh(m)
-        np.testing.assert_allclose(ours, reference, rtol=1e-11, atol=1e-11)
+        x, y = m.real, m.imag
+        embedding = np.block([[x, -y], [y, x]])
+        twice = np.repeat(hermitian_eig(m).eigenvalues, 2)
+        reference = np.linalg.eigvalsh(embedding)
+        scale = np.linalg.norm(m)
+        np.testing.assert_allclose(twice, reference, rtol=0, atol=1e-12 * scale)
+
+
+def test_eig_matches_two_by_two_closed_form(rng):
+    # [[a, b], [conj b, d]] has eigenvalues tr/2 -+ sqrt((a - d)^2 / 4 + |b|^2)
+    for _ in range(50):
+        a, d = rng.standard_normal(2) * 10.0 ** rng.uniform(-3, 3)
+        b = complex(rng.standard_normal(), rng.standard_normal())
+        radius = np.hypot((a - d) / 2.0, abs(b))
+        centre = (a + d) / 2.0
+        lam = hermitian_eig([[a, b], [np.conj(b), d]]).eigenvalues
+        scale = abs(centre) + radius
+        np.testing.assert_allclose(lam, [centre - radius, centre + radius], rtol=0, atol=1e-14 * scale)
+
+
+def test_eig_lapack_failure_is_no_convergence(monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NoConvergenceError, match="did not converge"):
+        hermitian_eig(np.eye(2))
 
 
 def test_singular_values_scaled_identity():

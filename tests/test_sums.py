@@ -62,6 +62,15 @@ def test_finite_sum_large_coefficients():
     assert predicted.condition_margin == pytest.approx(90004 - 2400, rel=1e-12)
 
 
+@pytest.mark.parametrize("coefficients", [[1, 100], [1, 1]], ids=["holds", "fails"])
+def test_finite_sum_prediction_is_plain_python(coefficients):
+    # numpy scalars from the vectorized formula must not leak into reports
+    predicted = finite_sum_predict([(4, 16), (9, 9)], coefficients, 0)
+    assert type(predicted.condition_holds) is bool
+    for value in (predicted.lower, predicted.upper, predicted.condition_margin):
+        assert type(value) is float
+
+
 def test_finite_sum_single_frame_is_identity():
     predicted = finite_sum_predict([(3, 5)], [1], 0)
     assert predicted.condition_holds
