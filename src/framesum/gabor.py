@@ -14,6 +14,10 @@ identically, the squared window is piecewise polynomial of degree <= 2, and
 the extrema come out in closed form; the estimate is then exact (the system's
 frame operator is a multiplication operator).  Otherwise the extrema are taken
 on a dense grid with one local refinement pass and flagged as approximate.
+The grid path evaluates energy and overlap once per point set, and the overlap
+only over its ``(n, k)`` terms that can be nonzero: translates that meet the
+points, and shifts ``k/b`` shorter than the support.  Each skipped term is an
+exact zero, so the sums are bitwise those of the full double sum.
 
 A separate parameter map connects group-generated families of the form
 ``phase * exp(i P m p0 x) g(x + n q0)`` to the lattice system above: the
@@ -204,11 +208,36 @@ def overlap_vanishes(gen: PiecewiseGenerator, b: float) -> bool:
     return gen.support_length <= 1.0 / b + OVERLAP_SLACK
 
 
+def _shift_can_overlap(gen: PiecewiseGenerator, shift: float) -> bool:
+    """Whether ``g(u) g(u - shift)`` can be nonzero for some float ``u``.
+
+    ``g(u) != 0`` needs ``lo <= u < hi``, and rounding is monotone, so the
+    computed ``u - shift`` then lies in ``[fl(lo - shift), fl(hi - shift)]``.
+    When that interval misses ``[lo, hi)`` the product is exactly 0 for every
+    ``u``.  The test is made on the rounded endpoints themselves, so it needs
+    no slack and never drops a term that floating point could make nonzero.
+    """
+    lo, hi = gen.support_lo, gen.support_hi
+    return lo - shift < hi and hi - shift >= lo
+
+
 def shift_overlap_sum(gen: PiecewiseGenerator, a: float, b: float, x):
     """``sum_{k != 0} |sum_n g(x - n a) g(x - n a - k/b)|``.
 
     Returns exactly zero, without evaluation, when the support is too short
-    for any nonzero shift to overlap.
+    for any nonzero shift to overlap.  Otherwise only terms that can be
+    nonzero are evaluated:
+
+    * ``n`` runs over the translates ``g(x - n a)`` that are nonzero somewhere
+      on ``x`` (the range of :func:`translate_energy`); each is evaluated once
+      and reused for every ``k``;
+    * ``k`` runs over the shifts with ``|k|/b`` short enough for the support
+      and its shift to meet (:func:`_shift_can_overlap`), which on the usual
+      lattices is ``k = +-1`` only.
+
+    Every skipped product has a factor that is exactly 0, and adding +-0 to a
+    partial sum that starts at +0 changes nothing, so the result is bitwise
+    the full double sum taken in ascending ``k`` and ``n``.
     """
     if not a > 0.0 or not b > 0.0:
         raise DegenerateLatticeError(f"lattice steps must be positive, got ({a}, {b})")
@@ -216,15 +245,20 @@ def shift_overlap_sum(gen: PiecewiseGenerator, a: float, b: float, x):
     scalar = np.isscalar(x) or np.asarray(x).ndim == 0
     if overlap_vanishes(gen, b):
         return 0.0 if scalar else np.zeros_like(xs)
+    translates = []
+    for n in _shift_range(gen, a, float(xs.min()), float(xs.max())):
+        shifted = xs - n * a
+        values = gen(shifted)
+        if values.any():
+            translates.append((shifted, values))
     total = np.zeros_like(xs)
     k_max = math.ceil(gen.support_length * b) + 1
-    shifts = _shift_range(gen, a, float(xs.min()) - k_max / b, float(xs.max()) + k_max / b)
     for k in range(-k_max, k_max + 1):
-        if k == 0:
+        if k == 0 or not _shift_can_overlap(gen, k / b):
             continue
         inner = np.zeros_like(xs)
-        for n in shifts:
-            inner += gen(xs - n * a) * gen(xs - n * a - k / b)
+        for shifted, values in translates:
+            inner += values * gen(shifted - k / b)
         total += np.abs(inner)
     return float(total[0]) if scalar else total
 
@@ -297,25 +331,33 @@ class GaborBoundEstimate:
     grid_resolution: int | None = None
 
 
-def _grid_extrema(params, objective_low, objective_high):
-    a = params.a
+def _grid_extrema(gen: PiecewiseGenerator, params: LatticeParams):
+    """``inf (G0 - G1)`` and ``sup (G0 + G1)`` on the grid, each refined once.
+
+    ``G0`` and ``G1`` are evaluated once per point set: on the coarse grid
+    and on each of the two refinement windows.
+    """
+    a, b = params.a, params.b
     step = a / GRID_RESOLUTION
     xs = np.arange(GRID_RESOLUTION) * step
 
-    low_values = objective_low(xs)
-    high_values = objective_high(xs)
+    def g0_g1(points):
+        return translate_energy(gen, a, points), shift_overlap_sum(gen, a, b, points)
+
+    g0, g1 = g0_g1(xs)
+    low_values = g0 - g1
+    high_values = g0 + g1
     i_min = int(np.argmin(low_values))
     i_max = int(np.argmax(high_values))
 
-    def refine(index, objective, want_min):
+    def refine(index, want_min):
         left = max(0.0, (index - 1) * step)
         right = min(a, (index + 1) * step)
-        fine = np.linspace(left, right, REFINE_POINTS)
-        values = objective(fine)
-        return float(values.min() if want_min else values.max())
+        g0, g1 = g0_g1(np.linspace(left, right, REFINE_POINTS))
+        return float((g0 - g1).min() if want_min else (g0 + g1).max())
 
-    lo = min(float(low_values[i_min]), refine(i_min, objective_low, True))
-    hi = max(float(high_values[i_max]), refine(i_max, objective_high, False))
+    lo = min(float(low_values[i_min]), refine(i_min, True))
+    hi = max(float(high_values[i_max]), refine(i_max, False))
     return lo, hi
 
 
@@ -336,11 +378,7 @@ def estimate_bounds(gen: PiecewiseGenerator, params: LatticeParams) -> GaborBoun
         upper = max(highs) / b
         resolution = None
     else:
-        lo, hi = _grid_extrema(
-            params,
-            lambda xs: translate_energy(gen, a, xs) - shift_overlap_sum(gen, a, b, xs),
-            lambda xs: translate_energy(gen, a, xs) + shift_overlap_sum(gen, a, b, xs),
-        )
+        lo, hi = _grid_extrema(gen, params)
         lower, upper = lo / b, hi / b
         resolution = GRID_RESOLUTION
     if not lower > 0.0:

@@ -134,6 +134,60 @@ def test_cli_kind_mismatch(tmp_path, capsys):
     assert "expects kind" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "fixture,command,key,value,field",
+    [
+        ("width_reference.json", "width", "rtol", "x", "expect.rtol"),
+        ("width_reference.json", "width", "rtol", -1e-9, "expect.rtol"),
+        ("width_reference.json", "width", "rtol", float("inf"), "expect.rtol"),
+        ("width_reference.json", "width", "widths_4dp", 5, "expect.widths_4dp"),
+        ("width_reference.json", "width", None, [], "expect"),
+        ("gabor_sqrt_ramp_window.json", "gabor", "bounds", [1], "expect.bounds"),
+        ("dual_sum_c3.json", "dual", "predicted", [2, 1], "expect.predicted"),
+        ("dual_sum_c3.json", "dual", "sum_bounds", "x", "expect.sum_bounds"),
+        ("finite_sum_c2.json", "sum", "condition_margin", None, "expect.condition_margin"),
+        ("algo_finite_sum_c2.json", "algo", "envelope_order", [1, 2], "expect.envelope_order[0]"),
+    ],
+    ids=[
+        "rtol-string",
+        "rtol-negative",
+        "rtol-infinite",
+        "widths-scalar",
+        "expect-array",
+        "gabor-bounds-short",
+        "predicted-reversed",
+        "sum-bounds-string",
+        "margin-null",
+        "envelope-order-numbers",
+    ],
+)
+def test_cli_rejects_malformed_expect_at_parse_time(tmp_path, capsys, fixture, command, key, value, field):
+    doc = json.loads(render_spec(load_bundled_fixture(fixture)))
+    if key is None:
+        doc["expect"] = value
+    else:
+        doc["expect"][key] = value
+    path = tmp_path / fixture
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(SpecSchemaError):
+        parse_spec(path)
+    code = main([command, "--spec", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"{field}:" in err
+    assert "Traceback" not in err
+
+
+def test_cli_algo_unknown_envelope_label_fails_the_expectation(tmp_path, capsys):
+    doc = json.loads(render_spec(load_bundled_fixture("algo_finite_sum_c2.json")))
+    doc["expect"]["envelope_order"] = ["base", "nowhere"]
+    path = tmp_path / "algo.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["algo", "--spec", str(path)])
+    assert code == 2
+    assert "expected run labels" in capsys.readouterr().out
+
+
 def test_cli_missing_file(capsys):
     code = main(["bounds", "--spec", "/nonexistent/nowhere.json"])
     assert code == 1

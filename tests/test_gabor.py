@@ -1,8 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import framesum.gabor as gabor
 from framesum import (
     DegenerateLatticeError,
     GridMismatchError,
@@ -175,6 +177,120 @@ def test_estimate_grid_path_flags_inexact():
     assert est.upper >= high.max() / 0.6 - 1e-9
     assert est.lower == pytest.approx(low.min() / 0.6, rel=1e-3)
     assert est.upper == pytest.approx(high.max() / 0.6, rel=1e-3)
+
+
+# --- grid path: bitwise against the full double sum -----------------------------
+
+
+def _reference_overlap_sum(gen, a, b, xs):
+    """The full double sum: ``n`` padded by ``k_max/b`` on both sides and every
+    ``k`` up to ``k_max``, each term evaluated and added in ascending order."""
+    k_max = math.ceil(gen.support_length * b) + 1
+    n_lo = math.floor((float(xs.min()) - k_max / b - gen.support_hi) / a)
+    n_hi = math.ceil((float(xs.max()) + k_max / b - gen.support_lo) / a)
+    total = np.zeros_like(xs)
+    for k in range(-k_max, k_max + 1):
+        if k == 0:
+            continue
+        inner = np.zeros_like(xs)
+        for n in range(n_lo, n_hi + 1):
+            inner += gen(xs - n * a) * gen(xs - n * a - k / b)
+        total += np.abs(inner)
+    return total
+
+
+def _reference_grid_extrema(gen, a, b):
+    """Coarse grid plus one refinement per extremum, as :func:`estimate_bounds`
+    does, on the reference objective."""
+    step = a / gabor.GRID_RESOLUTION
+    xs = np.arange(gabor.GRID_RESOLUTION) * step
+
+    def low(points):
+        return translate_energy(gen, a, points) - _reference_overlap_sum(gen, a, b, points)
+
+    def high(points):
+        return translate_energy(gen, a, points) + _reference_overlap_sum(gen, a, b, points)
+
+    def refine(index, objective):
+        left = max(0.0, (index - 1) * step)
+        right = min(a, (index + 1) * step)
+        return objective(np.linspace(left, right, gabor.REFINE_POINTS))
+
+    low_values, high_values = low(xs), high(xs)
+    i_min, i_max = int(np.argmin(low_values)), int(np.argmax(high_values))
+    lo = min(float(low_values[i_min]), float(refine(i_min, low).min()))
+    hi = max(float(high_values[i_max]), float(refine(i_max, high).max()))
+    return lo, hi
+
+
+def _random_overlap_case(rng, bl=None):
+    """A continuous positive window of 1-6 mixed pieces on an offset support,
+    and a lattice with ``b L = bl``; by default ``b L`` is an integer on a
+    third of the draws."""
+    n_pieces = int(rng.integers(1, 7))
+    length = rng.uniform(0.5, 2.5)
+    steps = rng.uniform(0.3, 1.5, n_pieces)
+    cuts = rng.uniform(-3, 3) + length * np.concatenate([[0.0], np.cumsum(steps) / steps.sum()])
+    values = rng.uniform(0.6, 1.5, n_pieces + 1)
+    values[[0, -1]] = rng.uniform(0.05, 0.35, 2)  # tapered ends
+    pieces = []
+    for lo, hi, v0, v1 in zip(cuts, cuts[1:], values, values[1:]):
+        kind = "affine" if rng.random() < 0.5 else "sqrt-affine"
+        if kind == "sqrt-affine":
+            v0, v1 = v0 * v0, v1 * v1
+        alpha = (v1 - v0) / (hi - lo)
+        pieces.append((float(lo), float(hi), kind, float(alpha), float(v0 - alpha * lo)))
+    gen = PiecewiseGenerator(pieces)
+    a = gen.support_length * rng.uniform(0.4, 0.8)
+    if bl is None:
+        bl = int(rng.integers(2, 4)) if rng.random() < 1 / 3 else rng.uniform(1.05, 3.2)
+    return gen, a, bl / gen.support_length
+
+
+def test_overlap_sum_bitwise_matches_full_double_sum(rng):
+    for _ in range(80):
+        gen, a, b = _random_overlap_case(rng)
+        assert not overlap_vanishes(gen, b)
+        start = rng.uniform(-4, 4)
+        xs = rng.uniform(start, start + a * rng.uniform(0.05, 2.5), 200)  # unsorted
+        assert np.array_equal(
+            shift_overlap_sum(gen, a, b, xs), _reference_overlap_sum(gen, a, b, xs)
+        )
+        point = float(xs[0])
+        assert shift_overlap_sum(gen, a, b, point) == float(
+            _reference_overlap_sum(gen, a, b, xs[:1])[0]
+        )
+
+
+def test_grid_estimate_bitwise_matches_full_double_sum(rng):
+    positive = 0
+    for bl in (1.1, 1.25, 1.4, 1.55, 2, 2.4, 3):
+        gen, a, b = _random_overlap_case(rng, bl)
+        lo, hi = _reference_grid_extrema(gen, a, b)
+        assert gabor._grid_extrema(gen, LatticeParams(a, b)) == (lo, hi)
+        if lo / b > 0.0:
+            est = estimate_bounds(gen, LatticeParams(a, b))
+            assert (est.lower, est.upper) == (lo / b, hi / b)
+            assert not est.exact
+            positive += 1
+        else:
+            with pytest.raises(NonPositiveLowerBoundError):
+                estimate_bounds(gen, LatticeParams(a, b))
+    assert positive > 0
+
+
+def test_grid_path_evaluates_each_point_set_once(monkeypatch):
+    # one coarse grid plus one refinement window per extremum
+    calls = Counter()
+    for name in ("translate_energy", "shift_overlap_sum"):
+
+        def counted(*args, _name=name, _original=getattr(gabor, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(gabor, name, counted)
+    estimate_bounds(SQRT_RAMP, LatticeParams(1, 0.6))
+    assert calls == {"translate_energy": 3, "shift_overlap_sum": 3}
 
 
 def test_constant_window_has_no_positive_lower_estimate():
