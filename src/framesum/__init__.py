@@ -3,8 +3,8 @@ estimates for lattice systems, and the width-driven reconstruction algorithm.
 
 The package splits into five layers:
 
-* :mod:`framesum.linalg` -- self-contained complex Hermitian eigensolver,
-  extreme singular values, positive-definite solves;
+* :mod:`framesum.linalg` -- the complex Hermitian eigensolver (LAPACK
+  ``eigh``), extreme singular values, positive-definite solves;
 * :mod:`framesum.frames` -- finite frames, spectral (optimal) bounds, widths,
   canonical duals, tight reconstruction;
 * :mod:`framesum.sums` -- sufficiency conditions and predicted bounds for the

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatchError, InvalidBoundsError, InvalidBoundsForFrameError
-from .frames import FiniteFrame, FrameBounds, exact_bounds, frame_operator
+from .frames import FiniteFrame, FrameBounds, as_frame_bounds, exact_bounds, frame_operator
 
 #: relative slack when validating a bound pair against the oracle eigenvalues.
 BOUNDS_CHECK_TOLERANCE = 1e-9
@@ -47,8 +47,7 @@ class AlgoConfig:
     stop_tol: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.bounds_used, FrameBounds):
-            object.__setattr__(self, "bounds_used", FrameBounds(*self.bounds_used))
+        object.__setattr__(self, "bounds_used", as_frame_bounds(self.bounds_used))
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
         if self.stop_tol is not None and self.stop_tol < 0.0:
@@ -193,8 +192,6 @@ def width_report(entries) -> list[WidthEntry]:
     """Widths for labelled bound pairs, with the four-decimal rendering."""
     out = []
     for label, bounds in entries:
-        if not isinstance(bounds, FrameBounds):
-            bounds = FrameBounds(*bounds)
-        delta = bounds.width
+        delta = as_frame_bounds(bounds).width
         out.append(WidthEntry(label=str(label), width=delta, text=format_width(delta)))
     return out

@@ -5,13 +5,15 @@ One experiment is one JSON document.  Complex scalars are two-element
 zero), frames are arrays of vectors, matrices are arrays of rows, and
 piecewise windows are arrays of ``{lo, hi, kind, alpha, beta}`` objects.
 
-Every sum-like pipeline runs the same loop: take oracle bounds of the input
-frames, evaluate the sufficiency condition, predict bounds, build the actual
-summed family, and certify the prediction against the oracle bounds of the
-result.  Inputs may carry ``stated_bounds`` overriding the oracle *for the
-reported prediction only* -- certification always runs on oracle inputs, and
-any disagreement between the two routes is flagged in the report notes rather
-than silently adopted.
+The four sum rules share one summand parser (:func:`_as_summands`) and one
+runner (:func:`_run_sum`): take oracle bounds of the input frames, predict
+bounds, build the actual summed family, and certify the prediction against the
+oracle bounds of the result.  The rule table ``_SUM_RULES`` holds what differs:
+a parser of the rule's own fields, and a start that writes the rule's preamble
+lines and returns its ``predict(pairs)`` and ``build(frames)``.  Inputs may
+carry ``stated_bounds`` overriding the oracle *for the reported prediction
+only* -- certification always runs on oracle inputs, and any disagreement
+between the two routes is flagged rather than silently adopted.
 
 Fixtures bundled with the package add an ``expect`` block (reference values
 re-checked on every run) and a ``discrepancies`` list naming the places where
@@ -46,7 +48,6 @@ from .gabor import LatticeParams, PiecewiseGenerator, WHParams, estimate_bounds,
 from .linalg import extreme_singular_values
 from .sums import (
     OperatorSumSpec,
-    PredictedBounds,
     ScalarEnvelope,
     WeightedSumSpec,
     build_operator_sum_frame,
@@ -365,118 +366,60 @@ def _payload_width(spec: ExperimentSpec) -> list[tuple[str, FrameBounds]]:
     return out
 
 
-def _payload_dual(spec: ExperimentSpec):
-    doc = spec.document
-    has_frames = "frame" in doc or "dual" in doc
-    has_bounds = "bounds1" in doc or "bounds2" in doc
-    if has_frames == has_bounds:
-        raise _schema_error("", "dual needs either frame+dual or bounds1+bounds2")
-    if has_frames:
-        if "frame" not in doc or "dual" not in doc:
-            raise _schema_error("", "dual needs both frame and dual")
-        f = _as_frame(doc["frame"], "frame", "F")
-        g = _as_frame(doc["dual"], "dual", "G")
-        trials = doc.get("trials", 100)
-        if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
-            raise _schema_error("trials", f"must be a positive integer, got {trials!r}")
-        return f, g, trials
-    b1 = _as_bound_pair(doc.get("bounds1"), "bounds1")
-    b2 = _as_bound_pair(doc.get("bounds2"), "bounds2")
-    return b1, b2, None
+def _as_summands(doc: dict, kind: str):
+    """The summands of a sum-rule document, parsed once.
 
-
-def _payload_finite_sum(spec: ExperimentSpec):
-    doc = spec.document
-    coefficients = [
-        _as_complex(c, f"coefficients[{i}]")
-        for i, c in enumerate(_as_array(doc.get("coefficients"), "coefficients"))
-    ]
-    if any(c == 0 for c in coefficients):
-        raise _schema_error("coefficients", "coefficient must be nonzero")
-    pivot = doc.get("pivot", "best")
-    if pivot != "best":
-        if isinstance(pivot, bool) or not isinstance(pivot, int):
-            raise _schema_error("pivot", f'must be a 1-based index or "best", got {pivot!r}')
-        if not (1 <= pivot <= len(coefficients)):
-            raise _schema_error("pivot", f"index {pivot} out of range 1..{len(coefficients)}")
-    if ("frames" in doc) == ("frame_bounds" in doc):
-        raise _schema_error("", "finite-sum needs exactly one of frames or frame_bounds")
-    if "frames" in doc:
-        frames = [
-            _as_frame(f, f"frames[{i}]", f"F{i + 1}")
-            for i, f in enumerate(_as_array(doc["frames"], "frames"))
-        ]
-        if len(frames) != len(coefficients):
+    Returns ``(frames, None)`` when the document gives the frames, which must
+    all have the same dimension and vector count, and ``(None, pairs)`` of
+    ``(name, FrameBounds)`` when it gives only their bound pairs.
+    """
+    if kind == "finite-sum":
+        if ("frames" in doc) == ("frame_bounds" in doc):
+            raise _schema_error("", "finite-sum needs exactly one of frames or frame_bounds")
+        if "frame_bounds" in doc:
+            pairs = []
+            for i, entry in enumerate(_as_array(doc["frame_bounds"], "frame_bounds")):
+                path = f"frame_bounds[{i}]"
+                if isinstance(entry, dict):
+                    _reject_unknown(entry, {"name", "bounds"}, path)
+                    name = entry.get("name", f"F{i + 1}")
+                    if not isinstance(name, str):
+                        raise _schema_error(path + ".name", "must be a string")
+                    pairs.append((name, _as_bound_pair(entry.get("bounds"), path + ".bounds")))
+                else:
+                    pairs.append((f"F{i + 1}", _as_bound_pair(entry, path)))
+            return None, pairs
+        entries = _as_array(doc["frames"], "frames")
+        fields = [(f"frames[{i}]", f"F{i + 1}") for i in range(len(entries))]
+    else:
+        keys = ("frame", "dual") if kind == "dual" else ("frame1", "frame2")
+        has_frames = keys[0] in doc or keys[1] in doc
+        if has_frames == ("bounds1" in doc or "bounds2" in doc):
+            raise _schema_error("", f"{kind} needs either {keys[0]}+{keys[1]} or bounds1+bounds2")
+        if not has_frames:
+            return None, [
+                ("F", _as_bound_pair(doc.get("bounds1"), "bounds1")),
+                ("G", _as_bound_pair(doc.get("bounds2"), "bounds2")),
+            ]
+        if keys[0] not in doc or keys[1] not in doc:
+            raise _schema_error("", f"{kind} needs both {keys[0]} and {keys[1]}")
+        entries = [doc[key] for key in keys]
+        fields = list(zip(keys, "FG"))
+    frames = [_as_frame(entry, path, name) for entry, (path, name) in zip(entries, fields)]
+    for fi, (path, _) in zip(frames[1:], fields[1:]):
+        first = frames[0].frame
+        if (fi.frame.dim, fi.frame.count) != (first.dim, first.count):
             raise _schema_error(
-                "coefficients", f"{len(frames)} frames but {len(coefficients)} coefficients"
+                path + ".vectors",
+                f"{fi.frame.count} vectors in dimension {fi.frame.dim} do not align with "
+                f"the {first.count} vectors in dimension {first.dim} of {fields[0][0]}",
             )
-        return frames, None, coefficients, pivot
-    raw = _as_array(doc["frame_bounds"], "frame_bounds")
-    pairs = []
-    for i, entry in enumerate(raw):
-        path = f"frame_bounds[{i}]"
-        if isinstance(entry, dict):
-            _reject_unknown(entry, {"name", "bounds"}, path)
-            name = entry.get("name", f"F{i + 1}")
-            if not isinstance(name, str):
-                raise _schema_error(path + ".name", "must be a string")
-            pairs.append((name, _as_bound_pair(entry.get("bounds"), path + ".bounds")))
-        else:
-            pairs.append((f"F{i + 1}", _as_bound_pair(entry, path)))
-    if len(pairs) != len(coefficients):
-        raise _schema_error(
-            "coefficients", f"{len(pairs)} bound pairs but {len(coefficients)} coefficients"
-        )
-    return None, pairs, coefficients, pivot
+    return frames, None
 
 
-def _payload_two_frame(spec: ExperimentSpec):
-    doc = spec.document
-    has_frames = "frame1" in doc or "frame2" in doc
-    has_bounds = "bounds1" in doc or "bounds2" in doc
-    if has_frames == has_bounds:
-        raise _schema_error("", f"{spec.kind} needs either frame1+frame2 or bounds1+bounds2")
-    if has_frames:
-        if "frame1" not in doc or "frame2" not in doc:
-            raise _schema_error("", f"{spec.kind} needs both frame1 and frame2")
-        return (
-            _as_frame(doc["frame1"], "frame1", "F"),
-            _as_frame(doc["frame2"], "frame2", "G"),
-            None,
-            None,
-        )
-    return (
-        None,
-        None,
-        _as_bound_pair(doc.get("bounds1"), "bounds1"),
-        _as_bound_pair(doc.get("bounds2"), "bounds2"),
-    )
-
-
-def _payload_operator_sum(spec: ExperimentSpec):
-    doc = spec.document
-    theta1 = _as_matrix(doc.get("theta1"), "theta1")
-    theta2 = _as_matrix(doc.get("theta2"), "theta2")
-    for name, theta in (("theta1", theta1), ("theta2", theta2)):
-        if theta.shape[0] != theta.shape[1]:
-            raise _schema_error(name, f"must be square, got {theta.shape}")
-    f1, f2, b1, b2 = _payload_two_frame(spec)
-    return f1, f2, b1, b2, theta1, theta2
-
-
-def _payload_perturbed_sum(spec: ExperimentSpec):
-    doc = spec.document
-    alpha = _as_vector(doc.get("alpha"), "alpha")
-    beta = _as_vector(doc.get("beta"), "beta")
-    f1, f2, b1, b2 = _payload_two_frame(spec)
-    if f1 is not None:
-        if len(alpha) != f1.frame.count or len(beta) != f2.frame.count:
-            raise _schema_error(
-                "alpha", "scalar sequences must have one entry per frame vector"
-            )
-    elif len(alpha) == 0 or len(beta) == 0:
-        raise _schema_error("alpha", "scalar sequences must be nonempty")
-    return f1, f2, b1, b2, alpha, beta
+def _payload_sum(spec: ExperimentSpec):
+    frames, pairs = _as_summands(spec.document, spec.kind)
+    return frames, pairs, _SUM_RULES[spec.kind][0](spec.document, frames, pairs)
 
 
 def _payload_gabor(spec: ExperimentSpec):
@@ -565,10 +508,10 @@ def _payload_algo(spec: ExperimentSpec):
 _PAYLOAD_VALIDATORS = {
     "bounds": _payload_bounds,
     "width": _payload_width,
-    "dual": _payload_dual,
-    "finite-sum": _payload_finite_sum,
-    "operator-sum": _payload_operator_sum,
-    "perturbed-sum": _payload_perturbed_sum,
+    "dual": _payload_sum,
+    "finite-sum": _payload_sum,
+    "operator-sum": _payload_sum,
+    "perturbed-sum": _payload_sum,
     "gabor": _payload_gabor,
     "algo": _payload_algo,
 }
@@ -665,10 +608,8 @@ def _bounds_json(bounds: FrameBounds) -> dict:
     return {"lower": bounds.lower, "upper": bounds.upper, "width": bounds.width}
 
 
-def _describe_frame(rep: _Reporter, fi: FrameInput) -> FrameBounds:
-    """Report one frame's oracle bounds, flag stated disagreements, and return
-    the oracle pair."""
-    oracle = fi.oracle_bounds()
+def _describe_frame(rep: _Reporter, fi: FrameInput, oracle: FrameBounds) -> None:
+    """Report one frame's oracle bounds and flag stated disagreements."""
     rep.line(
         f"frame {fi.name}: {fi.frame.count} vectors in dimension {fi.frame.dim}, "
         f"oracle bounds [{_fmt(oracle.lower)}, {_fmt(oracle.upper)}], "
@@ -685,11 +626,6 @@ def _describe_frame(rep: _Reporter, fi: FrameInput) -> FrameBounds:
                 f"stated bounds [{_fmt(stated.lower)}, {_fmt(stated.upper)}] for frame "
                 f"{fi.name} disagree with oracle bounds [{_fmt(oracle.lower)}, {_fmt(oracle.upper)}]"
             )
-    return oracle
-
-
-def _stated_or_oracle(fi: FrameInput, oracle: FrameBounds) -> FrameBounds:
-    return fi.stated_bounds if fi.stated_bounds is not None else oracle
 
 
 def _report_prediction(rep: _Reporter, tag: str, predicted) -> dict:
@@ -781,7 +717,8 @@ def _run_bounds(spec: ExperimentSpec, rng) -> ExperimentResult:
     rep = _Reporter(spec)
     fi = spec.payload
     cert = exact_bounds(fi.frame)
-    oracle = _describe_frame(rep, fi)
+    oracle = cert.bounds
+    _describe_frame(rep, fi, oracle)
     rep.line(
         f"tight: {'yes' if cert.is_tight else 'no'}; parseval: {'yes' if cert.is_parseval else 'no'}"
     )
@@ -817,113 +754,191 @@ def _run_width(spec: ExperimentSpec, rng) -> ExperimentResult:
     return rep.finish()
 
 
-def _run_dual(spec: ExperimentSpec, rng) -> ExperimentResult:
-    rep = _Reporter(spec)
-    payload = spec.payload
-    expect = spec.expect
-    if payload[2] is None:
-        b1, b2, _ = payload
-        rep.line(f"given bounds: [{_fmt(b1.lower)}, {_fmt(b1.upper)}] and [{_fmt(b2.lower)}, {_fmt(b2.upper)}]")
+# ---------------------------------------------------------------------------
+# sum rules
+
+
+@dataclass
+class _SumRule:
+    """What one combination rule supplies to :func:`_run_sum`."""
+
+    predict: object  # list of bound pairs -> PredictedBounds
+    build: object  # list of FiniteFrame -> their sum; called only when frames are given
+    at: str = ""  # where the condition was evaluated, named when it fails
+
+
+def _report_given(rep: _Reporter, pairs) -> None:
+    (_, b1), (_, b2) = pairs
+    rep.line(f"given bounds: [{_fmt(b1.lower)}, {_fmt(b1.upper)}] and [{_fmt(b2.lower)}, {_fmt(b2.upper)}]")
+
+
+def _dual_inputs(doc: dict, frames, pairs) -> int:
+    trials = doc.get("trials", 100)
+    valid = not isinstance(trials, bool) and isinstance(trials, int) and trials >= 1
+    if frames is not None and not valid:
+        raise _schema_error("trials", f"must be a positive integer, got {trials!r}")
+    return trials
+
+
+def _dual_rule(rep: _Reporter, trials: int, frames, pairs, rng) -> _SumRule | None:
+    if frames is None:
+        _report_given(rep, pairs)
         rep.line("frames not supplied: prediction only, duality asserted by the caller")
-        predicted = dual_sum_predict(b1, b2)
-        rep.payload["prediction"] = _report_prediction(rep, "given", predicted)
-        _check_expected_prediction(rep, predicted)
-        return rep.finish()
-
-    fi, gi, trials = payload
-    check = verify_dual(fi.frame, gi.frame, trials=trials, rng=rng)
-    rep.line(
-        f"dual identity over {trials} random unit vectors: max residual {_fmt(check.max_residual)}"
-        f" -> {'verified' if check.is_dual else 'NOT a dual pair'}"
+    else:
+        check = verify_dual(frames[0].frame, frames[1].frame, trials=trials, rng=rng)
+        rep.line(
+            f"dual identity over {trials} random unit vectors: max residual {_fmt(check.max_residual)}"
+            f" -> {'verified' if check.is_dual else 'NOT a dual pair'}"
+        )
+        rep.payload["verify_dual"] = {"is_dual": check.is_dual, "max_residual": check.max_residual}
+        if "verify_dual" in rep.spec.expect:
+            rep.check_equal("verify_dual", check.is_dual, rep.spec.expect["verify_dual"])
+        if not check.is_dual:
+            rep.fail("dual identity does not hold; the dual-sum rule does not apply")
+            return None
+    return _SumRule(
+        predict=lambda bounds: dual_sum_predict(*bounds),
+        build=lambda built: FiniteFrame(built[0].vectors + built[1].vectors),
     )
-    rep.payload["verify_dual"] = {"is_dual": check.is_dual, "max_residual": check.max_residual}
-    if "verify_dual" in expect:
-        rep.check_equal("verify_dual", check.is_dual, expect["verify_dual"])
-    if not check.is_dual:
-        rep.fail("dual identity does not hold; the dual-sum rule does not apply")
-        return rep.finish()
-
-    oracle1 = _describe_frame(rep, fi)
-    oracle2 = _describe_frame(rep, gi)
-    stated1 = _stated_or_oracle(fi, oracle1)
-    stated2 = _stated_or_oracle(gi, oracle2)
-    oracle_pred = dual_sum_predict(oracle1, oracle2)
-    has_stated = fi.stated_bounds is not None or gi.stated_bounds is not None
-    stated_pred = dual_sum_predict(stated1, stated2) if has_stated else None
-    shown = stated_pred if stated_pred is not None else oracle_pred
-    rep.payload["prediction"] = _report_prediction(
-        rep, "stated inputs" if has_stated else "oracle inputs", shown
-    )
-    if has_stated:
-        rep.payload["prediction_oracle"] = _report_prediction(rep, "oracle inputs", oracle_pred)
-
-    # the width table compares the input frames with the *predicted* pair for
-    # the sum, which is how tightness gains are quoted
-    widths = width_report(
-        [
-            (fi.name, oracle1),
-            (gi.name, oracle2),
-            (f"{fi.name}+{gi.name}", shown.as_bounds()),
-        ]
-    )
-    rep.line("widths: " + "  ".join(f"{w.label} {w.text}" for w in widths))
-    rep.payload["widths_4dp"] = [w.text for w in widths]
-    if "widths_4dp" in expect:
-        rep.check_equal("widths (4dp)", [w.text for w in widths], expect["widths_4dp"])
-
-    built = FiniteFrame(fi.frame.vectors + gi.frame.vectors)
-    _certify_and_report(rep, oracle_pred, stated_pred, built)
-    if "certification" in rep.payload and "sum_bounds" in expect:
-        exact = rep.payload["certification"]["exact"]
-        want = expect["sum_bounds"]
-        rep.check_close("sum lower bound", exact["lower"], want.lower)
-        rep.check_close("sum upper bound", exact["upper"], want.upper)
-    _check_expected_prediction(rep, shown)
-    _check_expected_certified(rep)
-    return rep.finish()
 
 
-def _run_finite_sum(spec: ExperimentSpec, rng) -> ExperimentResult:
-    rep = _Reporter(spec)
-    frames, pairs, coefficients, pivot = spec.payload
+def _finite_sum_inputs(doc: dict, frames, pairs):
+    coefficients = [
+        _as_complex(c, f"coefficients[{i}]")
+        for i, c in enumerate(_as_array(doc.get("coefficients"), "coefficients"))
+    ]
+    if any(c == 0 for c in coefficients):
+        raise _schema_error("coefficients", "coefficient must be nonzero")
+    pivot = doc.get("pivot", "best")
+    if pivot != "best":
+        if isinstance(pivot, bool) or not isinstance(pivot, int):
+            raise _schema_error("pivot", f'must be a 1-based index or "best", got {pivot!r}')
+        if not (1 <= pivot <= len(coefficients)):
+            raise _schema_error("pivot", f"index {pivot} out of range 1..{len(coefficients)}")
+    count, what = (len(frames), "frames") if frames is not None else (len(pairs), "bound pairs")
+    if count != len(coefficients):
+        raise _schema_error("coefficients", f"{count} {what} but {len(coefficients)} coefficients")
+    return coefficients, pivot
+
+
+def _finite_sum_rule(rep: _Reporter, inputs, frames, pairs, rng) -> _SumRule:
+    coefficients, pivot = inputs
     rep.line(
         "coefficients: "
         + ", ".join(_fmt(c.real) if c.imag == 0 else f"{_fmt(c.real)}{c.imag:+.12g}i" for c in coefficients)
     )
-
-    if frames is None:
-        names = [name for name, _ in pairs]
-        bounds = [b for _, b in pairs]
+    names = [fi.name for fi in frames] if frames is not None else [name for name, _ in pairs]
+    if pairs is not None:
         for name, b in pairs:
             rep.line(f"frame {name}: given bounds [{_fmt(b.lower)}, {_fmt(b.upper)}]")
+    pivot_index = None
+
+    def predict(bounds):
+        # the first prediction chooses the pivot; later ones reuse it
+        nonlocal pivot_index
+        if pivot_index is not None:
+            return finite_sum_predict(bounds, coefficients, pivot_index)
         if pivot == "best":
             pivot_index, predicted = finite_sum_best_pivot(bounds, coefficients)
         else:
             pivot_index = pivot - 1
             predicted = finite_sum_predict(bounds, coefficients, pivot_index)
         rep.line(f"pivot: {names[pivot_index]} (index {pivot_index + 1})")
+        rule.at = f" at pivot {pivot_index + 1}"
+        return predicted
+
+    def build(built):
+        weights = np.array(coefficients, dtype=complex)
+        spec = WeightedSumSpec(frames=tuple(built), coefficients=weights, pivot=pivot_index)
+        return build_sum_frame(spec)
+
+    rule = _SumRule(predict=predict, build=build)
+    return rule
+
+
+def _operator_sum_inputs(doc: dict, frames, pairs):
+    thetas = (_as_matrix(doc.get("theta1"), "theta1"), _as_matrix(doc.get("theta2"), "theta2"))
+    for name, theta in zip(("theta1", "theta2"), thetas):
+        if theta.shape[0] != theta.shape[1]:
+            raise _schema_error(name, f"must be square, got {theta.shape}")
+        if frames is not None and theta.shape[0] != frames[0].frame.dim:
+            dim = frames[0].frame.dim
+            raise _schema_error(name, f"must be {dim}x{dim} like the frames, got {theta.shape}")
+    return thetas
+
+
+def _operator_sum_rule(rep: _Reporter, thetas, frames, pairs, rng) -> _SumRule:
+    if frames is None:
+        sigma1, sigma2 = (extreme_singular_values(theta) for theta in thetas)
+    else:
+        op_spec = OperatorSumSpec(
+            frame1=frames[0].frame, frame2=frames[1].frame, theta1=thetas[0], theta2=thetas[1]
+        )
+        sigma1, sigma2 = (op_spec.m1, op_spec.norm1), (op_spec.m2, op_spec.norm2)
+    for i, (m, norm) in enumerate((sigma1, sigma2), 1):
+        rep.line(f"operator {i}: sigma range [{_fmt(m)}, {_fmt(norm)}]")
+    if pairs is not None:
+        _report_given(rep, pairs)
+    return _SumRule(
+        predict=lambda bounds: operator_sum_predict(sigma1, sigma2, *bounds),
+        build=lambda built: build_operator_sum_frame(op_spec),
+    )
+
+
+def _perturbed_sum_inputs(doc: dict, frames, pairs):
+    alpha = _as_vector(doc.get("alpha"), "alpha")
+    beta = _as_vector(doc.get("beta"), "beta")
+    counts = (len(alpha), len(beta))
+    if frames is not None and counts != (frames[0].frame.count, frames[1].frame.count):
+        raise _schema_error("alpha", "scalar sequences must have one entry per frame vector")
+    return alpha, beta
+
+
+def _perturbed_sum_rule(rep: _Reporter, sequences, frames, pairs, rng) -> _SumRule:
+    env1, env2 = (ScalarEnvelope.from_sequence(np.array(seq, dtype=complex)) for seq in sequences)
+    rep.line(f"alpha envelope: |.| in [{_fmt(env1.inf_abs)}, {_fmt(env1.sup_abs)}]")
+    rep.line(f"beta envelope: |.| in [{_fmt(env2.inf_abs)}, {_fmt(env2.sup_abs)}]")
+    if pairs is not None:
+        _report_given(rep, pairs)
+    return _SumRule(
+        predict=lambda bounds: perturbed_sum_predict(env1, env2, *bounds),
+        build=lambda built: build_perturbed_sum_frame(env1, env2, *built),
+    )
+
+
+#: kind -> (parser of the rule's own fields, run-time start of the rule)
+_SUM_RULES = {
+    "dual": (_dual_inputs, _dual_rule),
+    "finite-sum": (_finite_sum_inputs, _finite_sum_rule),
+    "operator-sum": (_operator_sum_inputs, _operator_sum_rule),
+    "perturbed-sum": (_perturbed_sum_inputs, _perturbed_sum_rule),
+}
+
+
+def _run_sum(spec: ExperimentSpec, rng) -> ExperimentResult:
+    rep = _Reporter(spec)
+    frames, pairs, inputs = spec.payload
+    rule = _SUM_RULES[spec.kind][1](rep, inputs, frames, pairs, rng)
+    if rule is None:
+        return rep.finish()
+    if frames is None:
+        predicted = rule.predict([b for _, b in pairs])
         rep.payload["prediction"] = _report_prediction(rep, "given", predicted)
         if not predicted.condition_holds:
             rep.fail(
-                f"sufficiency condition fails at pivot {pivot_index + 1} "
+                f"sufficiency condition fails{rule.at} "
                 f"(margin {_fmt(predicted.condition_margin)})"
             )
         _check_expected_prediction(rep, predicted)
         return rep.finish()
 
-    oracles = [_describe_frame(rep, fi) for fi in frames]
-    stated = [_stated_or_oracle(fi, oracle) for fi, oracle in zip(frames, oracles)]
+    oracles = [fi.oracle_bounds() for fi in frames]
+    for fi, oracle in zip(frames, oracles):
+        _describe_frame(rep, fi, oracle)
     has_stated = any(fi.stated_bounds is not None for fi in frames)
-
-    if pivot == "best":
-        pivot_index, oracle_pred = finite_sum_best_pivot(oracles, coefficients)
-    else:
-        pivot_index = pivot - 1
-        oracle_pred = finite_sum_predict(oracles, coefficients, pivot_index)
-    stated_pred = (
-        finite_sum_predict(stated, coefficients, pivot_index) if has_stated else None
-    )
-    rep.line(f"pivot: {frames[pivot_index].name} (index {pivot_index + 1})")
+    oracle_pred = rule.predict(oracles)
+    stated = [fi.stated_bounds or oracle for fi, oracle in zip(frames, oracles)]
+    stated_pred = rule.predict(stated) if has_stated else None
     shown = stated_pred if stated_pred is not None else oracle_pred
     rep.payload["prediction"] = _report_prediction(
         rep, "stated inputs" if has_stated else "oracle inputs", shown
@@ -931,93 +946,22 @@ def _run_finite_sum(spec: ExperimentSpec, rng) -> ExperimentResult:
     if has_stated:
         rep.payload["prediction_oracle"] = _report_prediction(rep, "oracle inputs", oracle_pred)
 
-    built = build_sum_frame(
-        WeightedSumSpec(
-            frames=tuple(fi.frame for fi in frames),
-            coefficients=np.array(coefficients, dtype=complex),
-            pivot=pivot_index,
-        )
-    )
-    _certify_and_report(rep, oracle_pred, stated_pred, built)
-    _check_expected_prediction(rep, shown)
-    _check_expected_certified(rep)
-    return rep.finish()
+    if spec.kind == "dual":
+        # the dual rule quotes a width table: the input frames against the
+        # *predicted* pair for the sum, which is how tightness gains are quoted
+        entries = [(fi.name, oracle) for fi, oracle in zip(frames, oracles)]
+        widths = width_report(entries + [("+".join(fi.name for fi in frames), shown.as_bounds())])
+        rep.line("widths: " + "  ".join(f"{w.label} {w.text}" for w in widths))
+        rep.payload["widths_4dp"] = [w.text for w in widths]
+        if "widths_4dp" in spec.expect:
+            rep.check_equal("widths (4dp)", [w.text for w in widths], spec.expect["widths_4dp"])
 
-
-def _run_operator_sum(spec: ExperimentSpec, rng) -> ExperimentResult:
-    rep = _Reporter(spec)
-    f1, f2, b1, b2, theta1, theta2 = spec.payload
-
-    if f1 is None:
-        m1, n1 = extreme_singular_values(theta1)
-        m2, n2 = extreme_singular_values(theta2)
-        rep.line(f"operator 1: sigma range [{_fmt(m1)}, {_fmt(n1)}]")
-        rep.line(f"operator 2: sigma range [{_fmt(m2)}, {_fmt(n2)}]")
-        rep.line(f"given bounds: [{_fmt(b1.lower)}, {_fmt(b1.upper)}] and [{_fmt(b2.lower)}, {_fmt(b2.upper)}]")
-        margin = b1.lower * m1**2 + b2.lower * m2**2 - 2.0 * math.sqrt(b1.upper * b2.upper) * n1 * n2
-        upper = (math.sqrt(b1.upper) * n1 + math.sqrt(b2.upper) * n2) ** 2
-        predicted = PredictedBounds(margin, upper, margin > 0.0, margin)
-        rep.payload["prediction"] = _report_prediction(rep, "given", predicted)
-        if not predicted.condition_holds:
-            rep.fail(f"sufficiency condition fails (margin {_fmt(margin)})")
-        _check_expected_prediction(rep, predicted)
-        return rep.finish()
-
-    op_spec = OperatorSumSpec(frame1=f1.frame, frame2=f2.frame, theta1=theta1, theta2=theta2)
-    rep.line(f"operator 1: sigma range [{_fmt(op_spec.m1)}, {_fmt(op_spec.norm1)}]")
-    rep.line(f"operator 2: sigma range [{_fmt(op_spec.m2)}, {_fmt(op_spec.norm2)}]")
-    oracle1 = _describe_frame(rep, f1)
-    oracle2 = _describe_frame(rep, f2)
-    stated1 = _stated_or_oracle(f1, oracle1)
-    stated2 = _stated_or_oracle(f2, oracle2)
-    has_stated = f1.stated_bounds is not None or f2.stated_bounds is not None
-    oracle_pred = operator_sum_predict(op_spec, oracle1, oracle2)
-    stated_pred = operator_sum_predict(op_spec, stated1, stated2) if has_stated else None
-    shown = stated_pred if stated_pred is not None else oracle_pred
-    rep.payload["prediction"] = _report_prediction(
-        rep, "stated inputs" if has_stated else "oracle inputs", shown
-    )
-    if has_stated:
-        rep.payload["prediction_oracle"] = _report_prediction(rep, "oracle inputs", oracle_pred)
-    built = build_operator_sum_frame(op_spec)
-    _certify_and_report(rep, oracle_pred, stated_pred, built)
-    _check_expected_prediction(rep, shown)
-    _check_expected_certified(rep)
-    return rep.finish()
-
-
-def _run_perturbed_sum(spec: ExperimentSpec, rng) -> ExperimentResult:
-    rep = _Reporter(spec)
-    f1, f2, b1, b2, alpha, beta = spec.payload
-    env1 = ScalarEnvelope.from_sequence(np.array(alpha, dtype=complex))
-    env2 = ScalarEnvelope.from_sequence(np.array(beta, dtype=complex))
-    rep.line(f"alpha envelope: |.| in [{_fmt(env1.inf_abs)}, {_fmt(env1.sup_abs)}]")
-    rep.line(f"beta envelope: |.| in [{_fmt(env2.inf_abs)}, {_fmt(env2.sup_abs)}]")
-
-    if f1 is None:
-        rep.line(f"given bounds: [{_fmt(b1.lower)}, {_fmt(b1.upper)}] and [{_fmt(b2.lower)}, {_fmt(b2.upper)}]")
-        predicted = perturbed_sum_predict(env1, env2, b1, b2)
-        rep.payload["prediction"] = _report_prediction(rep, "given", predicted)
-        if not predicted.condition_holds:
-            rep.fail(f"sufficiency condition fails (margin {_fmt(predicted.condition_margin)})")
-        _check_expected_prediction(rep, predicted)
-        return rep.finish()
-
-    oracle1 = _describe_frame(rep, f1)
-    oracle2 = _describe_frame(rep, f2)
-    stated1 = _stated_or_oracle(f1, oracle1)
-    stated2 = _stated_or_oracle(f2, oracle2)
-    has_stated = f1.stated_bounds is not None or f2.stated_bounds is not None
-    oracle_pred = perturbed_sum_predict(env1, env2, oracle1, oracle2)
-    stated_pred = perturbed_sum_predict(env1, env2, stated1, stated2) if has_stated else None
-    shown = stated_pred if stated_pred is not None else oracle_pred
-    rep.payload["prediction"] = _report_prediction(
-        rep, "stated inputs" if has_stated else "oracle inputs", shown
-    )
-    if has_stated:
-        rep.payload["prediction_oracle"] = _report_prediction(rep, "oracle inputs", oracle_pred)
-    built = build_perturbed_sum_frame(env1, env2, f1.frame, f2.frame)
-    _certify_and_report(rep, oracle_pred, stated_pred, built)
+    _certify_and_report(rep, oracle_pred, stated_pred, rule.build([fi.frame for fi in frames]))
+    if "certification" in rep.payload and "sum_bounds" in spec.expect:
+        exact = rep.payload["certification"]["exact"]
+        want = spec.expect["sum_bounds"]
+        rep.check_close("sum lower bound", exact["lower"], want.lower)
+        rep.check_close("sum upper bound", exact["upper"], want.upper)
     _check_expected_prediction(rep, shown)
     _check_expected_certified(rep)
     return rep.finish()
@@ -1127,10 +1071,10 @@ def _run_algo(spec: ExperimentSpec, rng) -> ExperimentResult:
 _RUNNERS = {
     "bounds": _run_bounds,
     "width": _run_width,
-    "dual": _run_dual,
-    "finite-sum": _run_finite_sum,
-    "operator-sum": _run_operator_sum,
-    "perturbed-sum": _run_perturbed_sum,
+    "dual": _run_sum,
+    "finite-sum": _run_sum,
+    "operator-sum": _run_sum,
+    "perturbed-sum": _run_sum,
     "gabor": _run_gabor,
     "algo": _run_algo,
 }

@@ -59,11 +59,14 @@ class FrameBounds:
         return (self.upper - self.lower) / (self.upper + self.lower)
 
 
+def as_frame_bounds(pair) -> FrameBounds:
+    """``pair`` if it is a :class:`FrameBounds`, else ``FrameBounds(*pair)``."""
+    return pair if isinstance(pair, FrameBounds) else FrameBounds(*pair)
+
+
 def width(bounds: FrameBounds) -> float:
     """Tightness measure ``(B - A) / (B + A)``, in ``[0, 1)``."""
-    if not isinstance(bounds, FrameBounds):
-        bounds = FrameBounds(*bounds)
-    return bounds.width
+    return as_frame_bounds(bounds).width
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .errors import (
     InvalidBoundsError,
     ZeroCoefficientError,
 )
-from .frames import FiniteFrame, FrameBounds, exact_bounds
+from .frames import FiniteFrame, FrameBounds, as_frame_bounds, exact_bounds
 
 #: relative slack when checking that a prediction brackets the oracle bounds.
 CERTIFY_TOLERANCE = 1e-9
@@ -72,13 +72,6 @@ class PredictedBounds:
         return FrameBounds(self.lower, self.upper)
 
 
-def _coerce_bounds(pairs) -> list[FrameBounds]:
-    out = []
-    for pair in pairs:
-        out.append(pair if isinstance(pair, FrameBounds) else FrameBounds(*pair))
-    return out
-
-
 def _coerce_coefficients(coefficients) -> np.ndarray:
     c = np.asarray(coefficients, dtype=complex)
     if c.ndim != 1 or c.size == 0:
@@ -103,7 +96,7 @@ def finite_sum_predict(bounds, coefficients, pivot: int) -> PredictedBounds:
 
     ``pivot`` is 0-based.
     """
-    blist = _coerce_bounds(bounds)
+    blist = [as_frame_bounds(pair) for pair in bounds]
     c = _coerce_coefficients(coefficients)
     k = len(blist)
     if c.shape[0] != k:
@@ -133,7 +126,7 @@ def finite_sum_best_pivot(bounds, coefficients) -> tuple[int, PredictedBounds]:
     Falls back to the largest-margin pivot when no pivot makes the condition
     hold.
     """
-    blist = _coerce_bounds(bounds)
+    blist = [as_frame_bounds(pair) for pair in bounds]
     predictions = [
         finite_sum_predict(blist, coefficients, j) for j in range(len(blist))
     ]
@@ -150,8 +143,7 @@ def dual_sum_predict(bounds1, bounds2) -> PredictedBounds:
     margin is the (always positive) predicted lower bound itself.  The caller
     is responsible for verifying duality first.
     """
-    b1 = bounds1 if isinstance(bounds1, FrameBounds) else FrameBounds(*bounds1)
-    b2 = bounds2 if isinstance(bounds2, FrameBounds) else FrameBounds(*bounds2)
+    b1, b2 = as_frame_bounds(bounds1), as_frame_bounds(bounds2)
     lower = b1.lower + b2.lower + 2.0
     upper = b1.upper + b2.upper + 2.0
     return PredictedBounds(lower, upper, True, lower)
@@ -212,23 +204,26 @@ class OperatorSumSpec:
                 object.__setattr__(self, "norm2", smax)
 
 
-def operator_sum_predict(spec: OperatorSumSpec, bounds1, bounds2) -> PredictedBounds:
+def operator_sum_predict(sigma1, sigma2, bounds1, bounds2) -> PredictedBounds:
     """Predicted bounds for ``{T1 f_k + T2 g_k}``.
 
-    Condition and lower bound are the same expression,
+    ``sigma1`` and ``sigma2`` are the singular ranges ``(m, ||T||)`` of the
+    two operators: the smallest and the largest singular value, as
+    :class:`OperatorSumSpec` computes them.  Condition and lower bound are the
+    same expression,
 
         ``A1 m1^2 + A2 m2^2 - 2 sqrt(B1 B2) ||T1|| ||T2||``,
 
     the upper bound is ``(sqrt(B1) ||T1|| + sqrt(B2) ||T2||)^2``.
     """
-    b1 = bounds1 if isinstance(bounds1, FrameBounds) else FrameBounds(*bounds1)
-    b2 = bounds2 if isinstance(bounds2, FrameBounds) else FrameBounds(*bounds2)
+    (m1, norm1), (m2, norm2) = sigma1, sigma2
+    b1, b2 = as_frame_bounds(bounds1), as_frame_bounds(bounds2)
     margin = (
-        b1.lower * spec.m1**2
-        + b2.lower * spec.m2**2
-        - 2.0 * math.sqrt(b1.upper * b2.upper) * spec.norm1 * spec.norm2
+        b1.lower * m1**2
+        + b2.lower * m2**2
+        - 2.0 * math.sqrt(b1.upper * b2.upper) * norm1 * norm2
     )
-    upper = (math.sqrt(b1.upper) * spec.norm1 + math.sqrt(b2.upper) * spec.norm2) ** 2
+    upper = (math.sqrt(b1.upper) * norm1 + math.sqrt(b2.upper) * norm2) ** 2
     return PredictedBounds(margin, upper, margin > 0.0, margin)
 
 
@@ -266,8 +261,7 @@ def perturbed_sum_predict(env1: ScalarEnvelope, env2: ScalarEnvelope, bounds1, b
 
     upper bound ``(sup|alpha| sqrt(B1) + sup|beta| sqrt(B2))^2``.
     """
-    b1 = bounds1 if isinstance(bounds1, FrameBounds) else FrameBounds(*bounds1)
-    b2 = bounds2 if isinstance(bounds2, FrameBounds) else FrameBounds(*bounds2)
+    b1, b2 = as_frame_bounds(bounds1), as_frame_bounds(bounds2)
     margin = (
         env1.inf_abs**2 * b1.lower
         + env2.inf_abs**2 * b2.lower

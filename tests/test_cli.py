@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,15 @@ import pytest
 
 from framesum import SpecParseError, SpecSchemaError
 from framesum.cli import bundled_fixture_names, emit_csv, load_bundled_fixture, main
-from framesum.experiments import parse_spec, parse_spec_text, render_spec, run_experiment
+from framesum.experiments import (
+    DEFAULT_EXPECT_RTOL,
+    parse_spec,
+    parse_spec_text,
+    render_spec,
+    run_experiment,
+)
+
+GOLDEN_SUITE = Path(__file__).parent / "golden" / "paper_suite"
 
 
 # --- parsing and schema -------------------------------------------------------
@@ -178,6 +187,75 @@ def test_cli_rejects_malformed_expect_at_parse_time(tmp_path, capsys, fixture, c
     assert "Traceback" not in err
 
 
+E2 = [[1, 0], [0, 1]]
+E3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize(
+    "command,doc,field",
+    [
+        (
+            "sum",
+            {"kind": "finite-sum", "frames": [{"vectors": E2}, {"vectors": E3}], "coefficients": [1, 1]},
+            "frames[1].vectors",
+        ),
+        (
+            "sum",
+            {"kind": "finite-sum", "frames": [{"vectors": E2}, {"vectors": E2 + [[1, 1]]}], "coefficients": [1, 1]},
+            "frames[1].vectors",
+        ),
+        (
+            "op-sum",
+            {"kind": "operator-sum", "frame1": {"vectors": E2}, "frame2": {"vectors": E2}, "theta1": E3, "theta2": E3},
+            "theta1",
+        ),
+        (
+            "op-sum",
+            {
+                "kind": "operator-sum",
+                "frame1": {"vectors": E2},
+                "frame2": {"vectors": E2 + [[1, 1]]},
+                "theta1": E2,
+                "theta2": E2,
+            },
+            "frame2.vectors",
+        ),
+        (
+            "perturbed-sum",
+            {
+                "kind": "perturbed-sum",
+                "frame1": {"vectors": E2},
+                "frame2": {"vectors": E3[:2]},
+                "alpha": [1, 1],
+                "beta": [1, 1],
+            },
+            "frame2.vectors",
+        ),
+        ("dual", {"kind": "dual", "frame": {"vectors": E2}, "dual": {"vectors": E2 + [[1, 1]]}}, "dual.vectors"),
+        ("dual", {"kind": "dual", "frame": {"vectors": E2}, "dual": {"vectors": E3[:2]}}, "dual.vectors"),
+    ],
+    ids=[
+        "sum-dimensions",
+        "sum-counts",
+        "op-sum-theta-size",
+        "op-sum-counts",
+        "perturbed-sum-dimensions",
+        "dual-counts",
+        "dual-dimensions",
+    ],
+)
+def test_cli_rejects_misaligned_summands_at_parse_time(tmp_path, capsys, command, doc, field):
+    path = tmp_path / "misaligned.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(SpecSchemaError):
+        parse_spec(path)
+    code = main([command, "--spec", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"{field}:" in err
+    assert "Traceback" not in err
+
+
 def test_cli_algo_unknown_envelope_label_fails_the_expectation(tmp_path, capsys):
     doc = json.loads(render_spec(load_bundled_fixture("algo_finite_sum_c2.json")))
     doc["expect"]["envelope_order"] = ["base", "nowhere"]
@@ -221,6 +299,24 @@ def test_cli_eigensolver_failure_exits_two(tmp_path, capsys, monkeypatch):
     code = main(["bounds", "--spec", str(path)])
     assert code == 2
     assert "NoConvergenceError" in capsys.readouterr().err
+
+
+def test_bounds_experiment_solves_its_spectrum_once(monkeypatch):
+    import framesum.linalg
+
+    calls = []
+    original = framesum.linalg.hermitian_eig
+
+    def counting(matrix):
+        calls.append(matrix.shape)
+        return original(matrix)
+
+    monkeypatch.setattr(framesum.linalg, "hermitian_eig", counting)
+    for name in ("exact_bounds_c2.json", "exact_bounds_c2_diag.json"):
+        calls.clear()
+        result = run_experiment(load_bundled_fixture(name))
+        assert result.status in ("pass", "flagged")
+        assert len(calls) == 1, name
 
 
 def test_cli_json_report(tmp_path):
@@ -325,6 +421,64 @@ def test_paper_suite_deterministic(tmp_path, capsys, flags):
     assert names_one == names_two
     for name in names_one:
         assert (one / name).read_bytes() == (two / name).read_bytes()
+
+
+def _assert_same_json(got, want, path="$"):
+    """Equal structure, strings, booleans and integers; floats within the
+    package's default expectation tolerance."""
+    assert type(got) is type(want), f"{path}: {type(got).__name__} != {type(want).__name__}"
+    if isinstance(want, dict):
+        assert list(got) == list(want), f"{path}: keys {list(got)} != {list(want)}"
+        for key in want:
+            _assert_same_json(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), f"{path}: length {len(got)} != {len(want)}"
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_same_json(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert math.isclose(got, want, rel_tol=DEFAULT_EXPECT_RTOL), f"{path}: {got!r} != {want!r}"
+    else:
+        assert got == want, f"{path}: {got!r} != {want!r}"
+
+
+def _assert_same_csv(got: str, want: str, name: str):
+    got_rows = [line.split(",") for line in got.splitlines()]
+    want_rows = [line.split(",") for line in want.splitlines()]
+    assert got_rows[0] == want_rows[0], f"{name}: header"
+    assert len(got_rows) == len(want_rows), f"{name}: row count"
+    for got_row, want_row in zip(got_rows[1:], want_rows[1:]):
+        assert len(got_row) == len(want_row), f"{name}: row {want_row[0]} length"
+        assert got_row[0] == want_row[0], f"{name}: iteration index"
+        for g, w in zip(got_row[1:], want_row[1:]):
+            if g != w:
+                assert g and w and math.isclose(
+                    float(g), float(w), rel_tol=DEFAULT_EXPECT_RTOL
+                ), f"{name}: row {want_row[0]}: {g} != {w}"
+
+
+@pytest.mark.parametrize("flags,extension", [([], "txt"), (["--json"], "json")], ids=["text", "json"])
+def test_paper_suite_matches_golden_output(tmp_path, capsys, flags, extension):
+    """The suite's reports, CSVs and summary match tests/golden/paper_suite.
+
+    Text reports and the summary must match byte for byte.  JSON reports and
+    CSVs compare floats within DEFAULT_EXPECT_RTOL, so a last-ulp difference
+    between BLAS builds does not fail.
+    """
+    out = tmp_path / "suite"
+    assert main(["paper-suite", "--out", str(out), "--seed", "0", *flags]) == 0
+    capsys.readouterr()
+    other = ".report.json" if extension == "txt" else ".report.txt"
+    names = sorted(p.name for p in out.iterdir())
+    assert names == sorted(p.name for p in GOLDEN_SUITE.iterdir() if not p.name.endswith(other))
+    for name in names:
+        got = (out / name).read_text(encoding="utf-8")
+        want = (GOLDEN_SUITE / name).read_text(encoding="utf-8")
+        if name.endswith(".json"):
+            _assert_same_json(json.loads(got), json.loads(want), name)
+        elif name.endswith(".csv"):
+            _assert_same_csv(got, want, name)
+        else:
+            assert (out / name).read_bytes() == (GOLDEN_SUITE / name).read_bytes(), name
 
 
 def test_seed_changes_random_targets(tmp_path, capsys):

@@ -178,7 +178,7 @@ def test_operator_sum_quarter_identity():
     spec = OperatorSumSpec(
         frame1=BASE_C2, frame2=TIGHT_C2, theta1=np.eye(2) / 4, theta2=np.eye(2)
     )
-    predicted = operator_sum_predict(spec, (4, 16), (4, 4))
+    predicted = operator_sum_predict((spec.m1, spec.norm1), (spec.m2, spec.norm2), (4, 16), (4, 4))
     assert predicted.condition_holds
     assert predicted.condition_margin == pytest.approx(17 / 4 - 4, rel=1e-12)
     assert predicted.lower == pytest.approx(1 / 4, rel=1e-12)
@@ -189,7 +189,7 @@ def test_operator_sum_small_contraction():
     spec = OperatorSumSpec(
         frame1=BASE_C2, frame2=TIGHT_C2, theta1=np.eye(2) / 160, theta2=np.eye(2)
     )
-    predicted = operator_sum_predict(spec, (4, 16), (4, 4))
+    predicted = operator_sum_predict((spec.m1, spec.norm1), (spec.m2, spec.norm2), (4, 16), (4, 4))
     assert predicted.lower == pytest.approx(24961 / 6400, rel=1e-12)
     assert predicted.upper == pytest.approx(6561 / 1600, rel=1e-12)
     report = certify(predicted, build_operator_sum_frame(spec))
@@ -200,7 +200,7 @@ def test_operator_sum_zero_first_operator():
     spec = OperatorSumSpec(
         frame1=BASE_C2, frame2=TIGHT_C2, theta1=np.zeros((2, 2)), theta2=np.eye(2)
     )
-    predicted = operator_sum_predict(spec, (4, 16), (4, 4))
+    predicted = operator_sum_predict((spec.m1, spec.norm1), (spec.m2, spec.norm2), (4, 16), (4, 4))
     assert predicted.lower == pytest.approx(4, rel=1e-12)
     assert predicted.upper == pytest.approx(4, rel=1e-12)
 
@@ -231,7 +231,7 @@ def test_operator_sum_checks_supplied_norms():
 def test_operator_sum_self_parseval_condition_fails():
     frame = FiniteFrame(np.eye(2))
     spec = OperatorSumSpec(frame1=frame, frame2=frame, theta1=np.eye(2), theta2=np.eye(2))
-    predicted = operator_sum_predict(spec, (1, 1), (1, 1))
+    predicted = operator_sum_predict((spec.m1, spec.norm1), (spec.m2, spec.norm2), (1, 1), (1, 1))
     assert not predicted.condition_holds
     assert predicted.condition_margin == pytest.approx(0, abs=1e-15)
     with pytest.raises(InvalidBoundsError):
