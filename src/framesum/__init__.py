@@ -35,6 +35,7 @@ from .errors import (
     NotAFrameError,
     NotHermitianError,
     NotTightError,
+    NumericRangeError,
     SingularOperatorError,
     SpecParseError,
     SpecSchemaError,

@@ -23,18 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FrameToolkitError, SpecParseError, SpecSchemaError
-from .experiments import ExperimentResult, parse_spec, parse_spec_text, run_experiment
-
-_COMMAND_KINDS = {
-    "bounds": "bounds",
-    "dual": "dual",
-    "sum": "finite-sum",
-    "op-sum": "operator-sum",
-    "perturbed-sum": "perturbed-sum",
-    "gabor": "gabor",
-    "algo": "algo",
-    "width": "width",
-}
+from .experiments import COMMANDS, ExperimentResult, parse_spec, parse_spec_text, run_experiment
 
 
 def _csv_cell(value) -> str:
@@ -69,7 +58,7 @@ def _run_single(args) -> int:
     except (SpecParseError, SpecSchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    expected_kind = _COMMAND_KINDS[args.command]
+    expected_kind = COMMANDS[args.command]
     if spec.kind != expected_kind:
         print(
             f"error: command {args.command!r} expects kind {expected_kind!r}, "
@@ -117,8 +106,13 @@ def _run_suite(args) -> int:
     worst = 0
     for name in names:
         spec = load_bundled_fixture(name)
-        rng = np.random.default_rng(args.seed)
-        result = run_experiment(spec, rng)
+        try:
+            result = run_experiment(spec, np.random.default_rng(args.seed))
+        except FrameToolkitError as exc:
+            print(f"error: {spec.label}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            rows.append((spec.label, spec.kind, "fail"))
+            worst = 2
+            continue
         report_path = out_dir / f"{spec.label}.report.{extension}"
         report_path.write_text(
             result.report_json() if args.json else result.report_text(),
@@ -156,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for command, kind in _COMMAND_KINDS.items():
+    for command, kind in COMMANDS.items():
         p = sub.add_parser(command, help=f"run a {kind} experiment from a JSON file")
         p.add_argument("--spec", required=True, help="path to the experiment JSON file")
         p.add_argument("--report", default=None, help="write the report here instead of stdout")

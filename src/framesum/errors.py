@@ -74,6 +74,10 @@ class InvalidBoundsForFrameError(FrameToolkitError):
     """Bound pair handed to the reconstruction algorithm is not valid for the frame."""
 
 
+class NumericRangeError(FrameToolkitError):
+    """A computation overflowed the floating-point range."""
+
+
 class SpecParseError(FrameToolkitError):
     """Experiment file is not syntactically valid JSON."""
 

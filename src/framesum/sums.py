@@ -116,8 +116,9 @@ def finite_sum_predict(bounds, coefficients, pivot: int) -> PredictedBounds:
 
     lower = float(np.sum(mags**2 * a)) - 2.0 * mags[pivot] * sqrt_b[pivot] * cross
     upper = k * float(np.sum(mags**2 * b))
-    holds = margin > 0.0 and lower > 0.0
-    return PredictedBounds(lower, upper, holds, margin)
+    if lower <= 0.0:  # lower is |c_j| margin up to round-off: a sign split is a tie
+        margin = min(margin, 0.0)
+    return PredictedBounds(lower, upper, margin > 0.0, margin)
 
 
 def finite_sum_best_pivot(bounds, coefficients) -> tuple[int, PredictedBounds]:

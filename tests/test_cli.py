@@ -5,9 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from framesum import SpecParseError, SpecSchemaError
+from framesum import NumericRangeError, SpecParseError, SpecSchemaError
 from framesum.cli import bundled_fixture_names, emit_csv, load_bundled_fixture, main
 from framesum.experiments import (
+    _KINDS,
     DEFAULT_EXPECT_RTOL,
     parse_spec,
     parse_spec_text,
@@ -156,6 +157,8 @@ def test_cli_kind_mismatch(tmp_path, capsys):
         ("dual_sum_c3.json", "dual", "sum_bounds", "x", "expect.sum_bounds"),
         ("finite_sum_c2.json", "sum", "condition_margin", None, "expect.condition_margin"),
         ("algo_finite_sum_c2.json", "algo", "envelope_order", [1, 2], "expect.envelope_order[0]"),
+        ("exact_bounds_c2.json", "bounds", "tight", "yes", "expect.tight"),
+        ("finite_sum_c2.json", "sum", "predicted_width_4dp", 0.3453, "expect.predicted_width_4dp"),
     ],
     ids=[
         "rtol-string",
@@ -168,6 +171,8 @@ def test_cli_kind_mismatch(tmp_path, capsys):
         "sum-bounds-string",
         "margin-null",
         "envelope-order-numbers",
+        "tight-string",
+        "predicted-width-number",
     ],
 )
 def test_cli_rejects_malformed_expect_at_parse_time(tmp_path, capsys, fixture, command, key, value, field):
@@ -233,6 +238,8 @@ E3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         ),
         ("dual", {"kind": "dual", "frame": {"vectors": E2}, "dual": {"vectors": E2 + [[1, 1]]}}, "dual.vectors"),
         ("dual", {"kind": "dual", "frame": {"vectors": E2}, "dual": {"vectors": E3[:2]}}, "dual.vectors"),
+        ("sum", {"kind": "finite-sum", "frame_bounds": [], "coefficients": []}, "frame_bounds"),
+        ("sum", {"kind": "finite-sum", "frames": [], "coefficients": []}, "frames"),
     ],
     ids=[
         "sum-dimensions",
@@ -242,6 +249,8 @@ E3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         "perturbed-sum-dimensions",
         "dual-counts",
         "dual-dimensions",
+        "sum-no-bound-pairs",
+        "sum-no-frames",
     ],
 )
 def test_cli_rejects_misaligned_summands_at_parse_time(tmp_path, capsys, command, doc, field):
@@ -264,6 +273,147 @@ def test_cli_algo_unknown_envelope_label_fails_the_expectation(tmp_path, capsys)
     code = main(["algo", "--spec", str(path)])
     assert code == 2
     assert "expected run labels" in capsys.readouterr().out
+
+
+#: a value of the right type for each expect key; the fixture's own value wins
+EXPECT_SAMPLES = {
+    "bounds": [1, 2],
+    "width_4dp": "0.5000",
+    "tight": True,
+    "parseval": True,
+    "widths_4dp": ["0.5000"],
+    "verify_dual": True,
+    "predicted": [1, 2],
+    "sum_bounds": [1, 2],
+    "condition_margin": 1.0,
+    "predicted_width_4dp": "0.5000",
+    "certified": True,
+    "exact": True,
+    "envelope_order": ["base", "sum"],
+    "envelope_dominates": True,
+}
+
+
+@pytest.mark.parametrize(
+    "fixture",
+    [
+        "exact_bounds_c2.json",
+        "dual_sum_c3.json",
+        "finite_sum_c2.json",
+        "operator_sum_c2.json",
+        "perturbed_sum_c2.json",
+        "gabor_tent_window.json",
+        "algo_finite_sum_c2.json",
+        "width_reference.json",
+    ],
+)
+def test_every_expect_key_a_kind_accepts_is_observed(fixture):
+    doc = json.loads(render_spec(load_bundled_fixture(fixture)))
+    keys = _KINDS[doc["kind"]].expect
+    doc["expect"] = {key: doc["expect"].get(key, EXPECT_SAMPLES[key]) for key in keys}
+    result = run_experiment(parse_spec_text(json.dumps(doc), origin=fixture))
+    assert [text for text in result.payload["failures"] if text.endswith("got None")] == []
+
+
+@pytest.mark.parametrize(
+    "fixture,command,key,value",
+    [
+        ("dual_sum_bounds_only.json", "dual", "verify_dual", True),
+        ("dual_sum_bounds_only.json", "dual", "sum_bounds", [1, 2]),
+        ("operator_sum_bounds_only.json", "op-sum", "certified", True),
+    ],
+    ids=["verify-dual-bounds-only", "sum-bounds-bounds-only", "certified-bounds-only"],
+)
+def test_cli_expected_value_the_run_never_computed_fails(tmp_path, capsys, fixture, command, key, value):
+    doc = json.loads(render_spec(load_bundled_fixture(fixture)))
+    doc["expect"][key] = value
+    path = tmp_path / fixture
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main([command, "--spec", str(path)])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert f"expected {key} = " in out and "got None" in out
+    assert "status: fail" in out
+
+
+def test_cli_predicted_width_on_a_failing_condition_fails_the_expectation(tmp_path, capsys):
+    doc = {
+        "kind": "finite-sum",
+        "frame_bounds": [[1, 100], [1, 100]],
+        "coefficients": [1, 1],
+        "pivot": 1,
+        "expect": {"predicted_width_4dp": "0.5000"},
+    }
+    path = tmp_path / "width_of_failing.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["sum", "--spec", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    assert "expected predicted_width_4dp = '0.5000', got None" in captured.out
+    assert "status: fail" in captured.out
+
+
+@pytest.mark.parametrize("pivot", [1, None], ids=["pivot-1", "best-pivot"])
+def test_cli_finite_sum_near_tie_writes_a_report(tmp_path, capsys, pivot):
+    doc = {
+        "kind": "finite-sum",
+        "frame_bounds": [
+            [1.1618879727492444, 2.8652124177103184],
+            [1.5153373940049786, 2.2744734139026423],
+            [1.6524348998531, 3.960631853380757],
+            [1.7097839046220313, 4.402244425000323],
+        ],
+        "coefficients": [2.881990450001699, 0.25780937586148317, 0.013556738999358853, 0.2849710290522285],
+    }
+    if pivot is not None:
+        doc["pivot"] = pivot
+    path = tmp_path / "near_tie.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["sum", "--spec", str(path)])
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if pivot is None:
+        assert code == 0 and "status: pass" in captured.out
+    else:
+        assert code == 2
+        assert "FAILS (needs margin > 0)" in captured.out
+        assert "status: fail" in captured.out
+
+
+@pytest.mark.parametrize(
+    "command,doc",
+    [
+        ("bounds", {"kind": "bounds", "frame": {"vectors": [[1e200, 0], [0, 1]]}}),
+        (
+            "gabor",
+            {
+                "kind": "gabor",
+                "generator": {"pieces": [{"lo": 0, "hi": 1, "kind": "affine", "alpha": 1e200, "beta": 1}]},
+                "lattice": {"a": 0.5, "b": 1},
+            },
+        ),
+        (
+            "perturbed-sum",
+            {
+                "kind": "perturbed-sum",
+                "frame1": {"vectors": E2},
+                "frame2": {"vectors": E2},
+                "alpha": [1, 1],
+                "beta": [1e200, 1],
+            },
+        ),
+    ],
+    ids=["bounds-frame", "gabor-alpha", "perturbed-beta"],
+)
+def test_cli_extreme_magnitudes_exit_two_with_a_clear_error(tmp_path, capsys, command, doc):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main([command, "--spec", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "NumericRangeError" in err and "overflowed" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
 
 
 def test_cli_missing_file(capsys):
@@ -397,6 +547,31 @@ def test_emit_csv_deterministic_bytes(tmp_path):
 
 
 # --- suite ----------------------------------------------------------------------
+
+
+def test_paper_suite_isolates_a_raising_fixture(tmp_path, capsys, monkeypatch):
+    import framesum.cli
+
+    original = framesum.cli.run_experiment
+
+    def run(spec, rng=None):
+        if spec.label == "gabor_tent_window":
+            raise NumericRangeError("injected")
+        return original(spec, rng)
+
+    monkeypatch.setattr(framesum.cli, "run_experiment", run)
+    out = tmp_path / "suite"
+    code = main(["paper-suite", "--out", str(out), "--seed", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "gabor_tent_window: NumericRangeError: injected" in captured.err
+    labels = [load_bundled_fixture(name).label for name in bundled_fixture_names()]
+    for label in labels:
+        assert (out / f"{label}.report.txt").exists() == (label != "gabor_tent_window"), label
+    summary = (out / "summary.txt").read_text(encoding="utf-8")
+    assert summary == captured.out
+    assert any(line.split() == ["gabor_tent_window", "gabor", "fail"] for line in summary.splitlines())
+    assert f"1 fail out of {len(labels)} fixtures" in summary
 
 
 def test_paper_suite_runs_clean(tmp_path, capsys):

@@ -93,6 +93,26 @@ def test_finite_sum_rejects_bad_pivot():
         finite_sum_predict([(1, 2)], [1], 3)
 
 
+NEAR_TIE_BOUNDS = [
+    (1.1618879727492444, 2.8652124177103184),
+    (1.5153373940049786, 2.2744734139026423),
+    (1.6524348998531, 3.960631853380757),
+    (1.7097839046220313, 4.402244425000323),
+]
+NEAR_TIE_COEFFICIENTS = [2.881990450001699, 0.25780937586148317, 0.013556738999358853, 0.2849710290522285]
+
+
+def test_finite_sum_near_tie_fails_the_condition():
+    # at pivot 0 the margin and the lower bound |c_0| * margin round to
+    # opposite signs; that sign split is a tie, and a tie fails
+    predicted = finite_sum_predict(NEAR_TIE_BOUNDS, NEAR_TIE_COEFFICIENTS, 0)
+    assert not predicted.condition_holds
+    assert predicted.condition_margin <= 0.0
+    pivot, best = finite_sum_best_pivot(NEAR_TIE_BOUNDS, NEAR_TIE_COEFFICIENTS)
+    assert best.condition_holds == (best.condition_margin > 0.0)
+    assert pivot != 0
+
+
 @given(t=st.floats(min_value=1e-3, max_value=1e3))
 def test_finite_sum_homogeneity(t):
     bounds = [(4.0, 16.0), (1.0, 4.0)]
