@@ -5,6 +5,11 @@ One experiment is one JSON document.  Complex scalars are two-element
 zero), frames are arrays of vectors, matrices are arrays of rows, and
 piecewise windows are arrays of ``{lo, hi, kind, alpha, beta}`` objects.
 
+Frame vectors, ``theta1``/``theta2``, ``alpha``/``beta`` and ``coefficients``
+are read by :func:`_as_complex_array` with one numpy conversion when they hold
+only finite numbers, all bare reals or all pairs.  Anything else goes through a
+per-entry walk, which reads mixed input and names the path of a bad entry.
+
 Each experiment kind is declared once, in the registry ``_KINDS``: its CLI
 command, its document fields, its ``expect`` keys with a parser for each
 value, the payload parser that :func:`parse_spec_text` runs once, and its
@@ -35,6 +40,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -114,7 +120,10 @@ def _as_array(value, path: str) -> list:
 def _as_real(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _schema_error(path, f"expected a real number, got {value!r}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:
+        raise _schema_error(path, "expected a finite number, got an integer beyond the float range") from None
     if not math.isfinite(out):
         raise _schema_error(path, f"expected a finite number, got {value!r}")
     return out
@@ -164,22 +173,44 @@ def _as_strings(value, path: str) -> list[str]:
     return [_as_string(entry, f"{path}[{i}]") for i, entry in enumerate(_as_array(value, path))]
 
 
-def _as_vector(value, path: str) -> list[complex]:
-    arr = _as_array(value, path)
-    if not arr:
-        raise _schema_error(path, "vector must be nonempty")
-    return [_as_complex(entry, f"{path}[{i}]") for i, entry in enumerate(arr)]
+def _leaves(value, depth: int):
+    for _ in range(depth - 1):
+        value = chain.from_iterable(value)
+    return value
 
 
-def _as_matrix(value, path: str) -> np.ndarray:
+def _as_complex_array(value, path: str, ndim: int) -> np.ndarray:
+    """A complex array of rank ``ndim``, no axis empty, read from nested arrays."""
+    try:
+        arr = np.array(value)
+    except ValueError:  # ragged, or nested past numpy's rank limit
+        arr = None
+    if (
+        arr is not None
+        and arr.dtype.kind in "fi"
+        and (arr.ndim == ndim or (arr.ndim == ndim + 1 and arr.shape[-1] == 2))
+        and all(arr.shape)
+        and set(map(type, _leaves(value, arr.ndim))) <= {int, float}
+        and np.isfinite(arr).all()
+    ):
+        if arr.ndim == ndim:
+            return arr.astype(complex)
+        return np.ascontiguousarray(arr, float).view(complex)[..., 0]
+    return np.array(_walk_complex(value, path, ndim), dtype=complex)
+
+
+def _walk_complex(value, path: str, ndim: int) -> list:
+    """The per-entry read: mixed bare reals and pairs, and the path of a bad entry."""
     arr = _as_array(value, path)
     if not arr:
-        raise _schema_error(path, "matrix must be nonempty")
-    rows = [_as_vector(row, f"{path}[{i}]") for i, row in enumerate(arr)]
+        raise _schema_error(path, "must be nonempty")
+    if ndim == 1:
+        return [_as_complex(entry, f"{path}[{i}]") for i, entry in enumerate(arr)]
+    rows = [_walk_complex(row, f"{path}[{i}]", ndim - 1) for i, row in enumerate(arr)]
     lengths = {len(row) for row in rows}
     if len(lengths) != 1:
-        raise _schema_error(path, f"matrix rows have differing lengths {sorted(lengths)}")
-    return np.array(rows, dtype=complex)
+        raise _schema_error(path, f"rows have differing lengths {sorted(lengths)}")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -199,12 +230,9 @@ def _as_frame(value, path: str, default_name: str) -> FrameInput:
     name = obj.get("name", default_name)
     if not isinstance(name, str) or not name:
         raise _schema_error(path + ".name", "frame name must be a nonempty string")
-    vectors = [_as_vector(v, f"{path}.vectors[{i}]") for i, v in enumerate(_as_array(obj.get("vectors"), path + ".vectors"))]
-    lengths = {len(v) for v in vectors}
-    if len(lengths) != 1:
-        raise _schema_error(path + ".vectors", f"vectors have differing lengths {sorted(lengths)}")
+    vectors = _as_complex_array(obj.get("vectors"), path + ".vectors", 2)
     try:
-        frame = FiniteFrame(np.array(vectors, dtype=complex))
+        frame = FiniteFrame(vectors)
     except FrameToolkitError as exc:
         raise _schema_error(path + ".vectors", str(exc)) from None
     stated = None
@@ -426,19 +454,16 @@ def _payload_gabor(spec: ExperimentSpec):
     wh = None
     if "lattice" in doc:
         obj = _as_record(doc["lattice"], "lattice", {"a", "b"})
+        a, b = (_as_real(obj.get(key), f"lattice.{key}") for key in ("a", "b"))
         try:
-            lattice = LatticeParams(_as_real(obj.get("a"), "lattice.a"), _as_real(obj.get("b"), "lattice.b"))
+            lattice = LatticeParams(a, b)
         except FrameToolkitError as exc:
             raise _schema_error("lattice", str(exc)) from None
     else:
         obj = _as_record(doc["wh"], "wh", {"P", "Q", "p0", "q0"})
+        params = {key: _as_real(obj.get(key), f"wh.{key}") for key in ("P", "Q", "p0", "q0")}
         try:
-            wh = WHParams(
-                P=_as_real(obj.get("P"), "wh.P"),
-                Q=_as_real(obj.get("Q"), "wh.Q"),
-                p0=_as_real(obj.get("p0"), "wh.p0"),
-                q0=_as_real(obj.get("q0"), "wh.q0"),
-            )
+            wh = WHParams(**params)
             lattice = wh_to_gabor(wh).lattice
         except FrameToolkitError as exc:
             raise _schema_error("wh", str(exc)) from None
@@ -751,11 +776,8 @@ def _dual_rule(rep: _Reporter, trials: int, frames, pairs, rng) -> _SumRule | No
 
 
 def _finite_sum_inputs(doc: dict, frames, pairs):
-    coefficients = [
-        _as_complex(c, f"coefficients[{i}]")
-        for i, c in enumerate(_as_array(doc.get("coefficients"), "coefficients"))
-    ]
-    if any(c == 0 for c in coefficients):
+    coefficients = _as_complex_array(doc.get("coefficients"), "coefficients", 1)
+    if np.any(coefficients == 0):
         raise _schema_error("coefficients", "coefficient must be nonzero")
     pivot = doc.get("pivot", "best")
     if pivot != "best":
@@ -796,8 +818,7 @@ def _finite_sum_rule(rep: _Reporter, inputs, frames, pairs, rng) -> _SumRule:
         return predicted
 
     def build(built):
-        weights = np.array(coefficients, dtype=complex)
-        spec = WeightedSumSpec(frames=tuple(built), coefficients=weights, pivot=pivot_index)
+        spec = WeightedSumSpec(frames=tuple(built), coefficients=coefficients, pivot=pivot_index)
         return build_sum_frame(spec)
 
     rule = _SumRule(predict=predict, build=build)
@@ -805,7 +826,7 @@ def _finite_sum_rule(rep: _Reporter, inputs, frames, pairs, rng) -> _SumRule:
 
 
 def _operator_sum_inputs(doc: dict, frames, pairs):
-    thetas = (_as_matrix(doc.get("theta1"), "theta1"), _as_matrix(doc.get("theta2"), "theta2"))
+    thetas = tuple(_as_complex_array(doc.get(name), name, 2) for name in ("theta1", "theta2"))
     for name, theta in zip(("theta1", "theta2"), thetas):
         if theta.shape[0] != theta.shape[1]:
             raise _schema_error(name, f"must be square, got {theta.shape}")
@@ -834,8 +855,7 @@ def _operator_sum_rule(rep: _Reporter, thetas, frames, pairs, rng) -> _SumRule:
 
 
 def _perturbed_sum_inputs(doc: dict, frames, pairs):
-    alpha = _as_vector(doc.get("alpha"), "alpha")
-    beta = _as_vector(doc.get("beta"), "beta")
+    alpha, beta = (_as_complex_array(doc.get(name), name, 1) for name in ("alpha", "beta"))
     counts = (len(alpha), len(beta))
     if frames is not None and counts != (frames[0].frame.count, frames[1].frame.count):
         raise _schema_error("alpha", "scalar sequences must have one entry per frame vector")
@@ -843,7 +863,7 @@ def _perturbed_sum_inputs(doc: dict, frames, pairs):
 
 
 def _perturbed_sum_rule(rep: _Reporter, sequences, frames, pairs, rng) -> _SumRule:
-    env1, env2 = (ScalarEnvelope.from_sequence(np.array(seq, dtype=complex)) for seq in sequences)
+    env1, env2 = (ScalarEnvelope.from_sequence(seq) for seq in sequences)
     rep.line(f"alpha envelope: |.| in [{_fmt(env1.inf_abs)}, {_fmt(env1.sup_abs)}]")
     rep.line(f"beta envelope: |.| in [{_fmt(env2.inf_abs)}, {_fmt(env2.sup_abs)}]")
     if pairs is not None:

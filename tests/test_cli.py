@@ -265,6 +265,76 @@ def test_cli_rejects_misaligned_summands_at_parse_time(tmp_path, capsys, command
     assert "Traceback" not in err
 
 
+HUGE = "1" + "0" * 400  # a JSON integer too large for a float
+
+
+def _bounds_text(vectors: str) -> str:
+    return '{"kind": "bounds", "frame": {"vectors": %s}}' % vectors
+
+
+def _sum_text(kind: str, **fields: str) -> str:
+    frames = '"frame1": {"vectors": [[1, 0], [0, 1]]}, "frame2": {"vectors": [[1, 0], [0, 1]]}'
+    if kind == "finite-sum":
+        frames = '"frames": [{"vectors": [[1, 0], [0, 1]]}, {"vectors": [[1, 0], [0, 1]]}]'
+    extra = "".join(f', "{key}": {value}' for key, value in fields.items())
+    return '{"kind": "%s", %s%s}' % (kind, frames, extra)
+
+
+@pytest.mark.parametrize(
+    "command,text,field",
+    [
+        ("bounds", _bounds_text("[[true, 0], [0, 1]]"), "frame.vectors[0][0]"),
+        ("bounds", _bounds_text("[[[1, 0], [0, 0]], [[0, 0], [false, 1]]]"), "frame.vectors[1][1][0]"),
+        ("bounds", _bounds_text('[[1, 0], [0, "1"]]'), "frame.vectors[1][1]"),
+        ("bounds", _bounds_text("[[[1, 0], [0, null]], [[0, 0], [1, 0]]]"), "frame.vectors[0][1][1]"),
+        ("bounds", _bounds_text("[[1, 0], [NaN, 1]]"), "frame.vectors[1][0]"),
+        ("bounds", _bounds_text("[[[1, 0], [0, 0]], [[0, 0], [1, Infinity]]]"), "frame.vectors[1][1][1]"),
+        ("bounds", _bounds_text("[[[1, 0, 0], [0, 0]], [[0, 0], [1, 0]]]"), "frame.vectors[0][0]"),
+        ("bounds", _bounds_text("[[1, 0], [0, 1, 0]]"), "frame.vectors"),
+        ("bounds", _bounds_text("[[1, 0], []]"), "frame.vectors[1]"),
+        ("bounds", _bounds_text("[]"), "frame.vectors"),
+        ("bounds", _bounds_text(f"[[{HUGE}, 0], [0, 1]]"), "frame.vectors[0][0]"),
+        (
+            "gabor",
+            '{"kind": "gabor", "generator": {"pieces": [{"lo": 0, "hi": 1, "kind": "affine", "alpha": 0, '
+            '"beta": 1}]}, "lattice": {"a": %s, "b": 1}}' % HUGE,
+            "lattice.a",
+        ),
+        ("op-sum", _sum_text("operator-sum", theta1="[[1, 0], [0]]", theta2="[[1, 0], [0, 1]]"), "theta1"),
+        ("perturbed-sum", _sum_text("perturbed-sum", alpha='[1, "x"]', beta="[1, 1]"), "alpha[1]"),
+        ("sum", _sum_text("finite-sum", coefficients="[[1, 0], [true, 0]]"), "coefficients[1][0]"),
+    ],
+    ids=[
+        "bare-true",
+        "false-in-pair",
+        "string",
+        "null-in-pair",
+        "nan",
+        "infinity-in-pair",
+        "three-element-pair",
+        "ragged-vectors",
+        "empty-vector",
+        "empty-vectors",
+        "huge-integer-entry",
+        "huge-integer-scalar",
+        "ragged-theta",
+        "bad-alpha",
+        "bad-coefficient",
+    ],
+)
+def test_cli_rejects_malformed_numeric_entries_with_their_field_path(tmp_path, capsys, command, text, field):
+    path = tmp_path / "malformed.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SpecSchemaError) as excinfo:
+        parse_spec(path)
+    assert excinfo.value.field == field
+    code = main([command, "--spec", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"{field}:" in err
+    assert "Traceback" not in err
+
+
 def test_cli_algo_unknown_envelope_label_fails_the_expectation(tmp_path, capsys):
     doc = json.loads(render_spec(load_bundled_fixture("algo_finite_sum_c2.json")))
     doc["expect"]["envelope_order"] = ["base", "nowhere"]
