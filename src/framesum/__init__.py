@@ -27,7 +27,6 @@ from .errors import (
     EmptySupportError,
     FrameToolkitError,
     GridMismatchError,
-    InconsistentSpecError,
     InvalidBoundsError,
     InvalidBoundsForFrameError,
     NoConvergenceError,
@@ -59,10 +58,8 @@ from .frames import (
 )
 from .sums import (
     CertificationReport,
-    OperatorSumSpec,
     PredictedBounds,
     ScalarEnvelope,
-    WeightedSumSpec,
     build_operator_sum_frame,
     build_perturbed_sum_frame,
     build_sum_frame,

@@ -24,10 +24,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatchError, InvalidBoundsError, InvalidBoundsForFrameError
-from .frames import FiniteFrame, FrameBounds, as_frame_bounds, exact_bounds, frame_operator
-
-#: relative slack when validating a bound pair against the oracle eigenvalues.
-BOUNDS_CHECK_TOLERANCE = 1e-9
+from .frames import FiniteFrame, FrameBounds, as_frame_bounds, brackets, exact_bounds, frame_operator
 
 DEFAULT_MAX_ITERS = 200
 
@@ -65,14 +62,11 @@ class ConvergenceRecord:
 
 def validate_bounds_for_frame(frame: FiniteFrame, bounds: FrameBounds) -> None:
     """Check ``lower <= lambda_min`` and ``upper >= lambda_max`` (with slack)."""
-    cert = exact_bounds(frame)
-    lo, hi = cert.bounds.lower, cert.bounds.upper
-    if bounds.lower > lo * (1.0 + BOUNDS_CHECK_TOLERANCE) or bounds.upper < hi * (
-        1.0 - BOUNDS_CHECK_TOLERANCE
-    ):
+    optimal = exact_bounds(frame).bounds
+    if not brackets(bounds, optimal):
         raise InvalidBoundsForFrameError(
             f"pair ({bounds.lower}, {bounds.upper}) is not valid for a frame with "
-            f"optimal bounds ({lo}, {hi})"
+            f"optimal bounds ({optimal.lower}, {optimal.upper})"
         )
 
 

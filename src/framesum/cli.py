@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FrameToolkitError, SpecParseError, SpecSchemaError
-from .experiments import COMMANDS, ExperimentResult, parse_spec, parse_spec_text, run_experiment
+from .experiments import COMMANDS, ExperimentResult, _fmt, parse_spec, parse_spec_text, run_experiment
 
 
 def _csv_cell(value) -> str:
@@ -31,7 +31,7 @@ def _csv_cell(value) -> str:
         return ""
     if isinstance(value, int):
         return str(value)
-    return format(float(value), ".12g")
+    return _fmt(value)
 
 
 def emit_csv(header, rows, path) -> None:
@@ -154,7 +154,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=f"run a {kind} experiment from a JSON file")
         p.add_argument("--spec", required=True, help="path to the experiment JSON file")
         p.add_argument("--report", default=None, help="write the report here instead of stdout")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized checks (default 0)")
+        p.add_argument(
+            "--seed", type=int, default=0, help="seed for the algo runs' random targets (default 0)"
+        )
         p.add_argument("--json", action="store_true", help="emit a machine-readable report")
         if command == "algo":
             p.add_argument("--csv", default=None, help="write the per-iteration table as CSV")
@@ -162,7 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     suite = sub.add_parser("paper-suite", help="run every bundled fixture and summarize")
     suite.add_argument("--out", default="framesum-suite", help="output directory (default framesum-suite)")
-    suite.add_argument("--seed", type=int, default=0, help="seed for randomized checks (default 0)")
+    suite.add_argument(
+        "--seed", type=int, default=0, help="seed for the algo runs' random targets (default 0)"
+    )
     suite.add_argument("--json", action="store_true", help="write JSON reports instead of text")
     suite.set_defaults(func=_run_suite)
     return parser

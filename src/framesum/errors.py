@@ -50,10 +50,6 @@ class AlignmentMismatchError(FrameToolkitError):
     """Summed frames must share dimension and vector count."""
 
 
-class InconsistentSpecError(FrameToolkitError):
-    """Caller-supplied operator norms disagree with recomputed singular values."""
-
-
 class NonPositiveLowerBoundError(FrameToolkitError):
     """Window estimate produced a non-positive lower bound; no frame conclusion."""
 

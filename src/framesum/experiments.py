@@ -20,10 +20,15 @@ runner (:func:`_run_sum`): take oracle bounds of the input frames, predict
 bounds, build the actual summed family, and certify the prediction against the
 oracle bounds of the result.  A sum kind's registry entry adds its rule: a
 parser of the rule's own fields, and a start that writes the rule's preamble
-lines and returns its ``predict(pairs)`` and ``build(frames)``.  Inputs may
-carry ``stated_bounds`` overriding the oracle *for the reported prediction
-only* -- certification always runs on oracle inputs, and any disagreement
-between the two routes is flagged rather than silently adopted.
+lines and returns its ``predict(pairs)`` and ``build(frames)``.  The dual rule
+first checks the dual identity exactly (:func:`~framesum.frames.verify_dual`).
+Inputs may carry ``stated_bounds`` overriding the oracle *for the reported
+prediction only* -- certification always runs on oracle inputs, and any
+disagreement between the two routes is flagged rather than silently adopted.
+Both certification and that check use :func:`~framesum.frames.brackets`.
+
+Every kind is deterministic except ``algo``: the random generator handed to
+:func:`run_experiment` (the CLI's ``--seed``) draws only its runs' targets.
 
 Fixtures bundled with the package add an ``expect`` block (reference values
 re-checked on every run) and a ``discrepancies`` list naming the places where
@@ -53,19 +58,11 @@ from .errors import (
     SpecParseError,
     SpecSchemaError,
 )
-from .frames import (
-    FiniteFrame,
-    FrameBounds,
-    exact_bounds,
-    random_unit_vector,
-    verify_dual,
-)
+from .frames import FiniteFrame, FrameBounds, brackets, exact_bounds, random_unit_vector, verify_dual
 from .gabor import LatticeParams, PiecewiseGenerator, WHParams, estimate_bounds, wh_to_gabor
 from .linalg import extreme_singular_values
 from .sums import (
-    OperatorSumSpec,
     ScalarEnvelope,
-    WeightedSumSpec,
     build_operator_sum_frame,
     build_perturbed_sum_frame,
     build_sum_frame,
@@ -280,6 +277,8 @@ def parse_spec_text(text: str, origin: str = "<string>") -> ExperimentSpec:
             line=exc.lineno,
             column=exc.colno,
         ) from None
+    except (ValueError, RecursionError) as exc:  # an integer past the digit limit; too deep a nesting
+        raise SpecParseError(f"{origin}: invalid JSON: {exc}") from None
     kind = _as_object(document, "").get("kind")
     if kind not in KINDS:
         raise _schema_error("kind", f"must be one of {', '.join(KINDS)}, got {kind!r}")
@@ -685,9 +684,7 @@ def _certify_and_report(rep: _Reporter, oracle_pred, stated_pred, built_frame) -
     if not report.certified:
         rep.fail("certification failed: prediction does not bracket the oracle bounds")
     if stated_pred is not None and stated_pred.condition_holds:
-        lo_ok = stated_pred.lower <= report.exact.lower * (1.0 + STATED_MATCH_TOLERANCE)
-        hi_ok = stated_pred.upper >= report.exact.upper * (1.0 - STATED_MATCH_TOLERANCE)
-        if not (lo_ok and hi_ok):
+        if not brackets(stated_pred, report.exact):
             rep.flag(
                 "prediction from stated bounds "
                 f"[{_fmt(stated_pred.lower)}, {_fmt(stated_pred.upper)}] does not bracket "
@@ -746,22 +743,14 @@ def _report_given(rep: _Reporter, pairs) -> None:
     rep.line(f"given bounds: [{_fmt(b1.lower)}, {_fmt(b1.upper)}] and [{_fmt(b2.lower)}, {_fmt(b2.upper)}]")
 
 
-def _dual_inputs(doc: dict, frames, pairs) -> int:
-    trials = doc.get("trials", 100)
-    valid = not isinstance(trials, bool) and isinstance(trials, int) and trials >= 1
-    if frames is not None and not valid:
-        raise _schema_error("trials", f"must be a positive integer, got {trials!r}")
-    return trials
-
-
-def _dual_rule(rep: _Reporter, trials: int, frames, pairs, rng) -> _SumRule | None:
+def _dual_rule(rep: _Reporter, inputs, frames, pairs) -> _SumRule | None:
     if frames is None:
         _report_given(rep, pairs)
         rep.line("frames not supplied: prediction only, duality asserted by the caller")
     else:
-        check = verify_dual(frames[0].frame, frames[1].frame, trials=trials, rng=rng)
+        check = verify_dual(frames[0].frame, frames[1].frame)
         rep.line(
-            f"dual identity over {trials} random unit vectors: max residual {_fmt(check.max_residual)}"
+            f"dual identity over all unit vectors: max residual {_fmt(check.max_residual)}"
             f" -> {'verified' if check.is_dual else 'NOT a dual pair'}"
         )
         rep.payload["verify_dual"] = {"is_dual": check.is_dual, "max_residual": check.max_residual}
@@ -791,7 +780,7 @@ def _finite_sum_inputs(doc: dict, frames, pairs):
     return coefficients, pivot
 
 
-def _finite_sum_rule(rep: _Reporter, inputs, frames, pairs, rng) -> _SumRule:
+def _finite_sum_rule(rep: _Reporter, inputs, frames, pairs) -> _SumRule:
     coefficients, pivot = inputs
     rep.line(
         "coefficients: "
@@ -817,11 +806,7 @@ def _finite_sum_rule(rep: _Reporter, inputs, frames, pairs, rng) -> _SumRule:
         rule.at = f" at pivot {pivot_index + 1}"
         return predicted
 
-    def build(built):
-        spec = WeightedSumSpec(frames=tuple(built), coefficients=coefficients, pivot=pivot_index)
-        return build_sum_frame(spec)
-
-    rule = _SumRule(predict=predict, build=build)
+    rule = _SumRule(predict=predict, build=lambda built: build_sum_frame(built, coefficients))
     return rule
 
 
@@ -836,21 +821,15 @@ def _operator_sum_inputs(doc: dict, frames, pairs):
     return thetas
 
 
-def _operator_sum_rule(rep: _Reporter, thetas, frames, pairs, rng) -> _SumRule:
-    if frames is None:
-        sigma1, sigma2 = (extreme_singular_values(theta) for theta in thetas)
-    else:
-        op_spec = OperatorSumSpec(
-            frame1=frames[0].frame, frame2=frames[1].frame, theta1=thetas[0], theta2=thetas[1]
-        )
-        sigma1, sigma2 = (op_spec.m1, op_spec.norm1), (op_spec.m2, op_spec.norm2)
+def _operator_sum_rule(rep: _Reporter, thetas, frames, pairs) -> _SumRule:
+    sigma1, sigma2 = (extreme_singular_values(theta) for theta in thetas)
     for i, (m, norm) in enumerate((sigma1, sigma2), 1):
         rep.line(f"operator {i}: sigma range [{_fmt(m)}, {_fmt(norm)}]")
     if pairs is not None:
         _report_given(rep, pairs)
     return _SumRule(
         predict=lambda bounds: operator_sum_predict(sigma1, sigma2, *bounds),
-        build=lambda built: build_operator_sum_frame(op_spec),
+        build=lambda built: build_operator_sum_frame(*built, *thetas),
     )
 
 
@@ -862,7 +841,7 @@ def _perturbed_sum_inputs(doc: dict, frames, pairs):
     return alpha, beta
 
 
-def _perturbed_sum_rule(rep: _Reporter, sequences, frames, pairs, rng) -> _SumRule:
+def _perturbed_sum_rule(rep: _Reporter, sequences, frames, pairs) -> _SumRule:
     env1, env2 = (ScalarEnvelope.from_sequence(seq) for seq in sequences)
     rep.line(f"alpha envelope: |.| in [{_fmt(env1.inf_abs)}, {_fmt(env1.sup_abs)}]")
     rep.line(f"beta envelope: |.| in [{_fmt(env2.inf_abs)}, {_fmt(env2.sup_abs)}]")
@@ -877,7 +856,7 @@ def _perturbed_sum_rule(rep: _Reporter, sequences, frames, pairs, rng) -> _SumRu
 def _run_sum(spec: ExperimentSpec, rng) -> ExperimentResult:
     rep = _Reporter(spec)
     frames, pairs, inputs = spec.payload
-    rule = _KINDS[spec.kind].rule[1](rep, inputs, frames, pairs, rng)
+    rule = _KINDS[spec.kind].rule[1](rep, inputs, frames, pairs)
     if rule is None:
         return rep.finish()
     if frames is None:
@@ -1035,9 +1014,9 @@ _KINDS = {
         _payload_bounds, _run_bounds,
     ),
     "dual": _Kind(
-        "dual", {"frame", "dual", "trials", "bounds1", "bounds2"},
+        "dual", {"frame", "dual", "bounds1", "bounds2"},
         {**_SUM_EXPECT, "verify_dual": _as_bool, "sum_bounds": _as_bound_pair, "widths_4dp": _as_strings},
-        _payload_sum, _run_sum, (_dual_inputs, _dual_rule),
+        _payload_sum, _run_sum, (lambda doc, frames, pairs: None, _dual_rule),
     ),
     "finite-sum": _Kind(
         "sum", {"frames", "frame_bounds", "coefficients", "pivot"},

@@ -37,6 +37,9 @@ SPAN_TOLERANCE = 1e-12
 #: max residual accepted by verify_dual.
 DUAL_RESIDUAL_TOLERANCE = 1e-9
 
+#: relative slack when checking that a bound pair brackets the optimal one.
+CERTIFY_TOLERANCE = 1e-9
+
 
 @dataclass(frozen=True)
 class FrameBounds:
@@ -62,6 +65,18 @@ class FrameBounds:
 def as_frame_bounds(pair) -> FrameBounds:
     """``pair`` if it is a :class:`FrameBounds`, else ``FrameBounds(*pair)``."""
     return pair if isinstance(pair, FrameBounds) else FrameBounds(*pair)
+
+
+def brackets(pair, optimal: FrameBounds) -> bool:
+    """Whether ``pair`` is a valid bound pair for a frame with ``optimal`` bounds.
+
+    That is ``pair.lower <= A`` and ``pair.upper >= B``, each within a relative
+    ``CERTIFY_TOLERANCE`` of the optimal value.
+    """
+    return (
+        pair.lower <= optimal.lower * (1.0 + CERTIFY_TOLERANCE)
+        and pair.upper >= optimal.upper * (1.0 - CERTIFY_TOLERANCE)
+    )
 
 
 def width(bounds: FrameBounds) -> float:
@@ -192,12 +207,13 @@ class DualCheck:
     max_residual: float
 
 
-def verify_dual(frame: FiniteFrame, dual: FiniteFrame, trials: int = 100, rng=None) -> DualCheck:
-    """Randomized check of the dual identity ``sum_k <f, f_k> g_k = f``.
+def verify_dual(frame: FiniteFrame, dual: FiniteFrame) -> DualCheck:
+    """Exact check of the dual identity ``sum_k <f, f_k> g_k = f``.
 
-    Draws ``trials`` random unit vectors and reports the worst reconstruction
-    residual; the pair passes when that residual stays at or below
-    ``DUAL_RESIDUAL_TOLERANCE``.
+    The left side is the mixed operator ``G* F`` applied to ``f``, so the worst
+    residual over unit vectors ``f`` is the largest singular value of
+    ``G* F - I``.  ``max_residual`` reports it, and the pair passes when it
+    stays at or below ``DUAL_RESIDUAL_TOLERANCE``.
     """
     if frame.dim != dual.dim:
         raise DimensionMismatchError(
@@ -207,17 +223,8 @@ def verify_dual(frame: FiniteFrame, dual: FiniteFrame, trials: int = 100, rng=No
         raise CountMismatchError(
             f"frame has {frame.count} vectors, candidate dual has {dual.count}"
         )
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    # The mixed operator G* F applied to f equals sum_k <f, f_k> g_k.
     mixed = dual.vectors.T @ frame.vectors.conj()
-    worst = 0.0
-    for _ in range(trials):
-        f = random_unit_vector(rng, frame.dim)
-        residual = float(np.linalg.norm(mixed @ f - f))
-        worst = max(worst, residual)
+    _, worst = linalg.extreme_singular_values(mixed - np.eye(frame.dim))
     return DualCheck(is_dual=worst <= DUAL_RESIDUAL_TOLERANCE, max_residual=worst)
 
 

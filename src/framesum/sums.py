@@ -22,19 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import (
-    AlignmentMismatchError,
-    InconsistentSpecError,
-    InvalidBoundsError,
-    ZeroCoefficientError,
-)
-from .frames import FiniteFrame, FrameBounds, as_frame_bounds, exact_bounds
-
-#: relative slack when checking that a prediction brackets the oracle bounds.
-CERTIFY_TOLERANCE = 1e-9
-
-#: tolerance for cross-checking caller-supplied operator norms.
-OPERATOR_NORM_TOLERANCE = 1e-10
+from .errors import AlignmentMismatchError, InvalidBoundsError, ZeroCoefficientError
+from .frames import FiniteFrame, FrameBounds, as_frame_bounds, brackets, exact_bounds
 
 
 @dataclass(frozen=True)
@@ -150,68 +139,14 @@ def dual_sum_predict(bounds1, bounds2) -> PredictedBounds:
     return PredictedBounds(lower, upper, True, lower)
 
 
-@dataclass(frozen=True)
-class OperatorSumSpec:
-    """Two frames with matrices applied vector-wise before summing.
-
-    ``m1``/``m2`` are the adjoint lower bounds and ``norm1``/``norm2`` the
-    operator norms; both are recomputed from the matrices (their extreme
-    singular values) and any caller-supplied values are cross-checked against
-    the recomputation.
-    """
-
-    frame1: FiniteFrame
-    frame2: FiniteFrame
-    theta1: np.ndarray
-    theta2: np.ndarray
-    m1: float | None = None
-    m2: float | None = None
-    norm1: float | None = None
-    norm2: float | None = None
-
-    def __post_init__(self):
-        t1 = linalg.as_cmatrix(self.theta1)
-        t2 = linalg.as_cmatrix(self.theta2)
-        if self.frame1.dim != self.frame2.dim or self.frame1.count != self.frame2.count:
-            raise AlignmentMismatchError(
-                f"frames must align: {self.frame1!r} vs {self.frame2!r}"
-            )
-        d = self.frame1.dim
-        for name, t in (("theta1", t1), ("theta2", t2)):
-            if t.shape != (d, d):
-                raise AlignmentMismatchError(f"{name} must be {d}x{d}, got {t.shape}")
-        object.__setattr__(self, "theta1", t1)
-        object.__setattr__(self, "theta2", t2)
-        for name, t, m, nrm in (
-            ("theta1", t1, self.m1, self.norm1),
-            ("theta2", t2, self.m2, self.norm2),
-        ):
-            smin, smax = linalg.extreme_singular_values(t)
-            for label, supplied, computed in (
-                (f"m of {name}", m, smin),
-                (f"norm of {name}", nrm, smax),
-            ):
-                if supplied is not None and abs(supplied - computed) > OPERATOR_NORM_TOLERANCE * max(
-                    1.0, computed
-                ):
-                    raise InconsistentSpecError(
-                        f"{label} supplied as {supplied} but singular values give {computed}"
-                    )
-            if name == "theta1":
-                object.__setattr__(self, "m1", smin)
-                object.__setattr__(self, "norm1", smax)
-            else:
-                object.__setattr__(self, "m2", smin)
-                object.__setattr__(self, "norm2", smax)
-
-
 def operator_sum_predict(sigma1, sigma2, bounds1, bounds2) -> PredictedBounds:
     """Predicted bounds for ``{T1 f_k + T2 g_k}``.
 
     ``sigma1`` and ``sigma2`` are the singular ranges ``(m, ||T||)`` of the
-    two operators: the smallest and the largest singular value, as
-    :class:`OperatorSumSpec` computes them.  Condition and lower bound are the
-    same expression,
+    two operators, as :func:`~framesum.linalg.extreme_singular_values` returns
+    them: ``m`` is the smallest singular value, the lower bound of the adjoint
+    (``||T* f|| >= m ||f||``), and ``||T||`` the largest.  Condition and lower
+    bound are the same expression,
 
         ``A1 m1^2 + A2 m2^2 - 2 sqrt(B1 B2) ||T1|| ||T2||``,
 
@@ -272,55 +207,41 @@ def perturbed_sum_predict(env1: ScalarEnvelope, env2: ScalarEnvelope, bounds1, b
     return PredictedBounds(margin, upper, margin > 0.0, margin)
 
 
-@dataclass(frozen=True)
-class WeightedSumSpec:
-    """Aligned frames plus nonzero weights and a 0-based pivot index."""
-
-    frames: tuple
-    coefficients: np.ndarray
-    pivot: int
-
-    def __post_init__(self):
-        frames = tuple(self.frames)
-        if not frames:
-            raise AlignmentMismatchError("need at least one frame")
-        dim, count = frames[0].dim, frames[0].count
-        for fr in frames[1:]:
-            if fr.dim != dim or fr.count != count:
-                raise AlignmentMismatchError(
-                    f"all frames must share dim and count, got {fr!r} vs ({count}, {dim})"
-                )
-        c = _coerce_coefficients(self.coefficients)
-        if c.shape[0] != len(frames):
-            raise AlignmentMismatchError(
-                f"{len(frames)} frames but {c.shape[0]} coefficients"
-            )
-        if not (0 <= self.pivot < len(frames)):
-            raise IndexError(f"pivot {self.pivot} out of range")
-        object.__setattr__(self, "frames", frames)
-        object.__setattr__(self, "coefficients", c)
+def _check_aligned(frames) -> None:
+    """Raise :class:`AlignmentMismatchError` unless all frames share dim and count."""
+    first = frames[0]
+    for fr in frames[1:]:
+        if fr.dim != first.dim or fr.count != first.count:
+            raise AlignmentMismatchError(f"frames must align: {first!r} vs {fr!r}")
 
 
-def build_sum_frame(spec: WeightedSumSpec) -> FiniteFrame:
-    """Vector-wise weighted sum ``sum_i c_i f_k^(i)``."""
-    stacked = np.stack([fr.vectors for fr in spec.frames])
-    summed = np.tensordot(spec.coefficients, stacked, axes=(0, 0))
-    return FiniteFrame(summed)
+def build_sum_frame(frames, coefficients) -> FiniteFrame:
+    """Vector-wise weighted sum ``sum_i c_i f_k^(i)`` of aligned frames."""
+    frames = tuple(frames)
+    c = _coerce_coefficients(coefficients)
+    if c.shape[0] != len(frames):
+        raise AlignmentMismatchError(f"{len(frames)} frames but {c.shape[0]} coefficients")
+    _check_aligned(frames)
+    stacked = np.stack([fr.vectors for fr in frames])
+    return FiniteFrame(np.tensordot(c, stacked, axes=(0, 0)))
 
 
-def build_operator_sum_frame(spec: OperatorSumSpec) -> FiniteFrame:
-    """Vector-wise ``T1 f_k + T2 g_k``."""
-    v1 = spec.frame1.vectors @ spec.theta1.T
-    v2 = spec.frame2.vectors @ spec.theta2.T
-    return FiniteFrame(v1 + v2)
+def build_operator_sum_frame(frame1: FiniteFrame, frame2: FiniteFrame, theta1, theta2) -> FiniteFrame:
+    """Vector-wise ``T1 f_k + T2 g_k`` for aligned frames and ``d x d`` matrices."""
+    _check_aligned((frame1, frame2))
+    d = frame1.dim
+    t1, t2 = linalg.as_cmatrix(theta1), linalg.as_cmatrix(theta2)
+    for name, t in (("theta1", t1), ("theta2", t2)):
+        if t.shape != (d, d):
+            raise AlignmentMismatchError(f"{name} must be {d}x{d}, got {t.shape}")
+    return FiniteFrame(frame1.vectors @ t1.T + frame2.vectors @ t2.T)
 
 
 def build_perturbed_sum_frame(
     env1: ScalarEnvelope, env2: ScalarEnvelope, frame1: FiniteFrame, frame2: FiniteFrame
 ) -> FiniteFrame:
     """Vector-wise ``alpha_k f_k + beta_k g_k`` using the envelopes' sequences."""
-    if frame1.dim != frame2.dim or frame1.count != frame2.count:
-        raise AlignmentMismatchError(f"frames must align: {frame1!r} vs {frame2!r}")
+    _check_aligned((frame1, frame2))
     if env1.sequence.shape[0] != frame1.count or env2.sequence.shape[0] != frame2.count:
         raise AlignmentMismatchError(
             "scalar sequences must have one entry per frame vector"
@@ -333,8 +254,9 @@ def build_perturbed_sum_frame(
 class CertificationReport:
     """Outcome of checking a prediction against the spectral oracle.
 
-    ``certified`` means the predicted pair brackets the oracle pair within
-    ``CERTIFY_TOLERANCE`` (relative): ``lower <= A*`` and ``upper >= B*``.
+    ``certified`` means the predicted pair brackets the oracle pair, as
+    :func:`~framesum.frames.brackets` decides: ``lower <= A*`` and
+    ``upper >= B*`` within a relative ``CERTIFY_TOLERANCE``.
     Slacks are ``A* - lower`` and ``upper - B*``.
     """
 
@@ -358,17 +280,12 @@ def certify(predicted: PredictedBounds, actual: FiniteFrame) -> CertificationRep
     if not predicted.condition_holds:
         raise InvalidBoundsError("cannot certify a prediction whose condition failed")
     cert = exact_bounds(actual)
-    lo_star, hi_star = cert.bounds.lower, cert.bounds.upper
-    ok = (
-        predicted.lower <= lo_star * (1.0 + CERTIFY_TOLERANCE)
-        and predicted.upper >= hi_star * (1.0 - CERTIFY_TOLERANCE)
-    )
     return CertificationReport(
         predicted=predicted,
         exact=cert.bounds,
-        certified=ok,
-        lower_slack=lo_star - predicted.lower,
-        upper_slack=predicted.upper - hi_star,
+        certified=brackets(predicted, cert.bounds),
+        lower_slack=cert.bounds.lower - predicted.lower,
+        upper_slack=predicted.upper - cert.bounds.upper,
         predicted_width=predicted.width,
         exact_width=cert.width,
     )

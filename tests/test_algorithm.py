@@ -10,7 +10,6 @@ from framesum import (
     FrameBounds,
     InvalidBoundsError,
     InvalidBoundsForFrameError,
-    WeightedSumSpec,
     build_sum_frame,
     compare_runs,
     exact_bounds,
@@ -64,11 +63,7 @@ def test_envelope_dominates_base_frame(rng):
 def test_sum_frame_run_beats_published_width(rng):
     # weighted-sum frame driven by its oracle bounds: the error stays under
     # the quoted 0.3453 rate with room to spare
-    summed = build_sum_frame(
-        WeightedSumSpec(
-            frames=(BASE_C2, DIAG_C2), coefficients=np.array([1.0, 100.0]), pivot=0
-        )
-    )
+    summed = build_sum_frame((BASE_C2, DIAG_C2), np.array([1.0, 100.0]))
     bounds = exact_bounds(summed).bounds
     phi = random_unit_vector(rng, 2)
     records = run(AlgoConfig(frame=summed, bounds_used=bounds, max_iters=60), phi)
@@ -123,11 +118,7 @@ def test_compare_runs_single_matches_run(rng):
 
 
 def test_compare_runs_envelope_ordering(rng):
-    summed = build_sum_frame(
-        WeightedSumSpec(
-            frames=(BASE_C2, DIAG_C2), coefficients=np.array([1.0, 100.0]), pivot=0
-        )
-    )
+    summed = build_sum_frame((BASE_C2, DIAG_C2), np.array([1.0, 100.0]))
     configs = [
         AlgoConfig(frame=BASE_C2, bounds_used=FrameBounds(4, 16), max_iters=30, stop_tol=0.0),
         AlgoConfig(frame=summed, bounds_used=exact_bounds(summed).bounds, max_iters=30, stop_tol=0.0),

@@ -55,6 +55,25 @@ def test_parse_error_reports_position(tmp_path):
     assert excinfo.value.column is not None
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"kind": "bounds", "frame": {"vectors": [[1' + "0" * 5000 + ", 0], [0, 1]]}}",
+        '{"kind": "bounds", "frame": {"vectors": ' + "[" * 100_000 + "]" * 100_000 + "}}",
+    ],
+    ids=["integer-past-digit-limit", "nesting-past-recursion-limit"],
+)
+def test_parse_error_on_json_that_python_cannot_hold(tmp_path, capsys, text):
+    # json.loads raises these as a plain ValueError and a RecursionError, not
+    # as a JSONDecodeError
+    path = tmp_path / "huge.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SpecParseError):
+        parse_spec(path)
+    assert main(["bounds", "--spec", str(path)]) == 1
+    assert "invalid JSON" in capsys.readouterr().err
+
+
 def test_parse_error_on_empty_file(tmp_path):
     path = tmp_path / "empty.json"
     path.write_text("", encoding="utf-8")
@@ -73,6 +92,15 @@ def test_schema_rejects_unknown_field():
             '{"kind": "bounds", "frame": {"vectors": [[[1,0]]]}, "surprise": 1}'
         )
     assert "surprise" in str(excinfo.value)
+
+
+def test_dual_trials_is_an_unknown_field(tmp_path, capsys):
+    # the dual identity is checked exactly, so there is no trial count to set
+    doc = load_bundled_fixture("dual_sum_c3.json").document
+    path = tmp_path / "trials.json"
+    path.write_text(json.dumps({**doc, "trials": 100}), encoding="utf-8")
+    assert main(["dual", "--spec", str(path)]) == 1
+    assert "trials: unknown field" in capsys.readouterr().err
 
 
 def test_schema_rejects_zero_coefficient():

@@ -2,19 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from conftest import random_frame
 from framesum import (
     AlignmentMismatchError,
     FiniteFrame,
     FrameBounds,
-    InconsistentSpecError,
     InvalidBoundsError,
     NotAFrameError,
-    OperatorSumSpec,
     ScalarEnvelope,
-    WeightedSumSpec,
     ZeroCoefficientError,
     build_operator_sum_frame,
     build_perturbed_sum_frame,
@@ -23,10 +20,12 @@ from framesum import (
     certify,
     dual_sum_predict,
     exact_bounds,
+    extreme_singular_values,
     finite_sum_best_pivot,
     finite_sum_predict,
     operator_sum_predict,
     perturbed_sum_predict,
+    verify_dual,
 )
 
 RT2, RT3, RT6 = math.sqrt(2), math.sqrt(3), math.sqrt(6)
@@ -132,9 +131,7 @@ def test_pivot_freedom_all_holding_pivots_certify(rng):
     f2 = FiniteFrame([[0, 1.1], [1.1, 0]])
     bounds = [exact_bounds(f).bounds for f in (f1, f2)]
     coefficients = np.array([1.0, 0.2])
-    built = build_sum_frame(
-        WeightedSumSpec(frames=(f1, f2), coefficients=coefficients, pivot=0)
-    )
+    built = build_sum_frame((f1, f2), coefficients)
     held = 0
     for pivot in range(2):
         predicted = finite_sum_predict(bounds, coefficients, pivot)
@@ -195,10 +192,8 @@ def test_dual_sum_exact_on_parseval_self_dual():
 
 
 def test_operator_sum_quarter_identity():
-    spec = OperatorSumSpec(
-        frame1=BASE_C2, frame2=TIGHT_C2, theta1=np.eye(2) / 4, theta2=np.eye(2)
-    )
-    predicted = operator_sum_predict((spec.m1, spec.norm1), (spec.m2, spec.norm2), (4, 16), (4, 4))
+    sigma1, sigma2 = extreme_singular_values(np.eye(2) / 4), extreme_singular_values(np.eye(2))
+    predicted = operator_sum_predict(sigma1, sigma2, (4, 16), (4, 4))
     assert predicted.condition_holds
     assert predicted.condition_margin == pytest.approx(17 / 4 - 4, rel=1e-12)
     assert predicted.lower == pytest.approx(1 / 4, rel=1e-12)
@@ -206,52 +201,26 @@ def test_operator_sum_quarter_identity():
 
 
 def test_operator_sum_small_contraction():
-    spec = OperatorSumSpec(
-        frame1=BASE_C2, frame2=TIGHT_C2, theta1=np.eye(2) / 160, theta2=np.eye(2)
-    )
-    predicted = operator_sum_predict((spec.m1, spec.norm1), (spec.m2, spec.norm2), (4, 16), (4, 4))
+    theta1, theta2 = np.eye(2) / 160, np.eye(2)
+    sigma1, sigma2 = extreme_singular_values(theta1), extreme_singular_values(theta2)
+    predicted = operator_sum_predict(sigma1, sigma2, (4, 16), (4, 4))
     assert predicted.lower == pytest.approx(24961 / 6400, rel=1e-12)
     assert predicted.upper == pytest.approx(6561 / 1600, rel=1e-12)
-    report = certify(predicted, build_operator_sum_frame(spec))
+    report = certify(predicted, build_operator_sum_frame(BASE_C2, TIGHT_C2, theta1, theta2))
     assert report.certified
 
 
 def test_operator_sum_zero_first_operator():
-    spec = OperatorSumSpec(
-        frame1=BASE_C2, frame2=TIGHT_C2, theta1=np.zeros((2, 2)), theta2=np.eye(2)
-    )
-    predicted = operator_sum_predict((spec.m1, spec.norm1), (spec.m2, spec.norm2), (4, 16), (4, 4))
+    sigma1, sigma2 = extreme_singular_values(np.zeros((2, 2))), extreme_singular_values(np.eye(2))
+    predicted = operator_sum_predict(sigma1, sigma2, (4, 16), (4, 4))
     assert predicted.lower == pytest.approx(4, rel=1e-12)
     assert predicted.upper == pytest.approx(4, rel=1e-12)
 
 
-def test_operator_sum_checks_supplied_norms():
-    with pytest.raises(InconsistentSpecError):
-        OperatorSumSpec(
-            frame1=BASE_C2,
-            frame2=TIGHT_C2,
-            theta1=np.eye(2) / 4,
-            theta2=np.eye(2),
-            m1=0.5,
-        )
-    # values matching the recomputation are accepted
-    spec = OperatorSumSpec(
-        frame1=BASE_C2,
-        frame2=TIGHT_C2,
-        theta1=np.eye(2) / 4,
-        theta2=np.eye(2),
-        m1=0.25,
-        norm1=0.25,
-        m2=1.0,
-        norm2=1.0,
-    )
-    assert spec.m1 == pytest.approx(0.25, rel=1e-12)
-
-
 def test_operator_sum_self_parseval_condition_fails():
     frame = FiniteFrame(np.eye(2))
-    spec = OperatorSumSpec(frame1=frame, frame2=frame, theta1=np.eye(2), theta2=np.eye(2))
-    predicted = operator_sum_predict((spec.m1, spec.norm1), (spec.m2, spec.norm2), (1, 1), (1, 1))
+    sigma = extreme_singular_values(np.eye(2))
+    predicted = operator_sum_predict(sigma, sigma, (1, 1), (1, 1))
     assert not predicted.condition_holds
     assert predicted.condition_margin == pytest.approx(0, abs=1e-15)
     with pytest.raises(InvalidBoundsError):
@@ -260,9 +229,9 @@ def test_operator_sum_self_parseval_condition_fails():
 
 def test_operator_sum_alignment_errors():
     with pytest.raises(AlignmentMismatchError):
-        OperatorSumSpec(frame1=BASE_C2, frame2=DUAL_F_C3, theta1=np.eye(2), theta2=np.eye(2))
+        build_operator_sum_frame(BASE_C2, DUAL_F_C3, np.eye(2), np.eye(2))
     with pytest.raises(AlignmentMismatchError):
-        OperatorSumSpec(frame1=BASE_C2, frame2=TIGHT_C2, theta1=np.eye(3), theta2=np.eye(2))
+        build_operator_sum_frame(BASE_C2, TIGHT_C2, np.eye(3), np.eye(2))
 
 
 # --- perturbed sums ----------------------------------------------------------
@@ -306,10 +275,7 @@ def test_envelope_from_sequence():
 
 
 def test_build_sum_frame_entrywise():
-    spec = WeightedSumSpec(
-        frames=(BASE_C2, DIAG_C2), coefficients=np.array([1, 100], dtype=complex), pivot=0
-    )
-    built = build_sum_frame(spec)
+    built = build_sum_frame((BASE_C2, DIAG_C2), np.array([1, 100], dtype=complex))
     expected = np.array(
         [[RT6, RT6 + 300], [100 * RT3, 2], [2 + 100 * RT3, 0]], dtype=complex
     )
@@ -317,28 +283,23 @@ def test_build_sum_frame_entrywise():
 
 
 def test_build_sum_frame_single():
-    spec = WeightedSumSpec(frames=(BASE_C2,), coefficients=np.array([1.0]), pivot=0)
-    np.testing.assert_allclose(build_sum_frame(spec).vectors, BASE_C2.vectors, atol=0)
+    built = build_sum_frame((BASE_C2,), np.array([1.0]))
+    np.testing.assert_allclose(built.vectors, BASE_C2.vectors, atol=0)
 
 
 def test_build_sum_frame_exact_cancellation():
-    spec = WeightedSumSpec(
-        frames=(BASE_C2, BASE_C2), coefficients=np.array([1.0, -1.0]), pivot=0
-    )
     with pytest.raises(NotAFrameError):
-        build_sum_frame(spec)
+        build_sum_frame((BASE_C2, BASE_C2), np.array([1.0, -1.0]))
 
 
 def test_build_sum_frame_alignment():
     with pytest.raises(AlignmentMismatchError):
-        WeightedSumSpec(frames=(BASE_C2, DUAL_F_C3), coefficients=np.array([1.0, 1.0]), pivot=0)
+        build_sum_frame((BASE_C2, DUAL_F_C3), np.array([1.0, 1.0]))
 
 
 def test_build_operator_sum_identity_and_zero():
-    spec = OperatorSumSpec(
-        frame1=BASE_C2, frame2=TIGHT_C2, theta1=np.eye(2), theta2=np.zeros((2, 2))
-    )
-    np.testing.assert_allclose(build_operator_sum_frame(spec).vectors, BASE_C2.vectors, atol=0)
+    built = build_operator_sum_frame(BASE_C2, TIGHT_C2, np.eye(2), np.zeros((2, 2)))
+    np.testing.assert_allclose(built.vectors, BASE_C2.vectors, atol=0)
 
 
 def test_build_perturbed_plain_sum():
@@ -379,10 +340,7 @@ def test_certify_requires_holding_condition():
 def test_certify_flags_non_bracketing_prediction():
     # a deliberately false input bound produces a non-bracketing prediction
     predicted = finite_sum_predict([(4, 16), (9, 9)], [1, 100], 0)
-    spec = WeightedSumSpec(
-        frames=(BASE_C2, DIAG_C2), coefficients=np.array([1.0, 100.0]), pivot=0
-    )
-    report = certify(predicted, build_sum_frame(spec))
+    report = certify(predicted, build_sum_frame((BASE_C2, DIAG_C2), np.array([1.0, 100.0])))
     assert not report.certified
     assert report.lower_slack < 0
 
@@ -403,8 +361,79 @@ def test_random_soundness_smoke(rng):
         predicted = finite_sum_predict(bounds, coefficients, 0)
         if not predicted.condition_holds:
             continue
-        built = build_sum_frame(
-            WeightedSumSpec(frames=tuple(frames), coefficients=coefficients, pivot=0)
-        )
+        built = build_sum_frame(frames, coefficients)
         assert certify(predicted, built).certified
         checked += 1
+
+
+# --- property: a holding condition certifies -----------------------------------
+#
+# Each example draws small aligned complex frames from a seed, predicts with
+# their oracle bounds, builds the sum and certifies it.  ``scale`` shrinks the
+# second term of the sum, which is what makes the conditions hold.
+
+SMALL_FRAMES = dict(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4), extra=st.integers(0, 3))
+SCALE = st.floats(min_value=1e-3, max_value=1.0)
+
+
+def _draw_frames(seed, dim, extra):
+    rng = np.random.default_rng(seed)
+    return rng, [random_frame(rng, dim + extra, dim) for _ in range(2)]
+
+
+def _complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _unit_phases(rng, size):
+    return np.exp(2j * np.pi * rng.random(size))
+
+
+@given(**SMALL_FRAMES)
+def test_dual_rule_certifies_whenever_the_pair_is_dual(seed, dim, extra):
+    _, (frame, _) = _draw_frames(seed, dim, extra)
+    dual = canonical_dual(frame)
+    assume(verify_dual(frame, dual).is_dual)
+    predicted = dual_sum_predict(exact_bounds(frame).bounds, exact_bounds(dual).bounds)
+    assert predicted.condition_holds
+    assert certify(predicted, build_sum_frame((frame, dual), [1, 1])).certified
+
+
+@given(**SMALL_FRAMES, scale=SCALE)
+def test_operator_sum_certifies_whenever_the_condition_holds(seed, dim, extra, scale):
+    rng, (f1, f2) = _draw_frames(seed, dim, extra)
+    theta1 = scale * _complex_normal(rng, (dim, dim))
+    theta2 = np.eye(dim) + 0.3 * _complex_normal(rng, (dim, dim))
+    predicted = operator_sum_predict(
+        extreme_singular_values(theta1),
+        extreme_singular_values(theta2),
+        exact_bounds(f1).bounds,
+        exact_bounds(f2).bounds,
+    )
+    assume(predicted.condition_holds)
+    assert certify(predicted, build_operator_sum_frame(f1, f2, theta1, theta2)).certified
+
+
+@given(**SMALL_FRAMES, scale=SCALE)
+def test_perturbed_sum_certifies_whenever_the_condition_holds(seed, dim, extra, scale):
+    rng, (f1, f2) = _draw_frames(seed, dim, extra)
+    count = dim + extra
+    env1 = ScalarEnvelope.from_sequence(rng.uniform(0.5, 1.0, count) * _unit_phases(rng, count))
+    env2 = ScalarEnvelope.from_sequence(scale * rng.uniform(0.0, 1.0, count) * _unit_phases(rng, count))
+    predicted = perturbed_sum_predict(env1, env2, exact_bounds(f1).bounds, exact_bounds(f2).bounds)
+    assume(predicted.condition_holds)
+    assert certify(predicted, build_perturbed_sum_frame(env1, env2, f1, f2)).certified
+
+
+@given(**SMALL_FRAMES, scale=SCALE)
+def test_finite_sum_of_two_certifies_whenever_the_condition_holds(seed, dim, extra, scale):
+    # two frames only: for three or more the rule's lower bound can be false
+    # (ROADMAP item 3), which a property over k >= 3 would report
+    rng, frames = _draw_frames(seed, dim, extra)
+    coefficients = np.array([1.0, scale]) * rng.uniform(0.5, 1.0, 2) * _unit_phases(rng, 2)
+    bounds = [exact_bounds(f).bounds for f in frames]
+    holding = [p for p in (finite_sum_predict(bounds, coefficients, j) for j in range(2)) if p.condition_holds]
+    assume(holding)
+    built = build_sum_frame(frames, coefficients)
+    for predicted in holding:
+        assert certify(predicted, built).certified
