@@ -88,7 +88,6 @@ from .gabor import (
 from .algorithm import (
     AlgoConfig,
     ComparisonTable,
-    ConvergenceRecord,
     RunSeries,
     WidthEntry,
     compare_runs,

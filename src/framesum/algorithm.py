@@ -13,12 +13,17 @@ coming from sums of frames.
 
 The bound pair is validated against the spectral oracle before a single
 iteration runs; a silently invalid pair would void the convergence guarantee.
+
+The iteration updates one residual vector in place, and a run's trajectory is
+kept as columns: a list of errors and a list of envelopes, indexed by the
+iteration count.  :class:`ComparisonTable` aligns the columns of several runs
+for the CSV.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,12 +57,17 @@ class AlgoConfig:
 
 
 @dataclass(frozen=True)
-class ConvergenceRecord:
-    """Error and theoretical envelope at one iteration index."""
+class RunSeries:
+    """One run's trajectory as columns: ``errors[k]`` and ``envelopes[k]`` after
+    ``k`` iterations, with the run's label and the width that drove it."""
 
-    iteration: int
-    error: float
-    envelope: float
+    label: str
+    width: float
+    errors: list
+    envelopes: list
+
+    def __len__(self) -> int:
+        return len(self.errors)
 
 
 def validate_bounds_for_frame(frame: FiniteFrame, bounds: FrameBounds) -> None:
@@ -70,12 +80,14 @@ def validate_bounds_for_frame(frame: FiniteFrame, bounds: FrameBounds) -> None:
         )
 
 
-def run(config: AlgoConfig, target) -> list[ConvergenceRecord]:
-    """Run the reconstruction and return per-iteration error/envelope records.
+def run(config: AlgoConfig, target) -> RunSeries:
+    """Run the reconstruction and return its error and envelope columns.
 
-    Record 0 is the starting state (error equals the target norm).  Iteration
-    stops at ``max_iters`` or as soon as the error reaches the stopping
-    tolerance.
+    Entry ``k`` of ``errors`` and ``envelopes`` belongs to iteration ``k``;
+    entry 0 is the starting state (error equals the target norm), so the
+    result's ``len`` is the number of iterations plus one.  Iteration stops at
+    ``max_iters`` or as soon as the error reaches the stopping tolerance.  The
+    returned series is unlabelled; :func:`compare_runs` names it.
     """
     phi = linalg.as_cvector(target)
     if phi.shape[0] != config.frame.dim:
@@ -95,23 +107,24 @@ def run(config: AlgoConfig, target) -> list[ConvergenceRecord]:
     # r_k = r_{k-1} - relaxation * S r_{k-1}: same algebra as updating psi,
     # but round-off stays proportional to the shrinking residual instead of
     # to ||target||, so measured errors do not lift off the envelope once
-    # they approach machine precision.
+    # they approach machine precision.  The update runs in place, in the
+    # order and with the operations of ``r - relaxation * (S @ r)``, and the
+    # error is the two dot products ``numpy.linalg.norm`` takes of a complex
+    # vector, so every value is bitwise that of the allocating expression.
     residual = phi.copy()
-    records = [ConvergenceRecord(0, norm_phi, norm_phi)]
-    for k in range(1, config.max_iters + 1):
-        residual = residual - relaxation * (s @ residual)
-        error = float(np.linalg.norm(residual))
-        records.append(ConvergenceRecord(k, error, delta**k * norm_phi))
+    step = np.empty_like(residual)
+    re, im = residual.real, residual.imag
+    errors = [norm_phi]
+    for _ in range(config.max_iters):
+        np.matmul(s, residual, out=step)
+        np.multiply(relaxation, step, out=step)
+        np.subtract(residual, step, out=residual)
+        error = math.sqrt(re.dot(re) + im.dot(im))
+        errors.append(error)
         if error <= stop_tol:
             break
-    return records
-
-
-@dataclass(frozen=True)
-class RunSeries:
-    label: str
-    width: float
-    records: tuple
+    envelopes = [delta**k * norm_phi for k in range(len(errors))]
+    return RunSeries(label="", width=delta, errors=errors, envelopes=envelopes)
 
 
 @dataclass(frozen=True)
@@ -127,23 +140,18 @@ class ComparisonTable:
             columns.extend([f"err_{s.label}", f"env_{s.label}"])
         return columns
 
-    def rows(self):
-        """Rows padded with ``None`` where a run stopped early."""
-        depth = max(len(s.records) for s in self.series)
-        out = []
-        for k in range(depth):
-            row = [k]
-            for s in self.series:
-                if k < len(s.records):
-                    row.extend([s.records[k].error, s.records[k].envelope])
-                else:
-                    row.extend([None, None])
-            out.append(row)
-        return out
+    def rows(self) -> list[tuple]:
+        """Rows ``(k, err, env, ...)``, padded with ``None`` where a run stopped early."""
+        depth = max(len(s) for s in self.series)
+        columns = [range(depth)]
+        for s in self.series:
+            pad = [None] * (depth - len(s))
+            columns += [s.errors + pad, s.envelopes + pad]
+        return list(zip(*columns))
 
 
 def compare_runs(configs, targets, labels=None) -> ComparisonTable:
-    """Run several configurations independently and align their records by k."""
+    """Run several configurations independently and align their columns by k."""
     configs = list(configs)
     targets = list(targets)
     if len(configs) != len(targets):
@@ -155,10 +163,7 @@ def compare_runs(configs, targets, labels=None) -> ComparisonTable:
     labels = [str(lbl) for lbl in labels]
     if len(labels) != len(configs):
         raise DimensionMismatchError(f"{len(configs)} configurations but {len(labels)} labels")
-    series = []
-    for config, target, label in zip(configs, targets, labels):
-        records = run(config, target)
-        series.append(RunSeries(label=label, width=config.bounds_used.width, records=tuple(records)))
+    series = [replace(run(c, t), label=lbl) for c, t, lbl in zip(configs, targets, labels)]
     return ComparisonTable(series=tuple(series))
 
 

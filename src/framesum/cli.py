@@ -23,24 +23,24 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FrameToolkitError, SpecParseError, SpecSchemaError
-from .experiments import COMMANDS, ExperimentResult, _fmt, parse_spec, parse_spec_text, run_experiment
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, int):
-        return str(value)
-    return _fmt(value)
+from .experiments import COMMANDS, ExperimentResult, parse_spec, parse_spec_text, run_experiment
 
 
 def emit_csv(header, rows, path) -> None:
-    """Write a deterministic CSV: header row, 12-significant-digit cells,
-    LF line endings, trailing newline."""
-    lines = [",".join(str(h) for h in header)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(cell) for cell in row))
-    text = "\n".join(lines) + "\n"
+    """Write a deterministic CSV: header row, LF line endings, trailing newline.
+
+    ``rows`` must all have the header's length.  A cell is empty for ``None``,
+    ``str`` of an ``int``, else 12 significant digits (``%.12g``, the reports'
+    rendering).  The conversions are chosen a column at a time, and the whole
+    body is formatted by one ``%`` over its non-empty cells.
+    """
+    specs = [
+        ["" if cell is None else "%s" if isinstance(cell, int) else "%.12g" for cell in column]
+        for column in zip(*rows, strict=True)
+    ]
+    template = "".join([",".join(row) + "\n" for row in zip(*specs)])
+    cells = tuple([cell for row in rows for cell in row if cell is not None])
+    text = ",".join(str(h) for h in header) + "\n" + template % cells
     Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 

@@ -80,9 +80,13 @@ STATED_MATCH_TOLERANCE = 1e-9
 #: default relative tolerance for expect-block comparisons.
 DEFAULT_EXPECT_RTOL = 1e-9
 
+#: largest ``max_iters`` an algo document may ask for: a run keeps two floats
+#: per iteration, so the cap bounds its time and memory (fixtures use 60).
+MAX_ITERS = 100_000
+
 
 def _fmt(value: float) -> str:
-    """12-significant-digit rendering used by reports and CSV."""
+    """12-significant-digit rendering used by reports (the CSV renders the same way)."""
     return format(float(value), ".12g")
 
 
@@ -475,8 +479,8 @@ def _payload_gabor(spec: ExperimentSpec):
 def _payload_algo(spec: ExperimentSpec):
     doc = spec.document
     max_iters = doc.get("max_iters", 60)
-    if isinstance(max_iters, bool) or not isinstance(max_iters, int) or max_iters < 1:
-        raise _schema_error("max_iters", f"must be a positive integer, got {max_iters!r}")
+    if isinstance(max_iters, bool) or not isinstance(max_iters, int) or not 1 <= max_iters <= MAX_ITERS:
+        raise _schema_error("max_iters", f"must be an integer in 1..{MAX_ITERS}, got {max_iters!r}")
     runs = []
     for i, entry in enumerate(_as_array(doc.get("runs"), "runs")):
         path = f"runs[{i}]"
@@ -953,26 +957,18 @@ def _run_algo(spec: ExperimentSpec, rng) -> ExperimentResult:
         labels.append(label)
         widths.append(used.width)
     table = compare_runs(configs, targets, labels)
-    final = {s.label: s.records[-1] for s in table.series}
-    for label in labels:
-        record = final[label]
+    for s in table.series:
         rep.line(
-            f"run {label}: stopped at k={record.iteration}, "
-            f"error {_fmt(record.error)}, envelope {_fmt(record.envelope)}"
+            f"run {s.label}: stopped at k={len(s) - 1}, "
+            f"error {_fmt(s.errors[-1])}, envelope {_fmt(s.envelopes[-1])}"
         )
     rep.payload["runs"] = [
-        {
-            "label": s.label,
-            "width": s.width,
-            "iterations": len(s.records) - 1,
-            "final_error": s.records[-1].error,
-        }
+        {"label": s.label, "width": s.width, "iterations": len(s) - 1, "final_error": s.errors[-1]}
         for s in table.series
     ]
     dominated = all(
-        record.error <= record.envelope * (1.0 + 1e-9) + 1e-12
+        bool(np.all(np.asarray(s.errors) <= np.asarray(s.envelopes) * (1.0 + 1e-9) + 1e-12))
         for s in table.series
-        for record in s.records
     )
     rep.line(f"errors within envelopes: {'yes' if dominated else 'NO'}")
     if not dominated:

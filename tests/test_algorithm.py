@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import random_frame
 from framesum import (
@@ -14,10 +15,12 @@ from framesum import (
     compare_runs,
     exact_bounds,
     format_width,
+    frame_operator,
     random_unit_vector,
     run,
     width_report,
 )
+from framesum.algorithm import STOP_TOL_FACTOR
 
 RT2, RT3, RT6 = math.sqrt(2), math.sqrt(3), math.sqrt(6)
 BASE_C2 = FiniteFrame([[RT6, RT6], [0, 2], [2, 0]])
@@ -33,31 +36,32 @@ def test_rejects_invalid_bound_pairs():
 
 
 def test_accepts_valid_loose_pair():
-    records = run(AlgoConfig(frame=BASE_C2, bounds_used=FrameBounds(2, 32), max_iters=10), [1, 0])
-    assert len(records) == 11
+    series = run(AlgoConfig(frame=BASE_C2, bounds_used=FrameBounds(2, 32), max_iters=10), [1, 0])
+    assert len(series) == 11
 
 
 def test_start_record_is_target_norm(rng):
     phi = 3.0 * random_unit_vector(rng, 2)
-    records = run(AlgoConfig(frame=BASE_C2, bounds_used=FrameBounds(4, 16), max_iters=5), phi)
-    assert records[0].iteration == 0
-    assert records[0].error == pytest.approx(3.0, rel=1e-12)
-    assert records[0].envelope == records[0].error
+    series = run(AlgoConfig(frame=BASE_C2, bounds_used=FrameBounds(4, 16), max_iters=5), phi)
+    assert len(series.errors) == len(series.envelopes) == 6  # entry k is iteration k
+    assert series.errors[0] == pytest.approx(3.0, rel=1e-12)
+    assert series.envelopes[0] == series.errors[0]
 
 
 def test_tight_frame_converges_in_one_step(rng):
     phi = random_unit_vector(rng, 2)
-    records = run(AlgoConfig(frame=TIGHT_C2, bounds_used=FrameBounds(4, 4)), phi)
-    assert records[1].error <= 1e-12
-    assert len(records) == 2  # stopped immediately
+    series = run(AlgoConfig(frame=TIGHT_C2, bounds_used=FrameBounds(4, 4)), phi)
+    assert series.errors[1] <= 1e-12
+    assert len(series) == 2  # stopped immediately
 
 
 def test_envelope_dominates_base_frame(rng):
     config = AlgoConfig(frame=BASE_C2, bounds_used=FrameBounds(4, 16), max_iters=50, stop_tol=0.0)
     for _ in range(20):
         phi = random_unit_vector(rng, 2)
-        for record in run(config, phi):
-            assert record.error <= record.envelope * (1 + 1e-9)
+        series = run(config, phi)
+        for error, envelope in zip(series.errors, series.envelopes):
+            assert error <= envelope * (1 + 1e-9)
 
 
 def test_sum_frame_run_beats_published_width(rng):
@@ -66,9 +70,9 @@ def test_sum_frame_run_beats_published_width(rng):
     summed = build_sum_frame((BASE_C2, DIAG_C2), np.array([1.0, 100.0]))
     bounds = exact_bounds(summed).bounds
     phi = random_unit_vector(rng, 2)
-    records = run(AlgoConfig(frame=summed, bounds_used=bounds, max_iters=60), phi)
-    for record in records[1:]:
-        assert record.error <= 0.3453 ** record.iteration * (1 + 1e-9)
+    series = run(AlgoConfig(frame=summed, bounds_used=bounds, max_iters=60), phi)
+    for k, error in enumerate(series.errors[1:], start=1):
+        assert error <= 0.3453**k * (1 + 1e-9)
 
 
 def test_contraction_per_step(rng):
@@ -78,9 +82,9 @@ def test_contraction_per_step(rng):
         bounds = exact_bounds(frame).bounds
         delta = bounds.width
         phi = random_unit_vector(rng, dim)
-        records = run(AlgoConfig(frame=frame, bounds_used=bounds, max_iters=50), phi)
-        for prev, cur in zip(records, records[1:]):
-            assert cur.error <= delta * prev.error * (1 + 1e-9) + 1e-15
+        errors = run(AlgoConfig(frame=frame, bounds_used=bounds, max_iters=50), phi).errors
+        for prev, cur in zip(errors, errors[1:]):
+            assert cur <= delta * prev * (1 + 1e-9) + 1e-15
 
 
 def test_envelope_dominance_random_frames(rng):
@@ -89,8 +93,9 @@ def test_envelope_dominance_random_frames(rng):
         frame = random_frame(rng, dim + 3, dim)
         bounds = exact_bounds(frame).bounds
         phi = random_unit_vector(rng, dim)
-        for record in run(AlgoConfig(frame=frame, bounds_used=bounds, max_iters=50), phi):
-            assert record.error <= record.envelope * (1 + 1e-9) + 1e-15
+        series = run(AlgoConfig(frame=frame, bounds_used=bounds, max_iters=50), phi)
+        for error, envelope in zip(series.errors, series.envelopes):
+            assert error <= envelope * (1 + 1e-9) + 1e-15
 
 
 def test_oracle_bounds_give_smallest_width(rng):
@@ -99,10 +104,69 @@ def test_oracle_bounds_give_smallest_width(rng):
     loose = FrameBounds(oracle.lower / 2, oracle.upper * 2)
     assert oracle.width <= loose.width
     phi = random_unit_vector(rng, 3)
-    tight_records = run(AlgoConfig(frame=frame, bounds_used=oracle, max_iters=25, stop_tol=0.0), phi)
-    loose_records = run(AlgoConfig(frame=frame, bounds_used=loose, max_iters=25, stop_tol=0.0), phi)
-    for a, b in zip(tight_records[1:], loose_records[1:]):
-        assert a.envelope <= b.envelope * (1 + 1e-12)
+    tight = run(AlgoConfig(frame=frame, bounds_used=oracle, max_iters=25, stop_tol=0.0), phi)
+    loose_run = run(AlgoConfig(frame=frame, bounds_used=loose, max_iters=25, stop_tol=0.0), phi)
+    for a, b in zip(tight.envelopes[1:], loose_run.envelopes[1:]):
+        assert a <= b * (1 + 1e-12)
+
+
+
+def _allocating_run(config, target):
+    """The iteration as ``r - relaxation * (S @ r)`` with ``numpy.linalg.norm``,
+    one new vector per step: the reference the in-place loop must match bit for bit."""
+    phi = np.asarray(target, dtype=complex)
+    s = frame_operator(config.frame)
+    bounds = config.bounds_used
+    relaxation = 2.0 / (bounds.lower + bounds.upper)
+    norm_phi = float(np.linalg.norm(phi))
+    stop_tol = config.stop_tol if config.stop_tol is not None else STOP_TOL_FACTOR * norm_phi
+    residual = phi.copy()
+    errors, envelopes = [norm_phi], [norm_phi]
+    for k in range(1, config.max_iters + 1):
+        residual = residual - relaxation * (s @ residual)
+        error = float(np.linalg.norm(residual))
+        errors.append(error)
+        envelopes.append(bounds.width**k * norm_phi)
+        if error <= stop_tol:
+            break
+    return errors, envelopes
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 16),
+    extra=st.integers(0, 4),
+    log_scale=st.floats(-3, 3),
+    loosen=st.sampled_from([None, (1.0, 1.0), (2.0, 1.5), (1e3, 7.0)]),
+    tight=st.booleans(),
+    stop_tol=st.sampled_from([None, 0.0]),
+)
+def test_in_place_run_matches_the_allocating_loop_bit_for_bit(seed, dim, extra, log_scale, loosen, tight, stop_tol):
+    rng = np.random.default_rng(seed)
+    scale = 10.0**log_scale
+    if tight:
+        # an orthonormal basis: S = scale^2 I, width 0, one step reaches the target
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        frame = FiniteFrame(scale * q)
+    else:
+        frame = random_frame(rng, dim + extra, dim)
+        frame = FiniteFrame(scale * frame.vectors)
+    bounds = exact_bounds(frame).bounds
+    if loosen is not None:
+        bounds = FrameBounds(bounds.lower / loosen[0], bounds.upper * loosen[1])
+    config = AlgoConfig(frame=frame, bounds_used=bounds, max_iters=int(rng.integers(1, 300)), stop_tol=stop_tol)
+    target = scale * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+    before = target.copy()
+
+    series = run(config, target)
+    errors, envelopes = _allocating_run(config, target)
+
+    assert len(series) == len(errors) == len(series.envelopes)
+    assert series.errors == errors
+    assert series.envelopes == envelopes
+    assert np.array_equal(target, before)  # the in-place update works on its own copy
+    if tight and loosen is None and stop_tol is None:
+        assert len(series) == 2
 
 
 def test_compare_runs_single_matches_run(rng):
@@ -111,10 +175,9 @@ def test_compare_runs_single_matches_run(rng):
     table = compare_runs([config], [phi], labels=["only"])
     direct = run(config, phi)
     assert table.header == ["k", "err_only", "env_only"]
-    assert len(table.series[0].records) == len(direct)
-    for got, want in zip(table.series[0].records, direct):
-        assert got.error == want.error
-        assert got.envelope == want.envelope
+    assert len(table.series[0]) == len(direct)
+    assert table.series[0].errors == direct.errors
+    assert table.series[0].envelopes == direct.envelopes
 
 
 def test_compare_runs_envelope_ordering(rng):

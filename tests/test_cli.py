@@ -4,12 +4,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from framesum import NumericRangeError, SpecParseError, SpecSchemaError
 from framesum.cli import bundled_fixture_names, emit_csv, load_bundled_fixture, main
 from framesum.experiments import (
     _KINDS,
     DEFAULT_EXPECT_RTOL,
+    MAX_ITERS,
     parse_spec,
     parse_spec_text,
     render_spec,
@@ -642,6 +644,80 @@ def test_emit_csv_deterministic_bytes(tmp_path):
     emit_csv(["k", "x", "y"], rows, p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_text(encoding="utf-8") == "k,x,y\n0,1,1\n1,0.123456789012,\n"
+
+
+def _per_cell_csv(header, rows) -> str:
+    """The CSV text as rendered one cell at a time, with a function call per
+    cell: the reference the column-wise writer must match byte for byte."""
+
+    def cell(value) -> str:
+        if value is None:
+            return ""
+        if isinstance(value, int):
+            return str(value)
+        return format(float(value), ".12g")
+
+    lines = [",".join(str(h) for h in header)]
+    for row in rows:
+        lines.append(",".join(cell(c) for c in row))
+    return "\n".join(lines) + "\n"
+
+
+#: -0.0, the smallest subnormal, a subnormal near the normal range, and the extremes
+EDGE_FLOATS = [-0.0, 5e-324, 2.2250738585072e-308, 1e308, -1e308, 1.7976931348623157e308]
+
+CSV_CELLS = st.one_of(
+    st.integers(-(10**20), 10**20),
+    st.booleans(),
+    st.floats(),
+    st.sampled_from(EDGE_FLOATS),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+)
+
+
+@st.composite
+def csv_tables(draw):
+    """A rectangular table whose columns end in ``None`` tails of random length."""
+    width = draw(st.integers(1, 6))
+    depth = draw(st.integers(0, 25))
+    columns = []
+    for _ in range(width):
+        filled = draw(st.integers(0, depth))
+        cells = draw(st.lists(st.one_of(st.none(), CSV_CELLS), min_size=filled, max_size=filled))
+        columns.append(cells + [None] * (depth - filled))
+    return [f"c{i}" for i in range(width)], [list(row) for row in zip(*columns)]
+
+
+@given(table=csv_tables())
+@example(table=(["k", "err"], []))
+@example(table=(["k", "err_a", "env_a"], [[0, 1.0, 1.0], [1, 0.5, np.float64(0.25)], [2, None, None]]))
+@example(table=(["k", "x"], [[k, v] for k, v in enumerate(EDGE_FLOATS + [-5e-324, np.float32(0.1)])]))
+def test_emit_csv_matches_the_per_cell_writer_byte_for_byte(tmp_path_factory, table):
+    header, rows = table
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    emit_csv(header, rows, path)
+    assert path.read_bytes() == _per_cell_csv(header, rows).encode("utf-8")
+
+
+@pytest.mark.parametrize("max_iters", [MAX_ITERS + 1, 100_000_000])
+def test_cli_rejects_max_iters_beyond_the_cap(tmp_path, capsys, max_iters):
+    # at 1e8 the loose pair below would iterate about 1.4e7 times before stopping
+    doc = {
+        "kind": "algo",
+        "runs": [{"label": "loose", "frame": {"vectors": [[1, 0], [0, 1], [1, 1]]}, "bounds": [1e-6, 1e6]}],
+        "max_iters": max_iters,
+    }
+    path = tmp_path / "algo.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["algo", "--spec", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "max_iters:" in err
+    assert "Traceback" not in err
+    doc["max_iters"] = MAX_ITERS
+    assert parse_spec_text(json.dumps(doc)).payload[1] == MAX_ITERS
 
 
 # --- suite ----------------------------------------------------------------------

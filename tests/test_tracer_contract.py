@@ -1,12 +1,17 @@
-"""The benchmark tracer's patch targets exist in framesum.
+"""The benchmark tracer's patch targets exist in framesum, and fire.
 
 ``perfbench/spans.py`` wraps framesum functions and methods by name.  A
 refactor that renames or moves one of them should fail here, not later in a
-traced benchmark run.
+traced benchmark run.  The tracer also reads what some calls return and that
+they happen at all: ``algorithm.iterations`` is ``len(run(...)) - 1``, and
+``algorithm.validate``, ``algorithm.table`` and ``cli.emit_csv`` are spans that
+must fire on the algo path, or their metrics silently read 0.
 """
 
 import importlib
+import json
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -36,3 +41,53 @@ def test_traced_method_resolves(module, cls, method):
     assert isinstance(owner, type), f"{module}.{cls}"
     # the tracer reads the method from the class's own namespace
     assert callable(vars(owner).get(method)), f"{module}.{cls}.{method}"
+
+
+def test_run_length_is_iterations_plus_one():
+    from framesum import AlgoConfig, FiniteFrame, FrameBounds, run
+
+    frame = FiniteFrame([[1, 0], [0, 1], [1, 1]])
+    capped = AlgoConfig(frame=frame, bounds_used=FrameBounds(0.5, 4), max_iters=7, stop_tol=0.0)
+    assert len(run(capped, [1, 0])) == 7 + 1
+    tight = AlgoConfig(frame=FiniteFrame([[1, 0], [0, 1]]), bounds_used=FrameBounds(1, 1))
+    assert len(run(tight, [1, 0])) == 1 + 1
+
+
+def test_one_cli_algo_run_calls_what_the_tracer_wraps(tmp_path, monkeypatch):
+    import framesum.algorithm
+    import framesum.cli
+
+    calls, lengths = Counter(), []
+
+    def count(owner, name, after=None):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            result = original(*args, **kwargs)
+            if after is not None:
+                after(result)
+            return result
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    count(framesum.algorithm, "validate_bounds_for_frame")
+    count(framesum.algorithm, "run", after=lambda result: lengths.append(len(result)))
+    count(framesum.algorithm.ComparisonTable, "rows")
+    count(framesum.cli, "emit_csv")
+
+    frame = {"vectors": [[1, 0], [0, 1], [1, 1]]}
+    doc = {
+        "kind": "algo",
+        "runs": [{"label": "oracle", "frame": frame}, {"label": "loose", "frame": frame, "bounds": [0.5, 4]}],
+        "max_iters": 40,
+    }
+    spec, report = tmp_path / "algo.json", tmp_path / "report.json"
+    spec.write_text(json.dumps(doc), encoding="utf-8")
+    code = framesum.cli.main(
+        ["algo", "--spec", str(spec), "--report", str(report), "--json", "--csv", str(tmp_path / "t.csv")]
+    )
+    assert code == 0
+    assert calls == {"validate_bounds_for_frame": 2, "run": 2, "rows": 1, "emit_csv": 1}
+    runs = json.loads(report.read_text(encoding="utf-8"))["runs"]
+    assert lengths == [entry["iterations"] + 1 for entry in runs]
