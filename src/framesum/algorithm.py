@@ -98,7 +98,6 @@ def run(config: AlgoConfig, target) -> RunSeries:
 
     s = frame_operator(config.frame)
     bounds = config.bounds_used
-    relaxation = 2.0 / (bounds.lower + bounds.upper)
     delta = bounds.width
     norm_phi = float(np.linalg.norm(phi))
     stop_tol = config.stop_tol if config.stop_tol is not None else STOP_TOL_FACTOR * norm_phi
@@ -111,15 +110,21 @@ def run(config: AlgoConfig, target) -> RunSeries:
     # order and with the operations of ``r - relaxation * (S @ r)``, and the
     # error is the two dot products ``numpy.linalg.norm`` takes of a complex
     # vector, so every value is bitwise that of the allocating expression.
+    # Each operation takes its cheapest call with the same arithmetic:
+    # ``s.dot`` makes the one BLAS matrix-vector call that ``S @ r`` makes,
+    # and the relaxation is cast once to the complex 0-d array ``omega+0j``
+    # that numpy would otherwise build from the float on every multiply.
+    relaxation = np.array(2.0 / (bounds.lower + bounds.upper), dtype=complex)
+    multiply, subtract, sqrt = np.multiply, np.subtract, math.sqrt
     residual = phi.copy()
     step = np.empty_like(residual)
     re, im = residual.real, residual.imag
     errors = [norm_phi]
     for _ in range(config.max_iters):
-        np.matmul(s, residual, out=step)
-        np.multiply(relaxation, step, out=step)
-        np.subtract(residual, step, out=residual)
-        error = math.sqrt(re.dot(re) + im.dot(im))
+        s.dot(residual, out=step)
+        multiply(relaxation, step, out=step)
+        subtract(residual, step, out=residual)
+        error = sqrt(re.dot(re) + im.dot(im))
         errors.append(error)
         if error <= stop_tol:
             break

@@ -84,6 +84,13 @@ DEFAULT_EXPECT_RTOL = 1e-9
 #: per iteration, so the cap bounds its time and memory (fixtures use 60).
 MAX_ITERS = 100_000
 
+#: largest number of ``(n, k)`` terms a gabor document may ask for, counted as
+#: ``(L/a + 1) * (2 L b + 1)`` for a window of support length ``L`` on the
+#: lattice ``(a, b)``.  The estimate loops over these terms in Python, so the
+#: cap bounds its time: the slowest admitted one-piece window (``L/a`` about
+#: 3300 with ``L b`` just above 1) took about 2 s on a 2-core x86-64 host.
+MAX_SHIFT_TERMS = 10_000
+
 
 def _fmt(value: float) -> str:
     """12-significant-digit rendering used by reports (the CSV renders the same way)."""
@@ -470,6 +477,14 @@ def _payload_gabor(spec: ExperimentSpec):
             lattice = wh_to_gabor(wh).lattice
         except FrameToolkitError as exc:
             raise _schema_error("wh", str(exc)) from None
+    length = generator.support_length
+    terms = (length / lattice.a + 1.0) * (2.0 * length * lattice.b + 1.0)
+    if not terms <= MAX_SHIFT_TERMS:
+        raise _schema_error(
+            "generator.pieces",
+            f"support length {length:.6g} on the lattice (a, b) = ({lattice.a:.6g}, "
+            f"{lattice.b:.6g}) needs about {terms:.6g} shift terms, more than {MAX_SHIFT_TERMS}",
+        )
     stated = None
     if "stated_bounds" in doc:
         stated = _as_bound_pair(doc["stated_bounds"], "stated_bounds")
@@ -945,8 +960,7 @@ def _run_algo(spec: ExperimentSpec, rng) -> ExperimentResult:
     runs, max_iters = spec.payload
     configs, targets, labels, widths = [], [], [], []
     for label, fi, bounds in runs:
-        oracle = fi.oracle_bounds()
-        used = bounds if bounds is not None else oracle
+        used = bounds if bounds is not None else fi.oracle_bounds()
         rep.line(
             f"run {label}: bounds [{_fmt(used.lower)}, {_fmt(used.upper)}]"
             + (" (oracle)" if bounds is None else "")

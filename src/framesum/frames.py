@@ -97,12 +97,13 @@ class FrameCertificate:
 class FiniteFrame:
     """An indexed family of complex vectors in a common dimension.
 
-    Vectors are stored as rows of an immutable ``(count, dim)`` array.
-    Individual zero vectors are allowed (they contribute nothing); an
-    all-zero family is rejected.
+    Vectors are stored as rows of an immutable ``(count, dim)`` array, a
+    copy of the caller's.  Individual zero vectors are allowed (they
+    contribute nothing); an all-zero family is rejected.  ``_certificate``
+    holds the result of :func:`exact_bounds` once it has been computed.
     """
 
-    __slots__ = ("_vectors",)
+    __slots__ = ("_vectors", "_certificate")
 
     def __init__(self, vectors):
         arr = np.asarray(vectors, dtype=complex)
@@ -119,6 +120,7 @@ class FiniteFrame:
         arr = arr.copy()
         arr.setflags(write=False)
         self._vectors = arr
+        self._certificate = None
 
     @property
     def vectors(self) -> np.ndarray:
@@ -172,9 +174,15 @@ def synthesis(frame: FiniteFrame, coefficients) -> np.ndarray:
 def exact_bounds(frame: FiniteFrame) -> FrameCertificate:
     """Optimal frame bounds: the extreme eigenvalues of the frame operator.
 
+    The certificate is computed once per frame and saved on it: a frame's
+    vectors are a read-only copy, so its spectrum cannot change.
+
     Raises :class:`NotAFrameError` when the family fails to span (smallest
-    eigenvalue at or below ``SPAN_TOLERANCE`` times the largest).
+    eigenvalue at or below ``SPAN_TOLERANCE`` times the largest); that
+    outcome is not saved, so every call raises it again.
     """
+    if frame._certificate is not None:
+        return frame._certificate
     eig = linalg.hermitian_eig(frame_operator(frame))
     lo = float(eig.eigenvalues[0])
     hi = float(eig.eigenvalues[-1])
@@ -186,7 +194,9 @@ def exact_bounds(frame: FiniteFrame) -> FrameCertificate:
     w = bounds.width
     tight = w <= TIGHTNESS_TOLERANCE
     parseval = tight and abs(lo - 1.0) <= PARSEVAL_TOLERANCE
-    return FrameCertificate(bounds=bounds, width=w, is_tight=tight, is_parseval=parseval)
+    cert = FrameCertificate(bounds=bounds, width=w, is_tight=tight, is_parseval=parseval)
+    frame._certificate = cert
+    return cert
 
 
 def canonical_dual(frame: FiniteFrame) -> FiniteFrame:

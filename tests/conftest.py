@@ -30,3 +30,19 @@ def random_frame(rng, count, dim):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """Shapes of the matrices passed to ``framesum.linalg.hermitian_eig``, in call order."""
+    import framesum.linalg
+
+    calls = []
+    original = framesum.linalg.hermitian_eig
+
+    def counting(matrix):
+        calls.append(matrix.shape)
+        return original(matrix)
+
+    monkeypatch.setattr(framesum.linalg, "hermitian_eig", counting)
+    return calls

@@ -12,6 +12,7 @@ from framesum.experiments import (
     _KINDS,
     DEFAULT_EXPECT_RTOL,
     MAX_ITERS,
+    MAX_SHIFT_TERMS,
     parse_spec,
     parse_spec_text,
     render_spec,
@@ -551,22 +552,90 @@ def test_cli_eigensolver_failure_exits_two(tmp_path, capsys, monkeypatch):
     assert "NoConvergenceError" in capsys.readouterr().err
 
 
-def test_bounds_experiment_solves_its_spectrum_once(monkeypatch):
-    import framesum.linalg
-
-    calls = []
-    original = framesum.linalg.hermitian_eig
-
-    def counting(matrix):
-        calls.append(matrix.shape)
-        return original(matrix)
-
-    monkeypatch.setattr(framesum.linalg, "hermitian_eig", counting)
+def test_bounds_experiment_solves_its_spectrum_once(eig_calls):
     for name in ("exact_bounds_c2.json", "exact_bounds_c2_diag.json"):
-        calls.clear()
+        eig_calls.clear()
         result = run_experiment(load_bundled_fixture(name))
         assert result.status in ("pass", "flagged")
-        assert len(calls) == 1, name
+        assert len(eig_calls) == 1, name
+
+
+def test_algo_experiment_solves_each_frame_once(tmp_path, eig_calls):
+    frame = {"vectors": [[1, 0], [0, 2], [1, 1]]}
+    doc = {
+        "kind": "algo",
+        "runs": [
+            {"label": "oracle", "frame": frame},
+            {"label": "loose", "frame": frame, "bounds": [0.5, 10]},
+        ],
+    }
+    path = tmp_path / "algo.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["algo", "--spec", str(path), "--report", str(tmp_path / "report.txt")])
+    assert code == 0
+    # each run parses its own frame, and each frame's spectrum is solved once:
+    # for the oracle bounds or for checking the loose pair
+    assert eig_calls == [(2, 2), (2, 2)]
+
+
+def test_cli_algo_checks_the_runs_in_order(tmp_path, capsys):
+    # the first run's pair is invalid; the second run's frame does not span
+    doc = {
+        "kind": "algo",
+        "runs": [
+            {"label": "bad", "frame": {"vectors": [[1, 0], [0, 1]]}, "bounds": [2, 3]},
+            {"label": "flat", "frame": {"vectors": [[1, 0], [2, 0]]}, "bounds": [1, 5]},
+        ],
+    }
+    path = tmp_path / "algo.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["algo", "--spec", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "InvalidBoundsForFrameError" in err
+
+
+def _gabor_doc(hi: float, a: float, b: float) -> dict:
+    return {
+        "kind": "gabor",
+        "generator": {"pieces": [{"lo": 0, "hi": hi, "kind": "affine", "alpha": 0, "beta": 1}]},
+        "lattice": {"a": a, "b": b},
+    }
+
+
+@pytest.mark.parametrize(
+    "hi,a,b",
+    [(1e9, 0.5, 1), (1, 1 / 5000, 0.5), (1, 0.5, 5000), (1, 1e-300, 0.5)],
+    ids=["huge-support", "many-translates", "many-shifts", "tiny-a"],
+)
+def test_cli_rejects_gabor_shift_loops_beyond_the_cap(tmp_path, capsys, hi, a, b):
+    # [0, 1e9) on (0.5, 1) asks for about 4e18 terms, which the loops would never finish
+    path = tmp_path / "gabor.json"
+    path.write_text(json.dumps(_gabor_doc(hi, a, b)), encoding="utf-8")
+    code = main(["gabor", "--spec", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "generator.pieces:" in err and "shift terms" in err
+    assert "Traceback" not in err
+
+
+def test_gabor_shift_cap_admits_windows_up_to_it():
+    # (L/a + 1)(2 L b + 1) = 100 * 100 = MAX_SHIFT_TERMS
+    spec = parse_spec_text(json.dumps(_gabor_doc(1, 1 / 99, 49.5)))
+    assert spec.payload[1].a == 1 / 99
+    assert MAX_SHIFT_TERMS == 10_000
+    with pytest.raises(SpecSchemaError) as excinfo:
+        parse_spec_text(json.dumps(_gabor_doc(1, 1 / 99, 49.6)))
+    assert excinfo.value.field == "generator.pieces"
+
+
+def test_every_bundled_gabor_fixture_is_far_below_the_shift_cap():
+    for name in bundled_fixture_names():
+        spec = load_bundled_fixture(name)
+        if spec.kind == "gabor":
+            generator, lattice = spec.payload[:2]
+            length = generator.support_length
+            assert (length / lattice.a + 1) * (2 * length * lattice.b + 1) <= MAX_SHIFT_TERMS / 100, name
 
 
 def test_cli_json_report(tmp_path):

@@ -106,6 +106,42 @@ def test_exact_bounds_rejects_rank_deficient():
         exact_bounds(FiniteFrame([[1, 0], [2, 0]]))
 
 
+def test_exact_bounds_solves_each_frame_once(eig_calls):
+    frame = FiniteFrame([[RT6, RT6], [0, 2], [2, 0]])
+    first = exact_bounds(frame)
+    assert exact_bounds(frame) == first
+    assert len(eig_calls) == 1
+
+
+def test_frame_vectors_are_read_only():
+    frame = FiniteFrame([[RT6, RT6], [0, 2], [2, 0]])
+    with pytest.raises(ValueError):
+        frame.vectors[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        frame[1][:] = 0.0
+
+
+@pytest.mark.parametrize("solve_first", [False, True], ids=["before-solve", "after-solve"])
+def test_exact_bounds_ignores_changes_to_the_source_array(solve_first):
+    # a complex source array is the one numpy would hand over without a copy
+    source = np.array([[RT6, RT6], [0, 2], [2, 0]], dtype=complex)
+    frame = FiniteFrame(source)
+    if solve_first:
+        exact_bounds(frame)
+    source[:] = [[1, 0], [0, 1], [0, 0]]
+    cert = exact_bounds(frame)
+    assert cert == exact_bounds(FiniteFrame([[RT6, RT6], [0, 2], [2, 0]]))
+    assert cert.bounds.upper == pytest.approx(16, rel=1e-12)
+
+
+def test_exact_bounds_raises_for_a_non_frame_on_every_call(eig_calls):
+    frame = FiniteFrame([[1, 0], [2, 0]])
+    for _ in range(3):
+        with pytest.raises(NotAFrameError):
+            exact_bounds(frame)
+    assert len(eig_calls) == 3
+
+
 def test_width_values():
     assert width(FrameBounds(4, 16)) == pytest.approx(0.6, rel=1e-15)
     assert width(FrameBounds(9, 9)) == 0.0
