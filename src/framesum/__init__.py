@@ -26,7 +26,6 @@ from .errors import (
     DimensionMismatchError,
     EmptySupportError,
     FrameToolkitError,
-    GridMismatchError,
     InvalidBoundsError,
     InvalidBoundsForFrameError,
     NoConvergenceError,
@@ -75,14 +74,11 @@ from .gabor import (
     LatticeParams,
     Piece,
     PiecewiseGenerator,
-    WHGaborMap,
     WHParams,
     estimate_bounds,
-    modulated_translate,
     overlap_vanishes,
     shift_overlap_sum,
     translate_energy,
-    wh_coefficient_modulus_check,
     wh_to_gabor,
 )
 from .algorithm import (

@@ -62,10 +62,6 @@ class DegenerateLatticeError(FrameToolkitError):
     """Group parameters collapse the time-frequency lattice."""
 
 
-class GridMismatchError(FrameToolkitError):
-    """Sampled signal grid is not uniform or does not cover the window support."""
-
-
 class InvalidBoundsForFrameError(FrameToolkitError):
     """Bound pair handed to the reconstruction algorithm is not valid for the frame."""
 

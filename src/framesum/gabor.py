@@ -14,31 +14,32 @@ identically, the squared window is piecewise polynomial of degree <= 2, and
 the extrema come out in closed form; the estimate is then exact (the system's
 frame operator is a multiplication operator).  Otherwise the extrema are taken
 on a dense grid with one local refinement pass and flagged as approximate.
-The grid path evaluates energy and overlap once per point set, and the overlap
-only over its ``(n, k)`` terms that can be nonzero: translates that meet the
-points, and shifts ``k/b`` shorter than the support.  Each skipped term is an
-exact zero, so the sums are bitwise those of the full double sum.
 
-A separate parameter map connects group-generated families of the form
-``phase * exp(i P m p0 x) g(x + n q0)`` to the lattice system above: the
-phases are unimodular, so coefficient magnitudes agree index-by-index once
-signs are absorbed into the index map (see :func:`wh_to_gabor`).
+The grid path works on sorted points, so that every set of points where
+something is nonzero is one contiguous slice found by ``searchsorted``: a
+piece's points inside the window, a translate's points inside the support,
+and a shifted translate's points inside the support again.  Energy and
+overlap are evaluated once per point set, each translate only on its support
+slice, and each ``k/b`` product only where both factors can be nonzero.
+Every point still gets the same operations in the same ascending ``n`` and
+``k`` order, and every skipped term is an exact zero added to a partial sum
+that starts at +0, so the sums are bitwise those of the full double sum.
+
+Group-generated families ``phase * exp(i P m p0 x) g(x + n q0)`` map onto the
+lattice system above (see :func:`wh_to_gabor`): the phases are unimodular, so
+coefficient magnitudes agree index by index once signs are absorbed into the
+index map.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateLatticeError,
-    EmptySupportError,
-    GridMismatchError,
-    NonPositiveLowerBoundError,
-)
+from .errors import DegenerateLatticeError, EmptySupportError, NonPositiveLowerBoundError
 
 #: fallback grid: points per period for the non-vanishing-overlap case.
 GRID_RESOLUTION = 2**14
@@ -95,10 +96,33 @@ class Piece:
         return (0.0, self.alpha, self.beta)
 
 
+def _sorted_points(x):
+    """``(points, order, shape)``: ``x`` as a nondecreasing 1-d float array.
+
+    Nondecreasing 1-d input is used as it is (``order`` is None); anything
+    else is flattened and sorted stably, NaN last.  :func:`_in_input_order`
+    puts values computed on ``points`` back in the order and ``shape`` of ``x``.
+    """
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim == 1 and bool(np.all(xs[1:] >= xs[:-1])):
+        return xs, None, xs.shape
+    flat = xs.ravel()
+    order = np.argsort(flat, kind="stable")
+    return flat[order], order, xs.shape
+
+
+def _in_input_order(values, order, shape):
+    if order is None:
+        return values
+    out = np.empty_like(values)
+    out[order] = values
+    return out.reshape(shape)
+
+
 class PiecewiseGenerator:
     """Compactly supported real window assembled from sorted disjoint pieces."""
 
-    __slots__ = ("_pieces",)
+    __slots__ = ("_pieces", "_ends")
 
     def __init__(self, pieces):
         coerced = []
@@ -118,6 +142,8 @@ class PiecewiseGenerator:
                     f"pieces overlap: [{left.lo}, {left.hi}) and [{right.lo}, {right.hi})"
                 )
         self._pieces = tuple(coerced)
+        # row 0 holds every piece's lo, row 1 its hi
+        self._ends = np.array([[p.lo for p in coerced], [p.hi for p in coerced]])
 
     @property
     def pieces(self) -> tuple:
@@ -136,19 +162,34 @@ class PiecewiseGenerator:
         return self.support_hi - self.support_lo
 
     def __call__(self, x):
-        xs = np.asarray(x, dtype=float)
-        out = np.zeros_like(xs, dtype=float)
-        for piece in self._pieces:
-            mask = (xs >= piece.lo) & (xs < piece.hi)
-            if not np.any(mask):
-                continue
-            values = piece.alpha * xs[mask] + piece.beta
-            if piece.kind == "sqrt-affine":
-                values = np.sqrt(np.maximum(values, 0.0))
-            out[mask] = values
-        if np.isscalar(x) or np.asarray(x).ndim == 0:
-            return float(out)
-        return out
+        """``g(x)``: a float for scalar ``x``, else an array of ``x``'s shape.
+
+        On sorted points (see :func:`_sorted_points`) one ``searchsorted`` of
+        the piece ends finds every piece's points ``lo <= x < hi`` as one
+        contiguous slice, and the piece's formula is written into that slice.
+        Only the pieces between the smallest and the largest point are looked
+        at, so a call costs the same for a window of one piece or of many.
+        Points in no piece, NaN and +-inf give 0.
+        """
+        points, order, shape = _sorted_points(x)
+        out = np.zeros_like(points)
+        if points.size:
+            # sorted disjoint pieces: those that can hold a point run from the
+            # first with hi above the smallest point to the last with lo at or
+            # below the largest (NaN sorts last and widens the range, harmlessly)
+            lo_row, hi_row = self._ends
+            first, last = bisect_right(hi_row, points[0]), bisect_right(lo_row, points[-1])
+            starts, stops = np.searchsorted(points, self._ends[:, first:last], side="left").tolist()
+            for piece, start, stop in zip(self._pieces[first:last], starts, stops):
+                if start == stop:
+                    continue
+                values = piece.alpha * points[start:stop] + piece.beta
+                if piece.kind == "sqrt-affine":
+                    values = np.sqrt(np.maximum(values, 0.0))
+                out[start:stop] = values
+        if not shape:
+            return float(out[0])
+        return _in_input_order(out, order, shape)
 
     def scaled(self, factor: float) -> "PiecewiseGenerator":
         """A window with ``|factor|`` times the amplitude on sqrt-affine pieces and
@@ -189,18 +230,38 @@ def _shift_range(gen: PiecewiseGenerator, a: float, x_min: float, x_max: float):
     return range(n_lo, n_hi + 1)
 
 
+def _support_slice(gen: PiecewiseGenerator, points) -> list[int]:
+    """``[start, stop]`` of the sorted ``points`` inside ``[support_lo, support_hi)``."""
+    return np.searchsorted(points, (gen.support_lo, gen.support_hi), side="left").tolist()
+
+
+def _translates(gen: PiecewiseGenerator, a: float, points):
+    """``(start, segment)`` for every translate ``n`` in ascending order: the
+    slice of the sorted ``points`` where ``g(x - n a)`` can be nonzero, and
+    ``x - n a`` on it.  Translates that meet no point are left out."""
+    for n in _shift_range(gen, a, float(points.min()), float(points.max())):
+        shifted = points - n * a
+        start, stop = _support_slice(gen, shifted)
+        if start < stop:
+            yield start, shifted[start:stop]
+
+
 def translate_energy(gen: PiecewiseGenerator, a: float, x):
-    """``sum_n g(x - n a)^2`` -- a finite sum thanks to compact support."""
+    """``sum_n g(x - n a)^2`` -- a finite sum thanks to compact support.
+
+    Each translate is evaluated on its support slice only (see the module
+    docstring); the result is a float for scalar ``x``, else of ``x``'s shape.
+    """
     if not a > 0.0:
         raise DegenerateLatticeError(f"translation step must be positive, got {a}")
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    total = np.zeros_like(xs)
-    for n in _shift_range(gen, a, float(xs.min()), float(xs.max())):
-        values = gen(xs - n * a)
-        total += values * values
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
+    points, order, shape = _sorted_points(x)
+    total = np.zeros_like(points)
+    for start, segment in _translates(gen, a, points):
+        values = gen(segment)
+        total[start:start + values.size] += values * values
+    if not shape:
         return float(total[0])
-    return total
+    return _in_input_order(total, order, shape)
 
 
 def overlap_vanishes(gen: PiecewiseGenerator, b: float) -> bool:
@@ -225,42 +286,51 @@ def shift_overlap_sum(gen: PiecewiseGenerator, a: float, b: float, x):
     """``sum_{k != 0} |sum_n g(x - n a) g(x - n a - k/b)|``.
 
     Returns exactly zero, without evaluation, when the support is too short
-    for any nonzero shift to overlap.  Otherwise only terms that can be
-    nonzero are evaluated:
+    for any nonzero shift to overlap.  Otherwise the points are sorted and
+    only terms that can be nonzero are evaluated:
 
     * ``n`` runs over the translates ``g(x - n a)`` that are nonzero somewhere
-      on ``x`` (the range of :func:`translate_energy`); each is evaluated once
-      and reused for every ``k``;
+      on ``x``; each is evaluated once, on its support slice only (the slice
+      of the sorted ``x - n a`` inside the support), and reused for every ``k``;
     * ``k`` runs over the shifts with ``|k|/b`` short enough for the support
       and its shift to meet (:func:`_shift_can_overlap`), which on the usual
-      lattices is ``k = +-1`` only.
+      lattices is ``k = +-1`` only;
+    * each product ``g(x - n a) g(x - n a - k/b)`` is taken only on the part
+      of the support slice where ``x - n a - k/b`` lies in the support again,
+      which ``searchsorted`` finds as one subslice, since shifting sorted
+      points by a constant keeps them sorted.
 
-    Every skipped product has a factor that is exactly 0, and adding +-0 to a
-    partial sum that starts at +0 changes nothing, so the result is bitwise
-    the full double sum taken in ascending ``k`` and ``n``.
+    Each point gets the same operations as in the full double sum, in the
+    same ascending ``k`` and ``n`` order.  Every skipped product has a factor
+    that is exactly 0, and adding +-0 to a partial sum that starts at +0
+    changes nothing, so the result is bitwise the full double sum.  It is a
+    float for scalar ``x``, else an array of ``x``'s shape.
     """
     if not a > 0.0 or not b > 0.0:
         raise DegenerateLatticeError(f"lattice steps must be positive, got ({a}, {b})")
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    scalar = np.isscalar(x) or np.asarray(x).ndim == 0
     if overlap_vanishes(gen, b):
-        return 0.0 if scalar else np.zeros_like(xs)
+        return 0.0 if np.ndim(x) == 0 else np.zeros(np.shape(x))
+    points, order, shape = _sorted_points(x)
     translates = []
-    for n in _shift_range(gen, a, float(xs.min()), float(xs.max())):
-        shifted = xs - n * a
-        values = gen(shifted)
+    for start, segment in _translates(gen, a, points):
+        values = gen(segment)
         if values.any():
-            translates.append((shifted, values))
-    total = np.zeros_like(xs)
+            translates.append((start, segment, values))
+    total = np.zeros_like(points)
     k_max = math.ceil(gen.support_length * b) + 1
     for k in range(-k_max, k_max + 1):
         if k == 0 or not _shift_can_overlap(gen, k / b):
             continue
-        inner = np.zeros_like(xs)
-        for shifted, values in translates:
-            inner += values * gen(shifted - k / b)
+        inner = np.zeros_like(points)
+        for start, segment, values in translates:
+            moved = segment - k / b
+            lo, hi = _support_slice(gen, moved)
+            if lo < hi:
+                inner[start + lo:start + hi] += values[lo:hi] * gen(moved[lo:hi])
         total += np.abs(inner)
-    return float(total[0]) if scalar else total
+    if not shape:
+        return float(total[0])
+    return _in_input_order(total, order, shape)
 
 
 def _periodized_quadratic_cells(gen: PiecewiseGenerator, a: float):
@@ -420,102 +490,16 @@ class WHParams:
             )
 
 
-@dataclass(frozen=True)
-class WHGaborMap:
-    """Lattice parameters plus the unimodular phase and index bookkeeping.
-
-    The group element at index ``(m, n)`` acts on a window ``g`` as
-
-        ``phase(m, n) * exp(i P m p0 x) * g(x + n q0)``
-
-    which equals ``phase(m, n)`` times the plain lattice atom
-    ``exp(2 pi i m' b x) g(x - n' a)`` at the mapped indices
-    ``(m', n') = (modulation_sign * m, translation_sign * n)``.  Since the
-    phase is unimodular, coefficient magnitudes agree exactly.
-    """
-
-    params: WHParams
-    lattice: LatticeParams
-    modulation_sign: int
-    translation_sign: int
-
-    def phase(self, m: int, n: int) -> complex:
-        p = self.params
-        return cmath.exp(1j * (p.P * m * n * p.p0 * p.q0 / 2.0 + p.Q * m * p.p0))
-
-    def gabor_indices(self, m: int, n: int) -> tuple[int, int]:
-        return self.modulation_sign * m, self.translation_sign * n
-
-    def group_atom(self, gen: PiecewiseGenerator, m: int, n: int, xs) -> np.ndarray:
-        p = self.params
-        xs = np.asarray(xs, dtype=float)
-        return self.phase(m, n) * np.exp(1j * p.P * m * p.p0 * xs) * gen(xs + n * p.q0)
-
-    def lattice_atom(self, gen: PiecewiseGenerator, m: int, n: int, xs) -> np.ndarray:
-        m2, n2 = self.gabor_indices(m, n)
-        return modulated_translate(gen, self.lattice.a, self.lattice.b, m2, n2, xs)
-
-
-def modulated_translate(gen: PiecewiseGenerator, a: float, b: float, m: int, n: int, xs) -> np.ndarray:
-    """The lattice atom ``exp(2 pi i m b x) g(x - n a)`` sampled at ``xs``."""
-    xs = np.asarray(xs, dtype=float)
-    return np.exp(2j * math.pi * m * b * xs) * gen(xs - n * a)
-
-
-def wh_to_gabor(wh: WHParams) -> WHGaborMap:
+def wh_to_gabor(wh: WHParams) -> LatticeParams:
     """Map group parameters to the lattice ``(a, b) = (|q0|, |P p0| / 2 pi)``.
 
-    Signs stripped from ``a`` and ``b`` are recorded as index signs so that
-    the group family and the lattice family match element-by-element up to
-    the unimodular phase.
+    The group element at index ``(m, n)`` acts on a window ``g`` as
+    ``phase(m, n) * exp(i P m p0 x) * g(x + n q0)`` with a unimodular phase,
+    which is the plain lattice atom ``exp(2 pi i m' b x) g(x - n' a)`` at
+    ``(m', n') = (sign(P p0) m, -sign(q0) n)`` up to that phase.  So the
+    group family and the lattice family have the same coefficient magnitudes
+    index by index, and the same frame bounds.
     """
     if wh.p0 == 0.0 or wh.q0 == 0.0:
         raise DegenerateLatticeError("p0 and q0 must be nonzero")
-    a = abs(wh.q0)
-    b = abs(wh.P * wh.p0) / (2.0 * math.pi)
-    modulation_sign = 1 if wh.P * wh.p0 > 0 else -1
-    translation_sign = 1 if wh.q0 < 0 else -1
-    return WHGaborMap(
-        params=wh,
-        lattice=LatticeParams(a, b),
-        modulation_sign=modulation_sign,
-        translation_sign=translation_sign,
-    )
-
-
-def _uniform_step(xs: np.ndarray) -> float:
-    if xs.ndim != 1 or xs.size < 2:
-        raise GridMismatchError("need a 1-d grid with at least two samples")
-    steps = np.diff(xs)
-    h = float(steps[0])
-    if h <= 0.0 or not np.allclose(steps, h, rtol=1e-9, atol=1e-12 * max(1.0, abs(h))):
-        raise GridMismatchError("grid must be uniformly increasing")
-    return h
-
-
-def wh_coefficient_modulus_check(
-    gen: PiecewiseGenerator, wh, xs, values, m: int, n: int
-) -> float:
-    """Residual between coefficient magnitudes of matched group/lattice atoms.
-
-    Both inner products are evaluated with the same rectangle quadrature on
-    the supplied grid, so the unimodular phase cancels exactly and the
-    residual sits at round-off level (contract: ``<= 1e-12`` times the
-    coefficient scale).
-    """
-    mapping = wh if isinstance(wh, WHGaborMap) else wh_to_gabor(wh)
-    xs = np.asarray(xs, dtype=float)
-    f = np.asarray(values, dtype=complex)
-    if f.shape != xs.shape:
-        raise GridMismatchError(f"signal shape {f.shape} does not match grid {xs.shape}")
-    h = _uniform_step(xs)
-    shift = -n * mapping.params.q0  # both atoms live on supp(g) + shift
-    lo = gen.support_lo + shift
-    hi = gen.support_hi + shift
-    if lo < xs[0] - h / 2.0 or hi > xs[-1] + h / 2.0:
-        raise GridMismatchError(
-            f"grid [{xs[0]}, {xs[-1]}] does not cover the shifted support [{lo}, {hi}]"
-        )
-    group_coeff = h * np.sum(f * np.conj(mapping.group_atom(gen, m, n, xs)))
-    lattice_coeff = h * np.sum(f * np.conj(mapping.lattice_atom(gen, m, n, xs)))
-    return abs(abs(group_coeff) - abs(lattice_coeff))
+    return LatticeParams(abs(wh.q0), abs(wh.P * wh.p0) / (2.0 * math.pi))

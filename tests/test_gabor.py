@@ -1,3 +1,4 @@
+import cmath
 import math
 from collections import Counter
 
@@ -7,17 +8,14 @@ import pytest
 import framesum.gabor as gabor
 from framesum import (
     DegenerateLatticeError,
-    GridMismatchError,
     LatticeParams,
     NonPositiveLowerBoundError,
     PiecewiseGenerator,
     WHParams,
     estimate_bounds,
-    modulated_translate,
     overlap_vanishes,
     shift_overlap_sum,
     translate_energy,
-    wh_coefficient_modulus_check,
     wh_to_gabor,
 )
 
@@ -63,6 +61,65 @@ def test_evaluation_vectorized():
     )
 
 
+def _masked_evaluation(gen, x):
+    """The window evaluated one piece at a time through a mask over all points."""
+    xs = np.asarray(x, dtype=float)
+    out = np.zeros_like(xs, dtype=float)
+    for piece in gen.pieces:
+        mask = (xs >= piece.lo) & (xs < piece.hi)
+        if not np.any(mask):
+            continue
+        values = piece.alpha * xs[mask] + piece.beta
+        if piece.kind == "sqrt-affine":
+            values = np.sqrt(np.maximum(values, 0.0))
+        out[mask] = values
+    if np.isscalar(x) or np.asarray(x).ndim == 0:
+        return float(out)
+    return out
+
+
+def _assert_same_bits(got, want):
+    if isinstance(want, float):
+        assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
+        return
+    assert isinstance(got, np.ndarray) and got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# pieces with a shared breakpoint at 1, a gap [1.5, 2), and negative values on [2, 3)
+GAPPY = PiecewiseGenerator(
+    [(0, 1, "affine", 0.7, 0.1), (1, 1.5, "sqrt-affine", -1.1, 2.3), (2, 3, "affine", -1, 1.25)]
+)
+
+
+# 24 pieces on [0, 3) with gaps, so that most point sets meet only a few of them
+STAIRS = PiecewiseGenerator(
+    [
+        (i / 8, (i + 1) / 8 - (i % 3 == 2) / 16, "sqrt-affine" if i % 2 else "affine", 0.1 * i, 1.0)
+        for i in range(24)
+    ]
+)
+
+
+def test_evaluation_bitwise_matches_the_mask_loop(rng):
+    ends = [0.0, 1.0, 1.5, 2.0, 3.0] + [p.hi for p in STAIRS.pieces[:6]]
+    special = ends + [np.nextafter(e, -np.inf) for e in ends] + [np.nextafter(e, np.inf) for e in ends]
+    special += [1.75, -0.0, np.nan, np.inf, -np.inf]
+    for gen in (GAPPY, SQRT_RAMP, HALF_SLOPE, STAIRS):
+        xs = np.concatenate([rng.uniform(-1, 4, 300), special, special[:4]])  # repeats too
+        rng.shuffle(xs)
+        # NaN compares false both ways, so a descent hidden behind one must still sort
+        hidden = np.array([2.5, np.nan, 0.5, 1.25])
+        window = np.sort(xs[(xs >= 0.25) & (xs <= 0.625)])  # bounded by piece ends of STAIRS
+        for x in (xs, np.sort(xs), xs.reshape(2, 3, -1), xs[:1], xs[:0], xs.tolist(), hidden, window):
+            _assert_same_bits(gen(x), _masked_evaluation(gen, x))
+        for point in special:
+            _assert_same_bits(gen(point), _masked_evaluation(gen, point))
+            _assert_same_bits(gen(np.float64(point)), _masked_evaluation(gen, point))
+    assert GAPPY(np.nan) == GAPPY(np.inf) == GAPPY(-np.inf) == GAPPY(1.75) == GAPPY(3.0) == 0.0
+    assert GAPPY(1.0) == math.sqrt(-1.1 + 2.3) and GAPPY(2.0) == -0.75
+
+
 # --- periodized energy ---------------------------------------------------------
 
 
@@ -79,6 +136,25 @@ def test_translate_energy_outside_periodized_support():
 
 def test_translate_energy_two_sided_ramp():
     assert translate_energy(TWO_SIDED_RAMP, 1.0, 0.5) == pytest.approx(0.5, rel=1e-14)
+
+
+def _reference_energy(gen, a, xs):
+    """``sum_n g(x - n a)^2`` with every translate evaluated on every point."""
+    total = np.zeros_like(xs)
+    n_lo = math.floor((float(xs.min()) - gen.support_hi) / a)
+    n_hi = math.ceil((float(xs.max()) - gen.support_lo) / a)
+    for n in range(n_lo, n_hi + 1):
+        values = _masked_evaluation(gen, xs - n * a)
+        total += values * values
+    return total
+
+
+def test_translate_energy_bitwise_keeps_order_and_shape(rng):
+    for gen, a in ((GAPPY, 0.8), (SQRT_RAMP, 1.0), (HALF_SLOPE, 0.45)):
+        xs = rng.uniform(-2, 5, 240)
+        for x in (xs, np.sort(xs), xs.reshape(4, 60), xs.reshape(2, 3, 40)):
+            _assert_same_bits(translate_energy(gen, a, x), _reference_energy(gen, a, x))
+        _assert_same_bits(translate_energy(gen, a, float(xs[0])), float(_reference_energy(gen, a, xs[:1])[0]))
 
 
 def test_translate_energy_periodicity(rng):
@@ -194,7 +270,7 @@ def _reference_overlap_sum(gen, a, b, xs):
             continue
         inner = np.zeros_like(xs)
         for n in range(n_lo, n_hi + 1):
-            inner += gen(xs - n * a) * gen(xs - n * a - k / b)
+            inner += _masked_evaluation(gen, xs - n * a) * _masked_evaluation(gen, xs - n * a - k / b)
         total += np.abs(inner)
     return total
 
@@ -253,9 +329,8 @@ def test_overlap_sum_bitwise_matches_full_double_sum(rng):
         assert not overlap_vanishes(gen, b)
         start = rng.uniform(-4, 4)
         xs = rng.uniform(start, start + a * rng.uniform(0.05, 2.5), 200)  # unsorted
-        assert np.array_equal(
-            shift_overlap_sum(gen, a, b, xs), _reference_overlap_sum(gen, a, b, xs)
-        )
+        for x in (xs, xs.reshape(8, 25)):
+            _assert_same_bits(shift_overlap_sum(gen, a, b, x), _reference_overlap_sum(gen, a, b, x))
         point = float(xs[0])
         assert shift_overlap_sum(gen, a, b, point) == float(
             _reference_overlap_sum(gen, a, b, xs[:1])[0]
@@ -291,6 +366,29 @@ def test_grid_path_evaluates_each_point_set_once(monkeypatch):
         monkeypatch.setattr(gabor, name, counted)
     estimate_bounds(SQRT_RAMP, LatticeParams(1, 0.6))
     assert calls == {"translate_energy": 3, "shift_overlap_sum": 3}
+
+
+def test_grid_path_work_does_not_grow_with_the_piece_count(monkeypatch):
+    # one affine window on [0, 1) as one piece and as 100: each translate is
+    # evaluated only on its support slice, so the window is handed the same
+    # points either way, and none outside its support
+    cuts = np.linspace(0.0, 1.0, 101)
+    one = PiecewiseGenerator([(0.0, 1.0, "affine", 0.5, 1.0)])
+    many = PiecewiseGenerator([(lo, hi, "affine", 0.5, 1.0) for lo, hi in zip(cuts, cuts[1:])])
+    evaluated, outside = Counter(), Counter()
+    original = PiecewiseGenerator.__call__
+
+    def counted(gen, x):
+        xs = np.asarray(x)
+        evaluated[len(gen.pieces)] += xs.size
+        outside[len(gen.pieces)] += int(np.count_nonzero((xs < 0.0) | (xs >= 1.0)))
+        return original(gen, x)
+
+    monkeypatch.setattr(PiecewiseGenerator, "__call__", counted)
+    lattice = LatticeParams(0.3, 1.5)
+    assert estimate_bounds(one, lattice) == estimate_bounds(many, lattice)
+    assert evaluated[1] == evaluated[100] > 0
+    assert outside == {1: 0, 100: 0}
 
 
 def test_constant_window_has_no_positive_lower_estimate():
@@ -342,6 +440,11 @@ def test_closed_form_matches_grid_search(gen, a, b):
     assert abs(hi / b - est.upper) <= 1e-6
 
 
+def _lattice_atom(gen, a, b, m, n, xs):
+    """The lattice atom ``exp(2 pi i m b x) g(x - n a)`` sampled at ``xs``."""
+    return np.exp(2j * math.pi * m * b * xs) * gen(xs - n * a)
+
+
 def test_painless_energy_ratio_brackets_bounds():
     # discretized analysis-energy check: sum over |m| <= 64 of |<f, atom>|^2
     # relative to ||f||^2 stays inside the certified bound interval
@@ -359,7 +462,7 @@ def test_painless_energy_ratio_brackets_bounds():
         energy = 0.0
         for m in range(-64, 65):
             for n in n_range:
-                atom = modulated_translate(gen, a, b, m, n, xs)
+                atom = _lattice_atom(gen, a, b, m, n, xs)
                 coeff = h * np.sum(f * np.conj(atom))
                 energy += abs(coeff) ** 2
         ratio = energy / norm_sq
@@ -370,22 +473,15 @@ def test_painless_energy_ratio_brackets_bounds():
 
 
 def test_wh_map_sqrt_ramp_parameters():
-    mapping = wh_to_gabor(WHParams(P=1, Q=0, p0=math.pi, q0=-1))
-    assert mapping.lattice.a == pytest.approx(1.0)
-    assert mapping.lattice.b == pytest.approx(0.5)
+    lattice = wh_to_gabor(WHParams(P=1, Q=0, p0=math.pi, q0=-1))
+    assert lattice.a == pytest.approx(1.0)
+    assert lattice.b == pytest.approx(0.5)
 
 
 def test_wh_map_tent_parameters():
-    mapping = wh_to_gabor(WHParams(P=1, Q=0, p0=2 * math.pi, q0=0.5))
-    assert mapping.lattice.a == pytest.approx(0.5)
-    assert mapping.lattice.b == pytest.approx(1.0)
-
-
-def test_wh_phase_unimodular(rng):
-    mapping = wh_to_gabor(WHParams(P=1.3, Q=-0.4, p0=2.0, q0=0.7))
-    for _ in range(25):
-        m, n = int(rng.integers(-9, 10)), int(rng.integers(-9, 10))
-        assert abs(mapping.phase(m, n)) == pytest.approx(1.0, rel=1e-14)
+    lattice = wh_to_gabor(WHParams(P=1, Q=0, p0=2 * math.pi, q0=0.5))
+    assert lattice.a == pytest.approx(0.5)
+    assert lattice.b == pytest.approx(1.0)
 
 
 def test_wh_params_validation():
@@ -397,11 +493,30 @@ def test_wh_params_validation():
         wh_to_gabor(WHParams(P=1, Q=0, p0=0, q0=1))
 
 
+def _coefficient_modulus_residual(gen, wh, xs, f, m, n):
+    """``| |<f, group atom>| - |<f, lattice atom>| |`` by one rectangle rule on ``xs``.
+
+    The group atom ``phase(m, n) exp(i P m p0 x) g(x + n q0)`` has a
+    unimodular phase; its lattice partner on :func:`wh_to_gabor`'s lattice
+    sits at ``(sign(P p0) m, -sign(q0) n)``.  ``xs`` is a uniform grid that
+    covers both atoms' support.
+    """
+    lattice = wh_to_gabor(wh)
+    phase = cmath.exp(1j * (wh.P * m * n * wh.p0 * wh.q0 / 2.0 + wh.Q * m * wh.p0))
+    assert abs(phase) == pytest.approx(1.0, rel=1e-14)
+    group = phase * np.exp(1j * wh.P * m * wh.p0 * xs) * gen(xs + n * wh.q0)
+    m2 = m if wh.P * wh.p0 > 0 else -m
+    n2 = n if wh.q0 < 0 else -n
+    atom = _lattice_atom(gen, lattice.a, lattice.b, m2, n2, xs)
+    h = xs[1] - xs[0]
+    return abs(abs(h * np.sum(f * np.conj(group))) - abs(h * np.sum(f * np.conj(atom))))
+
+
 def test_modulus_check_zero_indices(rng):
-    mapping = wh_to_gabor(WHParams(P=1, Q=0, p0=math.pi, q0=-1))
+    wh = WHParams(P=1, Q=0, p0=math.pi, q0=-1)
     xs = np.linspace(-2, 4, 3001)
     f = np.exp(-((xs - 1) ** 2)) * (1 + 0.3j)
-    assert wh_coefficient_modulus_check(SQRT_RAMP, mapping, xs, f, 0, 0) == pytest.approx(0, abs=1e-15)
+    assert _coefficient_modulus_residual(SQRT_RAMP, wh, xs, f, 0, 0) == pytest.approx(0, abs=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -419,24 +534,11 @@ def test_modulus_check_at_random_indices(wh, rng):
     f = z * np.exp(-0.5 * (xs - 1) ** 2)
     scale = max(1.0, float(np.linalg.norm(f)))
     for m, n in [(1, 1), (2, -3), (-1, 4), (0, 2)]:
-        residual = wh_coefficient_modulus_check(gen, wh, xs, f, m, n)
+        residual = _coefficient_modulus_residual(gen, wh, xs, f, m, n)
         assert residual <= 1e-12 * scale
 
 
 def test_modulus_check_zero_signal():
-    mapping = wh_to_gabor(WHParams(P=1, Q=0, p0=math.pi, q0=-1))
+    wh = WHParams(P=1, Q=0, p0=math.pi, q0=-1)
     xs = np.linspace(-2, 4, 1001)
-    assert wh_coefficient_modulus_check(SQRT_RAMP, mapping, xs, np.zeros_like(xs), 1, 1) == 0.0
-
-
-def test_modulus_check_grid_errors():
-    mapping = wh_to_gabor(WHParams(P=1, Q=0, p0=math.pi, q0=-1))
-    xs = np.linspace(-2, 4, 101)
-    f = np.ones_like(xs)
-    with pytest.raises(GridMismatchError):
-        wh_coefficient_modulus_check(SQRT_RAMP, mapping, xs[[0, 2, 3, 10, 50]], f[:5], 0, 0)
-    with pytest.raises(GridMismatchError):
-        # grid fails to cover the shifted support for n = -4
-        wh_coefficient_modulus_check(SQRT_RAMP, mapping, xs, f, 0, -4)
-    with pytest.raises(GridMismatchError):
-        wh_coefficient_modulus_check(SQRT_RAMP, mapping, xs, f[:50], 0, 0)
+    assert _coefficient_modulus_residual(SQRT_RAMP, wh, xs, np.zeros_like(xs), 1, 1) == 0.0

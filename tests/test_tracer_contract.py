@@ -91,3 +91,21 @@ def test_one_cli_algo_run_calls_what_the_tracer_wraps(tmp_path, monkeypatch):
     assert calls == {"validate_bounds_for_frame": 2, "run": 2, "rows": 1, "emit_csv": 1}
     runs = json.loads(report.read_text(encoding="utf-8"))["runs"]
     assert lengths == [entry["iterations"] + 1 for entry in runs]
+
+
+def test_grid_path_estimate_feeds_the_window_point_counter():
+    # trace_check.py requires a positive gabor.window_points on gabor-windows,
+    # which the tracer counts in PiecewiseGenerator.__call__: the grid path
+    # must evaluate the window through that method
+    import framesum.cli  # noqa: F401  (every module the tracer patches)
+    from framesum.gabor import LatticeParams, PiecewiseGenerator, estimate_bounds
+
+    window = PiecewiseGenerator([(0, 1, "sqrt-affine", 2, 0), (1, 2, "sqrt-affine", 4, -2)])
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        estimate = estimate_bounds(window, LatticeParams(1, 0.6))
+    finally:
+        tracer.uninstall()
+    assert not estimate.exact
+    assert tracer.counts["window_points"] > 0
