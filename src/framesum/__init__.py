@@ -6,7 +6,7 @@ The package splits into five layers:
 * :mod:`framesum.linalg` -- the complex Hermitian eigensolver (LAPACK
   ``eigh``), extreme singular values, positive-definite solves;
 * :mod:`framesum.frames` -- finite frames, spectral (optimal) bounds, widths,
-  canonical duals, tight reconstruction;
+  and canonical duals;
 * :mod:`framesum.sums` -- sufficiency conditions and predicted bounds for the
   four combination rules, plus certification against the spectral oracle;
 * :mod:`framesum.gabor` -- piecewise windows, painless-case exact bounds,
@@ -32,7 +32,6 @@ from .errors import (
     NonPositiveLowerBoundError,
     NotAFrameError,
     NotHermitianError,
-    NotTightError,
     NumericRangeError,
     SingularOperatorError,
     SpecParseError,
@@ -45,13 +44,10 @@ from .frames import (
     FiniteFrame,
     FrameBounds,
     FrameCertificate,
-    analysis,
     canonical_dual,
     exact_bounds,
     frame_operator,
     random_unit_vector,
-    synthesis,
-    tight_reconstruct,
     verify_dual,
     width,
 )

@@ -20,8 +20,6 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from .errors import FrameToolkitError, SpecParseError, SpecSchemaError
 from .experiments import COMMANDS, ExperimentResult, parse_spec, parse_spec_text, run_experiment
 
@@ -66,9 +64,8 @@ def _run_single(args) -> int:
             file=sys.stderr,
         )
         return 1
-    rng = np.random.default_rng(args.seed)
     try:
-        result = run_experiment(spec, rng)
+        result = run_experiment(spec, args.seed)
     except FrameToolkitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
@@ -107,7 +104,7 @@ def _run_suite(args) -> int:
     for name in names:
         spec = load_bundled_fixture(name)
         try:
-            result = run_experiment(spec, np.random.default_rng(args.seed))
+            result = run_experiment(spec, args.seed)
         except FrameToolkitError as exc:
             print(f"error: {spec.label}: {type(exc).__name__}: {exc}", file=sys.stderr)
             rows.append((spec.label, spec.kind, "fail"))

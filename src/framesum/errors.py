@@ -34,10 +34,6 @@ class NotAFrameError(FrameToolkitError):
     """Vector family does not span: smallest frame-operator eigenvalue is zero."""
 
 
-class NotTightError(FrameToolkitError):
-    """Tight-frame reconstruction requested without a tightness certificate."""
-
-
 class InvalidBoundsError(FrameToolkitError):
     """Bound pair violates 0 < lower <= upper (or is not finite)."""
 

@@ -87,12 +87,12 @@ MAX_ITERS = 100_000
 #: largest number of ``(n, k)`` terms a gabor document may ask for, counted as
 #: ``(L/a + 1) * (2 L b + 1)`` for a window of support length ``L`` on the
 #: lattice ``(a, b)``.  The estimate loops over these terms in Python, so the
-#: cap bounds its time.  On the grid path the piece count adds next to
-#: nothing: affine windows on ``[0, 1)`` with ``a = 1/3330`` and ``b = 1.0001``
-#: (9994 terms) took 1.7 s as one piece and 2.0 s as 10000 pieces (a 770 KB
-#: document) on a 2-core x86-64 Xeon.  The closed-form path still loops over
-#: translates times pieces: 3000 pieces with ``a = 1/9900``, ``b = 0.0004``
-#: took 13 s, the slowest admitted document measured.
+#: cap bounds its time; the piece count adds little on either path.  Affine
+#: windows on ``[0, 1)``, as one piece or as 10000 pieces at random breakpoints
+#: (a 1.3 MB document), on a 2-core x86-64 Xeon: on the grid path,
+#: ``a = 1/3330`` and ``b = 1.0001`` (9994 terms) took 1.6 s and 1.8 s, the
+#: slowest admitted documents measured; on the closed-form path,
+#: ``a = 1/9900`` and ``b = 0.0004`` (9909 terms) took 0.03 s and 1.1 s.
 MAX_SHIFT_TERMS = 10_000
 
 
@@ -962,6 +962,7 @@ def _run_gabor(spec: ExperimentSpec, rng) -> ExperimentResult:
 def _run_algo(spec: ExperimentSpec, rng) -> ExperimentResult:
     rep = _Reporter(spec)
     runs, max_iters = spec.payload
+    rng = np.random.default_rng(rng)
     configs, targets, labels, widths = [], [], [], []
     for label, fi, bounds in runs:
         used = bounds if bounds is not None else fi.oracle_bounds()
@@ -1012,7 +1013,7 @@ class _Kind:
     fields: set  # document fields besides _COMMON_KEYS
     expect: dict  # expect key -> parser of its value
     parse: object  # ExperimentSpec -> payload, run once by parse_spec_text
-    run: object  # (ExperimentSpec, rng) -> ExperimentResult
+    run: object  # (ExperimentSpec, seed or Generator) -> ExperimentResult
     rule: tuple | None = None  # sum kinds: (parser of the rule's own fields, run-time start)
 
 
@@ -1066,10 +1067,12 @@ KINDS = tuple(_KINDS)
 COMMANDS = {entry.command: kind for kind, entry in _KINDS.items()}
 
 
-def run_experiment(spec: ExperimentSpec, rng=None) -> ExperimentResult:
-    """Execute one experiment and return its report, payload, and CSV table."""
-    if rng is None:
-        rng = np.random.default_rng(0)
+def run_experiment(spec: ExperimentSpec, rng=0) -> ExperimentResult:
+    """Execute one experiment and return its report, payload, and CSV table.
+
+    ``rng`` is a seed or a ``numpy.random.Generator``; only the ``algo`` kind
+    draws from it, so only that kind builds a generator.
+    """
     try:
         with np.errstate(over="raise"):
             return _KINDS[spec.kind].run(spec, rng)

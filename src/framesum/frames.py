@@ -22,7 +22,6 @@ from .errors import (
     DimensionMismatchError,
     InvalidBoundsError,
     NotAFrameError,
-    NotTightError,
 )
 
 #: width at or below which a frame is certified tight.
@@ -151,26 +150,6 @@ def frame_operator(frame: FiniteFrame) -> np.ndarray:
     return (s + s.conj().T) / 2.0
 
 
-def analysis(frame: FiniteFrame, f) -> np.ndarray:
-    """Analysis coefficients ``c_k = <f, f_k>``."""
-    vec = linalg.as_cvector(f)
-    if vec.shape[0] != frame.dim:
-        raise DimensionMismatchError(
-            f"signal has length {vec.shape[0]}, frame dimension is {frame.dim}"
-        )
-    return frame.vectors.conj() @ vec
-
-
-def synthesis(frame: FiniteFrame, coefficients) -> np.ndarray:
-    """Synthesis ``sum_k c_k f_k`` for a coefficient vector aligned with the frame."""
-    c = np.asarray(coefficients, dtype=complex)
-    if c.ndim != 1 or c.shape[0] != frame.count:
-        raise DimensionMismatchError(
-            f"coefficient vector has shape {c.shape}, frame has {frame.count} vectors"
-        )
-    return frame.vectors.T @ c
-
-
 def exact_bounds(frame: FiniteFrame) -> FrameCertificate:
     """Optimal frame bounds: the extreme eigenvalues of the frame operator.
 
@@ -236,23 +215,6 @@ def verify_dual(frame: FiniteFrame, dual: FiniteFrame) -> DualCheck:
     mixed = dual.vectors.T @ frame.vectors.conj()
     _, worst = linalg.extreme_singular_values(mixed - np.eye(frame.dim))
     return DualCheck(is_dual=worst <= DUAL_RESIDUAL_TOLERANCE, max_residual=worst)
-
-
-def tight_reconstruct(frame: FiniteFrame, bound: float, f) -> np.ndarray:
-    """One-shot reconstruction ``(1/A) sum_k <f, f_k> f_k`` for a tight frame.
-
-    Requires a tightness certificate; ``bound`` must agree with the certified
-    tight bound.
-    """
-    cert = exact_bounds(frame)
-    if not cert.is_tight:
-        raise NotTightError(
-            f"frame is not tight: width {cert.width:.3e} exceeds {TIGHTNESS_TOLERANCE:.0e}"
-        )
-    level = cert.bounds.lower
-    if not (bound > 0.0) or abs(bound - level) > 1e-9 * level:
-        raise NotTightError(f"supplied bound {bound} does not match certified bound {level}")
-    return synthesis(frame, analysis(frame, f)) / bound
 
 
 def random_unit_vector(rng, dim: int) -> np.ndarray:

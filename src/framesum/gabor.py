@@ -34,7 +34,7 @@ index map.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -337,22 +337,40 @@ def _periodized_quadratic_cells(gen: PiecewiseGenerator, a: float):
     """Cells ``(u, v, c2, c1, c0)`` partitioning ``[0, a]``.
 
     On each cell the periodization ``sum_n g(x - n a)^2`` equals the single
-    quadratic ``c2 x^2 + c1 x + c0``.
+    quadratic ``c2 x^2 + c1 x + c0``: the sum of the contributions, one per
+    translate and piece, whose clipped interval ``[start, end)`` holds the
+    cell's midpoint, added in list order (ascending ``n``, then piece).
+
+    Work is proportional to the contributions and the cells they cover, not
+    to translates times pieces or contributions times cells:
+
+    * for each translate, bisection of the sorted piece ends skips the pieces
+      that cannot meet ``[0, a]``: those with ``hi + n a <= 0``, which is
+      exactly ``hi <= -n a``, and those with ``lo + n a >= a``, found from the
+      rounded ``a - n a`` with one piece of margin; the clip test still
+      decides every piece that is left;
+    * a contribution covers the cells whose midpoints lie in ``[start, end)``,
+      a contiguous run found by bisection of the sorted midpoints, and is
+      added to that run with one slice add.  Going over the contributions in
+      list order gives every cell the same additions in the same order,
+      starting from +0, as summing its own contributions one by one, so every
+      coefficient is bitwise that sum.
     """
-    contributions = []
+    lo_list, hi_list = gen._ends.tolist()
+    spans, coefficients = [], []
     cuts = {0.0, a}
     for n in _shift_range(gen, a, 0.0, a):
         na = n * a
-        for piece in gen.pieces:
+        first, last = bisect_right(hi_list, -na), bisect_left(lo_list, a - na) + 1
+        for piece in gen.pieces[first:last]:
             start = max(piece.lo + na, 0.0)
             end = min(piece.hi + na, a)
             if end - start <= 0.0:
                 continue
             c2, c1, c0 = piece.squared_coefficients()
             # substitute x - na into the squared-piece polynomial
-            contributions.append(
-                (start, end, c2, c1 - 2.0 * c2 * na, c2 * na * na - c1 * na + c0)
-            )
+            spans.append((start, end))
+            coefficients.append((c2, c1 - 2.0 * c2 * na, c2 * na * na - c1 * na + c0))
             cuts.add(start)
             cuts.add(end)
     merged = []
@@ -360,17 +378,13 @@ def _periodized_quadratic_cells(gen: PiecewiseGenerator, a: float):
         if merged and cut - merged[-1] <= 1e-12 * max(1.0, a):
             continue
         merged.append(cut)
-    cells = []
-    for u, v in zip(merged, merged[1:]):
-        mid = 0.5 * (u + v)
-        c2 = c1 = c0 = 0.0
-        for start, end, p2, p1, p0 in contributions:
-            if start <= mid < end:
-                c2 += p2
-                c1 += p1
-                c0 += p0
-        cells.append((u, v, c2, c1, c0))
-    return cells
+    mids = [0.5 * (u + v) for u, v in zip(merged, merged[1:])]
+    sums = np.zeros((len(mids), 3))
+    for (start, end), row in zip(spans, np.array(coefficients)):
+        first, stop = bisect_left(mids, start), bisect_left(mids, end)
+        if first < stop:
+            sums[first:stop] += row
+    return [(u, v, *coefficient) for u, v, coefficient in zip(merged, merged[1:], sums.tolist())]
 
 
 def _quadratic_extrema(u, v, c2, c1, c0):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import random_frame
 from framesum import (
@@ -20,7 +20,7 @@ from framesum import (
     run,
     width_report,
 )
-from framesum.algorithm import STOP_TOL_FACTOR
+from framesum.algorithm import NORM_BLOCK, STOP_TOL_FACTOR
 
 RT2, RT3, RT6 = math.sqrt(2), math.sqrt(3), math.sqrt(6)
 BASE_C2 = FiniteFrame([[RT6, RT6], [0, 2], [2, 0]])
@@ -132,6 +132,12 @@ def _allocating_run(config, target):
     return errors, envelopes
 
 
+B = NORM_BLOCK
+# a slowly converging run: loosened bounds on a non-tight frame, so the cap or
+# a chosen tolerance ends it, not a stop forced by the frame
+_SLOW = dict(seed=5, dim=6, extra=3, log_scale=0.0, loosen=(1e3, 7.0), tight=False, zero_target=False)
+
+
 @given(
     seed=st.integers(0, 2**32 - 1),
     dim=st.integers(1, 16),
@@ -139,9 +145,31 @@ def _allocating_run(config, target):
     log_scale=st.floats(-3, 3),
     loosen=st.sampled_from([None, (1.0, 1.0), (2.0, 1.5), (1e3, 7.0)]),
     tight=st.booleans(),
-    stop_tol=st.sampled_from([None, 0.0]),
+    zero_target=st.booleans(),
+    max_iters=st.integers(1, 300),
+    stop=st.one_of(st.sampled_from([None, 0.0]), st.integers(1, 3 * B)),
 )
-def test_in_place_run_matches_the_allocating_loop_bit_for_bit(seed, dim, extra, log_scale, loosen, tight, stop_tol):
+# the iteration cap on either side of a norm block's end
+@example(**_SLOW, max_iters=1, stop=0.0)
+@example(**_SLOW, max_iters=B - 1, stop=0.0)
+@example(**_SLOW, max_iters=B, stop=0.0)
+@example(**_SLOW, max_iters=B + 1, stop=0.0)
+@example(**_SLOW, max_iters=2 * B + 1, stop=0.0)
+# a stop on the first row of the first and of the second block, and on the
+# last row of a block, one row before it and one past it
+@example(**_SLOW, max_iters=300, stop=1)
+@example(**_SLOW, max_iters=300, stop=B + 1)
+@example(**_SLOW, max_iters=300, stop=B)
+@example(**_SLOW, max_iters=300, stop=2 * B)
+@example(**_SLOW, max_iters=300, stop=B - 1)
+# a zero target: error 0 after one step, also with a zero tolerance
+@example(**{**_SLOW, "zero_target": True}, max_iters=300, stop=0.0)
+@example(**{**_SLOW, "zero_target": True}, max_iters=300, stop=None)
+def test_in_place_run_matches_the_allocating_loop_bit_for_bit(
+    seed, dim, extra, log_scale, loosen, tight, zero_target, max_iters, stop
+):
+    """``stop`` is the stopping tolerance (``None`` for the default) or, as an
+    int, an iteration count whose reference error becomes the tolerance."""
     rng = np.random.default_rng(seed)
     scale = 10.0**log_scale
     if tight:
@@ -154,8 +182,15 @@ def test_in_place_run_matches_the_allocating_loop_bit_for_bit(seed, dim, extra, 
     bounds = exact_bounds(frame).bounds
     if loosen is not None:
         bounds = FrameBounds(bounds.lower / loosen[0], bounds.upper * loosen[1])
-    config = AlgoConfig(frame=frame, bounds_used=bounds, max_iters=int(rng.integers(1, 300)), stop_tol=stop_tol)
     target = scale * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+    if zero_target:
+        target = np.zeros(dim, dtype=complex)
+    stop_tol = stop
+    if isinstance(stop, int):
+        capped = AlgoConfig(frame=frame, bounds_used=bounds, max_iters=stop, stop_tol=0.0)
+        reference = _allocating_run(capped, target)[0]
+        stop_tol = reference[-1]
+    config = AlgoConfig(frame=frame, bounds_used=bounds, max_iters=max_iters, stop_tol=stop_tol)
     before = target.copy()
 
     series = run(config, target)
@@ -165,8 +200,11 @@ def test_in_place_run_matches_the_allocating_loop_bit_for_bit(seed, dim, extra, 
     assert series.errors == errors
     assert series.envelopes == envelopes
     assert np.array_equal(target, before)  # the in-place update works on its own copy
-    if tight and loosen is None and stop_tol is None:
+    if (tight and loosen is None and stop is None) or zero_target:
         assert len(series) == 2
+    if isinstance(stop, int) and len(reference) == stop + 1 and all(np.diff(reference) < 0):
+        # strictly decreasing errors first reach the tolerance at iteration ``stop``
+        assert len(series) == min(stop, max_iters) + 1
 
 
 def test_compare_runs_single_matches_run(rng):

@@ -12,13 +12,10 @@ from framesum import (
     FrameBounds,
     InvalidBoundsError,
     NotAFrameError,
-    NotTightError,
-    analysis,
     canonical_dual,
     exact_bounds,
     frame_operator,
     random_unit_vector,
-    tight_reconstruct,
     verify_dual,
     width,
 )
@@ -58,25 +55,6 @@ def test_construction_rejects_ragged_and_nonfinite():
         FiniteFrame(np.zeros((0, 2)))
     with pytest.raises(DimensionMismatchError):
         FiniteFrame([[np.inf, 0]])
-
-
-def test_analysis_orthonormal_basis():
-    coeffs = analysis(FiniteFrame(np.eye(2)), [3, 4j])
-    np.testing.assert_allclose(coeffs, [3, 4j], rtol=1e-15)
-
-
-def test_analysis_base_frame():
-    coeffs = analysis(BASE_C2, [1, 0])
-    np.testing.assert_allclose(coeffs, [RT6, 0, 2], rtol=1e-15)
-
-
-def test_analysis_zero_vector():
-    np.testing.assert_allclose(analysis(BASE_C2, [0, 0]), [0, 0, 0], atol=0)
-
-
-def test_analysis_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        analysis(BASE_C2, [1, 0, 0])
 
 
 def test_exact_bounds_base_frame():
@@ -234,28 +212,6 @@ def test_verify_dual_shape_errors():
         verify_dual(DUAL_F_C3, FiniteFrame(np.eye(3)))
 
 
-def test_tight_reconstruct_parseval(rng):
-    frame = FiniteFrame(np.eye(4))
-    f = random_unit_vector(rng, 4)
-    np.testing.assert_allclose(tight_reconstruct(frame, 1.0, f), f, rtol=1e-12)
-
-
-def test_tight_reconstruct_level_four():
-    out = tight_reconstruct(TIGHT_C2, 4.0, [1, 1])
-    np.testing.assert_allclose(out, [1, 1], rtol=1e-12)
-
-
-def test_tight_reconstruct_zero_vector():
-    np.testing.assert_allclose(tight_reconstruct(TIGHT_C2, 4.0, [0, 0]), [0, 0], atol=0)
-
-
-def test_tight_reconstruct_requires_tightness():
-    with pytest.raises(NotTightError):
-        tight_reconstruct(BASE_C2, 4.0, [1, 0])
-    with pytest.raises(NotTightError):
-        tight_reconstruct(TIGHT_C2, 5.0, [1, 0])
-
-
 def test_sampling_consistency(rng):
     for count, dim in [(4, 2), (6, 3), (9, 5)]:
         frame = random_frame(rng, count, dim)
@@ -263,7 +219,7 @@ def test_sampling_consistency(rng):
         lo, hi = cert.bounds.lower, cert.bounds.upper
         for _ in range(100):
             f = random_unit_vector(rng, dim)
-            energy = float(np.sum(np.abs(analysis(frame, f)) ** 2))
+            energy = float(np.sum(np.abs(frame.vectors.conj() @ f) ** 2))
             assert lo * (1 - 1e-9) <= energy <= hi * (1 + 1e-9)
 
 
@@ -275,7 +231,7 @@ def test_bounds_attained_by_eigenvectors(rng):
     eig = hermitian_eig(frame_operator(frame))
     for column, target in ((0, cert.bounds.lower), (-1, cert.bounds.upper)):
         v = eig.eigenvectors[:, column]
-        energy = float(np.sum(np.abs(analysis(frame, v)) ** 2))
+        energy = float(np.sum(np.abs(frame.vectors.conj() @ v) ** 2))
         assert energy == pytest.approx(target, rel=1e-9)
 
 

@@ -440,6 +440,75 @@ def test_closed_form_matches_grid_search(gen, a, b):
     assert abs(hi / b - est.upper) <= 1e-6
 
 
+def _reference_periodized_cells(gen, a):
+    """The closed form's cells as first written: every translate times every
+    piece, then every contribution tested against every cell's midpoint."""
+    contributions = []
+    cuts = {0.0, a}
+    for n in gabor._shift_range(gen, a, 0.0, a):
+        na = n * a
+        for piece in gen.pieces:
+            start = max(piece.lo + na, 0.0)
+            end = min(piece.hi + na, a)
+            if end - start <= 0.0:
+                continue
+            c2, c1, c0 = piece.squared_coefficients()
+            contributions.append((start, end, c2, c1 - 2.0 * c2 * na, c2 * na * na - c1 * na + c0))
+            cuts.add(start)
+            cuts.add(end)
+    merged = []
+    for cut in sorted(cuts):
+        if merged and cut - merged[-1] <= 1e-12 * max(1.0, a):
+            continue
+        merged.append(cut)
+    cells = []
+    for u, v in zip(merged, merged[1:]):
+        mid = 0.5 * (u + v)
+        c2 = c1 = c0 = 0.0
+        for start, end, p2, p1, p0 in contributions:
+            if start <= mid < end:
+                c2 += p2
+                c1 += p1
+                c0 += p0
+        cells.append((u, v, c2, c1, c0))
+    return cells
+
+
+def _random_window(rng, n_pieces):
+    """Mixed affine and sqrt-affine pieces on an offset support, with shared
+    breakpoints, gaps, and pieces both shorter and longer than the lattice step."""
+    widths = rng.uniform(0.2, 1.0, n_pieces) * rng.choice([1.0, 30.0], n_pieces, p=[0.9, 0.1])
+    gaps = rng.uniform(0.0, 0.5, n_pieces) * (rng.random(n_pieces) < 0.2)
+    ends = rng.uniform(-3, 3) + np.concatenate([[0.0], np.cumsum(widths + gaps)])
+    pieces = []
+    for lo, hi, gap in zip(ends, ends[1:], gaps):
+        hi = hi - gap
+        if rng.random() < 0.5:
+            pieces.append((float(lo), float(hi), "affine", float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2))))
+        else:
+            # radicand alpha x + beta positive on the piece
+            alpha = float(rng.uniform(-1, 1))
+            beta = float(abs(alpha) * max(abs(lo), abs(hi)) + rng.uniform(0.1, 2))
+            pieces.append((float(lo), float(hi), "sqrt-affine", alpha, beta))
+    return PiecewiseGenerator(pieces)
+
+
+def test_closed_form_cells_bitwise_match_the_all_pairs_loop(rng):
+    cases = []
+    for _ in range(60):
+        gen = _random_window(rng, int(rng.integers(1, 12)))
+        # a lattice step from far below a piece's width to beyond the support
+        cases.append((gen, gen.support_length * 10.0 ** rng.uniform(-2.5, 0.3)))
+    cases.append((TENT, 0.5))
+    cases.append((SQRT_RAMP, 1.0))
+    big = _random_window(rng, 1200)
+    cases.append((big, big.support_length / 37.3))
+    for gen, a in cases:
+        got, want = gabor._periodized_quadratic_cells(gen, a), _reference_periodized_cells(gen, a)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert all(type(value) is float for cell in got for value in cell)
+
+
 def _lattice_atom(gen, a, b, m, n, xs):
     """The lattice atom ``exp(2 pi i m b x) g(x - n a)`` sampled at ``xs``."""
     return np.exp(2j * math.pi * m * b * xs) * gen(xs - n * a)
