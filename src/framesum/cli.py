@@ -7,15 +7,28 @@ Commands map one-to-one onto experiment kinds (``sum`` runs ``finite-sum``,
 ``op-sum`` runs ``operator-sum``), except ``paper-suite``, which executes
 every bundled fixture and prints a pass/flagged table.
 
-Exit codes: 0 success (including flagged discrepancies), 2 a sufficiency
-condition or certification failed (report still written), 1 usage, parse, or
-I/O errors.
+Exit codes:
+
+* 0: success, flagged discrepancies included; ``--help`` also exits 0.
+* 1: a usage, parse, schema or I/O error.  Usage errors exit 1 as well,
+  not with argparse's 2.
+* 2: a sufficiency condition or a certification failed (the report is still
+  written), or a computation raised.
+
+:func:`main` pauses CPython's cyclic garbage collector for one command and
+restores the caller's setting when the command returns or raises.  The pause
+is safe because a command makes no reference cycles of its own: reference
+counting frees what it built as soon as the command ends.  Without the pause a
+collection could start mid-command and walk the JSON tree of the document being
+read.  The few cycles the standard library leaves, such as the JSON encoder's
+nested functions, wait for the caller's next collection.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import sys
 from importlib import resources
 from pathlib import Path
@@ -95,6 +108,14 @@ def load_bundled_fixture(name: str):
 
 
 def _run_suite(args) -> int:
+    try:
+        return _write_suite(args)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+def _write_suite(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     names = bundled_fixture_names()
@@ -137,10 +158,20 @@ def _run_suite(args) -> int:
     return worst
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, since exit code 2 means
+    that a condition or a certification failed.  Subcommand parsers are of
+    the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``framesum`` argument parser, built on first use and then reused."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="framesum",
         description="Frame bounds, sums-of-frames predictions with certification, "
         "window-based bound estimates, and the frame reconstruction algorithm.",
@@ -170,8 +201,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

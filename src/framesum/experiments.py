@@ -6,9 +6,12 @@ zero), frames are arrays of vectors, matrices are arrays of rows, and
 piecewise windows are arrays of ``{lo, hi, kind, alpha, beta}`` objects.
 
 Frame vectors, ``theta1``/``theta2``, ``alpha``/``beta`` and ``coefficients``
-are read by :func:`_as_complex_array` with one numpy conversion when they hold
-only finite numbers, all bare reals or all pairs.  Anything else goes through a
-per-entry walk, which reads mixed input and names the path of a bad entry.
+are read by :func:`_as_complex_array` in one flat pass when they hold only
+finite numbers, all bare reals or all pairs: one check per nesting level, one
+type check of the chained leaves, and one ``np.fromiter`` conversion.  Anything
+else goes through a per-entry walk, which reads mixed input and names the path
+of a bad entry.  The runs of an ``algo`` document whose parsed vectors are
+equal share one frame, so its spectrum is solved once.
 
 Each experiment kind is declared once, in the registry ``_KINDS``: its CLI
 command, its document fields, its ``expect`` keys with a parser for each
@@ -44,7 +47,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
 
@@ -185,30 +188,53 @@ def _as_strings(value, path: str) -> list[str]:
     return [_as_string(entry, f"{path}[{i}]") for i, entry in enumerate(_as_array(value, path))]
 
 
-def _leaves(value, depth: int):
-    for _ in range(depth - 1):
-        value = chain.from_iterable(value)
-    return value
-
-
 def _as_complex_array(value, path: str, ndim: int) -> np.ndarray:
-    """A complex array of rank ``ndim``, no axis empty, read from nested arrays."""
+    """A complex array of rank ``ndim``, no axis empty, read from nested arrays.
+
+    The flat read takes one pass per nesting level: every item of a level must
+    be an array, all of one nonzero length.  Below the ``ndim`` array levels the
+    entries must be all bare reals, or all ``[re, im]`` pairs, and every leaf an
+    ``int`` or a ``float``.  The leaves, chained into one sequence, become one
+    float array with ``np.fromiter``; that array is reshaped, and then viewed as
+    complex (pairs) or cast to it (bare reals).  Every bit matches the
+    per-entry read, signed zeros included, since both convert each leaf with
+    ``float``.  Anything else, a non-finite value or an integer beyond the
+    float range included, goes through :func:`_walk_complex`, which reads mixed
+    input and names the path of a bad entry.
+    """
+    arr = _flat_read(value, ndim)
+    return arr if arr is not None else np.array(_walk_complex(value, path, ndim), dtype=complex)
+
+
+def _flat_read(value, ndim: int) -> np.ndarray | None:
+    """The flat read of :func:`_as_complex_array`, or ``None`` where it does not apply."""
+    shape = []
+    level = [value]
+    for _ in range(ndim):
+        if set(map(type, level)) != {list}:
+            return None
+        lengths = set(map(len, level))
+        if len(lengths) != 1 or 0 in lengths:
+            return None
+        shape.append(lengths.pop())
+        level = list(chain.from_iterable(level))
+    types = set(map(type, level))
+    if types == {list}:  # [re, im] pairs
+        if set(map(len, level)) != {2}:
+            return None
+        level = list(chain.from_iterable(level))
+        types = set(map(type, level))
+        shape.append(2)
+    if not types <= {int, float}:
+        return None
     try:
-        arr = np.array(value)
-    except ValueError:  # ragged, or nested past numpy's rank limit
-        arr = None
-    if (
-        arr is not None
-        and arr.dtype.kind in "fi"
-        and (arr.ndim == ndim or (arr.ndim == ndim + 1 and arr.shape[-1] == 2))
-        and all(arr.shape)
-        and set(map(type, _leaves(value, arr.ndim))) <= {int, float}
-        and np.isfinite(arr).all()
-    ):
-        if arr.ndim == ndim:
-            return arr.astype(complex)
-        return np.ascontiguousarray(arr, float).view(complex)[..., 0]
-    return np.array(_walk_complex(value, path, ndim), dtype=complex)
+        flat = np.fromiter(level, float, len(level))
+    except OverflowError:  # an integer beyond the float range
+        return None
+    if not np.isfinite(flat).all():
+        return None
+    arr = flat.reshape(shape)
+    return arr.astype(complex) if len(shape) == ndim else arr.view(complex)[..., 0]
 
 
 def _walk_complex(value, path: str, ndim: int) -> list:
@@ -501,6 +527,10 @@ def _payload_algo(spec: ExperimentSpec):
     if isinstance(max_iters, bool) or not isinstance(max_iters, int) or not 1 <= max_iters <= MAX_ITERS:
         raise _schema_error("max_iters", f"must be an integer in 1..{MAX_ITERS}, got {max_iters!r}")
     runs = []
+    # Runs whose parsed vectors are equal in shape and bytes share one
+    # FiniteFrame, and with it one eigensolve.  The parsed arrays are compared,
+    # not the JSON values: -0.0 == 0.0 and true == 1 hold in Python.
+    shared = {}
     for i, entry in enumerate(_as_array(doc.get("runs"), "runs")):
         path = f"runs[{i}]"
         obj = _as_record(entry, path, {"label", "frame", "bounds"})
@@ -508,6 +538,8 @@ def _payload_algo(spec: ExperimentSpec):
         if not isinstance(label, str) or not label:
             raise _schema_error(path + ".label", "must be a nonempty string")
         frame = _as_frame(obj.get("frame"), path + ".frame", label)
+        vectors = frame.frame.vectors
+        frame = replace(frame, frame=shared.setdefault((vectors.shape, vectors.tobytes()), frame.frame))
         bounds_field = obj.get("bounds", "oracle")
         if bounds_field == "oracle":
             bounds = None
@@ -803,7 +835,41 @@ def _finite_sum_inputs(doc: dict, frames, pairs):
     return coefficients, pivot
 
 
-def _finite_sum_rule(rep: _Reporter, inputs, frames, pairs) -> _SumRule:
+@dataclass(eq=False)
+class _PivotedSumRule:
+    """The finite-sum :class:`_SumRule`: the first prediction chooses the pivot
+    and names it, in the report and in ``at``; later predictions reuse it.
+
+    ``predict`` is a method rather than a closure that sets ``rule.at``: that
+    closure and its rule would refer to each other, and the cycle would keep
+    the reporter, the spec and its whole document alive until the cyclic
+    garbage collector ran.
+    """
+
+    rep: _Reporter
+    coefficients: np.ndarray
+    pivot: object  # a 1-based index, or "best"
+    names: list
+    at: str = ""
+    pivot_index: int | None = None
+
+    def predict(self, bounds):
+        if self.pivot_index is not None:
+            return finite_sum_predict(bounds, self.coefficients, self.pivot_index)
+        if self.pivot == "best":
+            self.pivot_index, predicted = finite_sum_best_pivot(bounds, self.coefficients)
+        else:
+            self.pivot_index = self.pivot - 1
+            predicted = finite_sum_predict(bounds, self.coefficients, self.pivot_index)
+        self.rep.line(f"pivot: {self.names[self.pivot_index]} (index {self.pivot_index + 1})")
+        self.at = f" at pivot {self.pivot_index + 1}"
+        return predicted
+
+    def build(self, built):
+        return build_sum_frame(built, self.coefficients)
+
+
+def _finite_sum_rule(rep: _Reporter, inputs, frames, pairs) -> _PivotedSumRule:
     coefficients, pivot = inputs
     rep.line(
         "coefficients: "
@@ -813,24 +879,7 @@ def _finite_sum_rule(rep: _Reporter, inputs, frames, pairs) -> _SumRule:
     if pairs is not None:
         for name, b in pairs:
             rep.line(f"frame {name}: given bounds [{_fmt(b.lower)}, {_fmt(b.upper)}]")
-    pivot_index = None
-
-    def predict(bounds):
-        # the first prediction chooses the pivot; later ones reuse it
-        nonlocal pivot_index
-        if pivot_index is not None:
-            return finite_sum_predict(bounds, coefficients, pivot_index)
-        if pivot == "best":
-            pivot_index, predicted = finite_sum_best_pivot(bounds, coefficients)
-        else:
-            pivot_index = pivot - 1
-            predicted = finite_sum_predict(bounds, coefficients, pivot_index)
-        rep.line(f"pivot: {names[pivot_index]} (index {pivot_index + 1})")
-        rule.at = f" at pivot {pivot_index + 1}"
-        return predicted
-
-    rule = _SumRule(predict=predict, build=lambda built: build_sum_frame(built, coefficients))
-    return rule
+    return _PivotedSumRule(rep, coefficients, pivot, names)
 
 
 def _operator_sum_inputs(doc: dict, frames, pairs):

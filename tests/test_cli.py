@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 from pathlib import Path
@@ -523,6 +524,28 @@ def test_cli_missing_file(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["bogus"], [], ["bounds"], ["bounds", "--spec", "x.json", "--seed", "abc"]],
+    ids=["unknown-command", "no-command", "missing-spec", "seed-not-an-integer"],
+)
+def test_cli_usage_errors_exit_one(capsys, argv):
+    # 2 is the code for a failed condition or certification, not argparse's usage code
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err and "error:" in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sum", "--help"]])
+def test_cli_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
 def test_cli_failing_condition_exits_two(tmp_path, capsys):
     doc = {
         "kind": "finite-sum",
@@ -537,7 +560,7 @@ def test_cli_failing_condition_exits_two(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 2
     assert "FAILS" in out
-    assert "margin" in out
+    assert "  - sufficiency condition fails at pivot 1 (margin -198)\n" in out
     assert "status: fail" in out
 
 
@@ -573,9 +596,9 @@ def test_algo_experiment_solves_each_frame_once(tmp_path, eig_calls):
     path.write_text(json.dumps(doc), encoding="utf-8")
     code = main(["algo", "--spec", str(path), "--report", str(tmp_path / "report.txt")])
     assert code == 0
-    # each run parses its own frame, and each frame's spectrum is solved once:
-    # for the oracle bounds or for checking the loose pair
-    assert eig_calls == [(2, 2), (2, 2)]
+    # both runs parse to the same vectors and share one frame, whose spectrum
+    # is solved once: for the oracle bounds, and reused to check the loose pair
+    assert eig_calls == [(2, 2)]
 
 
 def test_cli_algo_checks_the_runs_in_order(tmp_path, capsys):
@@ -817,6 +840,16 @@ def test_paper_suite_isolates_a_raising_fixture(tmp_path, capsys, monkeypatch):
     assert f"1 fail out of {len(labels)} fixtures" in summary
 
 
+def test_paper_suite_output_error_exits_one(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("a file, not a directory", encoding="utf-8")
+    code = main(["paper-suite", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ") and str(out) in captured.err
+    assert captured.out == ""
+
+
 def test_paper_suite_runs_clean(tmp_path, capsys):
     code = main(["paper-suite", "--out", str(tmp_path / "suite"), "--seed", "0"])
     out = capsys.readouterr().out
@@ -936,3 +969,69 @@ def test_run_experiment_default_rng_matches_seed_zero(tmp_path):
     res_default = run_experiment(spec)
     res_seeded = run_experiment(spec, np.random.default_rng(0))
     assert res_default.report_text() == res_seeded.report_text()
+
+
+# --- the collector pause -------------------------------------------------------
+
+
+def _finite_sum_path(tmp_path, k: int, d: int = 8):
+    rng = np.random.default_rng(k)
+    frames = [
+        {"vectors": np.stack([rng.standard_normal((2 * d, d)), rng.standard_normal((2 * d, d))], -1).tolist()}
+        for _ in range(k)
+    ]
+    path = tmp_path / f"finite_sum_k{k}.json"
+    doc = {"kind": "finite-sum", "frames": frames, "coefficients": [1.0] * k}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def test_main_leaves_no_cycle_that_grows_with_the_document(tmp_path):
+    """A finite-sum command leaves the same few unreachable objects, from the
+    standard library's JSON encoder, however many frames its document holds:
+    no reference cycle holds the document, so reference counting frees it
+    when the command ends, also while the collector is paused."""
+
+    def unreachable_after(path):
+        gc.collect()
+        main(["sum", "--spec", str(path), "--report", str(tmp_path / "report.json"), "--json"])
+        return gc.collect()
+
+    small, large = _finite_sum_path(tmp_path, 2), _finite_sum_path(tmp_path, 16)
+    unreachable_after(small)  # the argument parser is built on first use
+    assert unreachable_after(large) == unreachable_after(small)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["caller-collecting", "caller-paused"])
+@pytest.mark.parametrize("outcome", ["success", "schema-error", "usage-error"])
+def test_main_pauses_the_collector_and_restores_the_callers_setting(
+    tmp_path, capsys, monkeypatch, enabled, outcome
+):
+    import framesum.cli
+
+    during = []
+    original = framesum.cli.run_experiment
+
+    def run(spec, rng=None):
+        during.append(gc.isenabled())
+        return original(spec, rng)
+
+    monkeypatch.setattr(framesum.cli, "run_experiment", run)
+    doc = {"kind": "bounds", "frame": {"vectors": [[1, 0], [0, 1]]}}
+    if outcome == "schema-error":
+        doc["frame"]["vectors"][1] = [0, True]
+    path = tmp_path / "bounds.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["bounds", "--spec", str(path)] + (["--seed", "abc"] if outcome == "usage-error" else [])
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if outcome == "usage-error":
+            with pytest.raises(SystemExit):
+                main(argv)
+        else:
+            assert main(argv) == (0 if outcome == "success" else 1)
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert during == ([False] if outcome == "success" else [])

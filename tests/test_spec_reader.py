@@ -135,6 +135,67 @@ def test_reader_matches_the_per_entry_walk_bit_for_bit(case):
     assert np.array_equal(_bits(got), _bits(want))
 
 
+# --- boundary cases of the flat read, each against the per-entry walk
+
+
+def _walked(value, ndim):
+    return np.array(experiments._walk_complex(value, "x", ndim), dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "value, ndim, flat",
+    [
+        ([[1, 2], [3]], 1, False),
+        ([[1, 2], [3]], 2, False),
+        ([[[1, 2], [3, 4]], [[1, 2]]], 2, False),
+        ([[[1, 2], [3, 4]], [[1, 2], [3]]], 2, False),
+        ([[[1, 2], [3, 4]], [1, [3, 4]]], 2, False),
+        ([], 1, False),
+        ([[]], 2, False),
+        ([[], []], 2, False),
+        ([[[], []]], 2, False),
+        ([[1, 2, 3]], 1, False),
+        ([[[1, 2, 3], [4, 5, 6]]], 2, False),
+        ([1, [2, 3]], 1, False),
+        ([[1, [0, 0]], [[0, 0], 1]], 2, False),
+        ([[[1, 2]]], 1, False),
+        ([10**400, 1], 1, False),
+        ([[10**400, 0]], 1, False),
+        ([[1, 0], [0, 10**400]], 2, False),
+        ([True, 1], 1, False),
+        ([[1, True]], 1, False),
+        (["1", 2], 1, False),
+        ([[1, 0], [0, "x"]], 2, False),
+        ([None, 1], 1, False),
+        ([[None, 0]], 1, False),
+        ([math.nan, 1], 1, False),
+        ([[1, 0], [0, math.nan]], 2, False),
+        ([[1, math.inf]], 1, False),
+        ({"re": 1}, 1, False),
+        (1.5, 1, False),
+        ([1.5], 1, True),
+        ([[1, 2], [3, 4]], 1, True),
+        ([[1, 2], [3, 4]], 2, True),
+        ([[[0, -0.0], [-0.0, 0]]], 2, True),
+        ([2**64 + 1, -(2**70), 5e-324], 1, True),
+    ],
+)
+def test_flat_read_boundaries_match_the_per_entry_walk(monkeypatch, value, ndim, flat):
+    try:
+        want = _walked(value, ndim)
+    except SpecSchemaError as exc:
+        with pytest.raises(SpecSchemaError) as excinfo:
+            _as_complex_array(value, "x", ndim)
+        assert (excinfo.value.field, str(excinfo.value)) == (exc.field, str(exc))
+        return
+    walks, walk = [], experiments._walk_complex
+    monkeypatch.setattr(experiments, "_walk_complex", lambda *args: walks.append(args) or walk(*args))
+    got = _as_complex_array(value, "x", ndim)
+    assert got.dtype == np.complex128 and got.shape == want.shape
+    assert np.array_equal(_bits(got), _bits(want))
+    assert walks[:1] == ([] if flat else [(value, "x", ndim)])
+
+
 # --- well-formed documents never reach the per-entry walk
 
 
