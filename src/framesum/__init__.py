@@ -70,8 +70,10 @@ from .gabor import (
     LatticeParams,
     Piece,
     PiecewiseGenerator,
+    Translates,
     WHParams,
     estimate_bounds,
+    evaluate_translates,
     overlap_vanishes,
     shift_overlap_sum,
     translate_energy,

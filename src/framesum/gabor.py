@@ -18,12 +18,13 @@ on a dense grid with one local refinement pass and flagged as approximate.
 The grid path works on sorted points, so that every set of points where
 something is nonzero is one contiguous slice found by ``searchsorted``: a
 piece's points inside the window, a translate's points inside the support,
-and a shifted translate's points inside the support again.  Energy and
-overlap are evaluated once per point set, each translate only on its support
-slice, and each ``k/b`` product only where both factors can be nonzero.
-Every point still gets the same operations in the same ascending ``n`` and
-``k`` order, and every skipped term is an exact zero added to a partial sum
-that starts at +0, so the sums are bitwise those of the full double sum.
+and a shifted translate's points inside the support again.  Each translate
+is evaluated once per point set, on its support slice, for both energy and
+overlap, and each ``k/b`` product only where both factors can be nonzero;
+refinement is one pass, both windows in one point set.  Every point gets the
+same operations in the same ascending ``n`` and ``k`` order, and every skipped
+term is an exact zero added to a partial sum that starts at +0, so a point's
+sums are bitwise those of the full double sum, whatever points share its set.
 
 Group-generated families ``phase * exp(i P m p0 x) g(x + n q0)`` map onto the
 lattice system above (see :func:`wh_to_gabor`): the phases are unimodular, so
@@ -36,10 +37,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateLatticeError, EmptySupportError, NonPositiveLowerBoundError
+from .errors import (
+    DegenerateLatticeError, EmptySupportError, NonPositiveLowerBoundError, NumericRangeError
+)
 
 #: fallback grid: points per period for the non-vanishing-overlap case.
 GRID_RESOLUTION = 2**14
@@ -112,6 +116,8 @@ def _sorted_points(x):
 
 
 def _in_input_order(values, order, shape):
+    if not shape:
+        return float(values[0])
     if order is None:
         return values
     out = np.empty_like(values)
@@ -187,8 +193,6 @@ class PiecewiseGenerator:
                 if piece.kind == "sqrt-affine":
                     values = np.sqrt(np.maximum(values, 0.0))
                 out[start:stop] = values
-        if not shape:
-            return float(out[0])
         return _in_input_order(out, order, shape)
 
     def scaled(self, factor: float) -> "PiecewiseGenerator":
@@ -235,33 +239,53 @@ def _support_slice(gen: PiecewiseGenerator, points) -> list[int]:
     return np.searchsorted(points, (gen.support_lo, gen.support_hi), side="left").tolist()
 
 
-def _translates(gen: PiecewiseGenerator, a: float, points):
-    """``(start, segment)`` for every translate ``n`` in ascending order: the
-    slice of the sorted ``points`` where ``g(x - n a)`` can be nonzero, and
-    ``x - n a`` on it.  Translates that meet no point are left out."""
-    for n in _shift_range(gen, a, float(points.min()), float(points.max())):
-        shifted = points - n * a
-        start, stop = _support_slice(gen, shifted)
-        if start < stop:
-            yield start, shifted[start:stop]
+class Translates(NamedTuple):
+    """The translates of :func:`evaluate_translates`, which both sums consume.
+
+    ``terms`` holds ``(start, segment, values)`` in ascending ``n``: ``segment``
+    is ``x - n a`` on the translate's support slice of the sorted ``points``,
+    which begins at ``start``, and ``values`` the window there.  ``order`` and
+    ``shape`` put sums over ``points`` back in the order and shape of ``x``.
+    """
+
+    gen: PiecewiseGenerator
+    points: np.ndarray
+    order: np.ndarray | None
+    shape: tuple
+    terms: tuple
 
 
-def translate_energy(gen: PiecewiseGenerator, a: float, x):
-    """``sum_n g(x - n a)^2`` -- a finite sum thanks to compact support.
+def evaluate_translates(gen: PiecewiseGenerator, a: float, x) -> Translates:
+    """Every translate ``g(x - n a)`` evaluated once, on its support slice only.
 
-    Each translate is evaluated on its support slice only (see the module
-    docstring); the result is a float for scalar ``x``, else of ``x``'s shape.
+    The slice is where the sorted ``x - n a`` lies in the support, found by
+    ``searchsorted``.  Translates that meet no point, or are 0 on every point
+    they meet, are left out: each of their terms is an exact 0 in both sums.
     """
     if not a > 0.0:
         raise DegenerateLatticeError(f"translation step must be positive, got {a}")
     points, order, shape = _sorted_points(x)
-    total = np.zeros_like(points)
-    for start, segment in _translates(gen, a, points):
-        values = gen(segment)
+    terms = []
+    for n in _shift_range(gen, a, float(points.min()), float(points.max())):
+        shifted = points - n * a
+        start, stop = _support_slice(gen, shifted)
+        if start < stop:
+            values = gen(shifted[start:stop])
+            if values.any():
+                terms.append((start, shifted[start:stop], values))
+    return Translates(gen, points, order, shape, tuple(terms))
+
+
+def translate_energy(translates: Translates):
+    """``sum_n g(x - n a)^2`` -- a finite sum thanks to compact support.
+
+    Takes the translates from :func:`evaluate_translates` and evaluates
+    nothing itself; the result is a float for scalar ``x``, else of ``x``'s shape.
+    """
+    total = np.zeros_like(translates.points)
+    for start, _, values in translates.terms:
         total[start:start + values.size] += values * values
-    if not shape:
-        return float(total[0])
-    return _in_input_order(total, order, shape)
+    return _in_input_order(total, translates.order, translates.shape)
 
 
 def overlap_vanishes(gen: PiecewiseGenerator, b: float) -> bool:
@@ -282,16 +306,14 @@ def _shift_can_overlap(gen: PiecewiseGenerator, shift: float) -> bool:
     return lo - shift < hi and hi - shift >= lo
 
 
-def shift_overlap_sum(gen: PiecewiseGenerator, a: float, b: float, x):
+def shift_overlap_sum(translates: Translates, b: float):
     """``sum_{k != 0} |sum_n g(x - n a) g(x - n a - k/b)|``.
 
-    Returns exactly zero, without evaluation, when the support is too short
-    for any nonzero shift to overlap.  Otherwise the points are sorted and
-    only terms that can be nonzero are evaluated:
+    Returns exactly zero when the support is too short for any nonzero shift
+    to overlap.  Otherwise only terms that can be nonzero are evaluated:
 
-    * ``n`` runs over the translates ``g(x - n a)`` that are nonzero somewhere
-      on ``x``; each is evaluated once, on its support slice only (the slice
-      of the sorted ``x - n a`` inside the support), and reused for every ``k``;
+    * ``n`` runs over the translates of :func:`evaluate_translates`, each
+      already evaluated on its support slice and reused for every ``k``;
     * ``k`` runs over the shifts with ``|k|/b`` short enough for the support
       and its shift to meet (:func:`_shift_can_overlap`), which on the usual
       lattices is ``k = +-1`` only;
@@ -306,31 +328,24 @@ def shift_overlap_sum(gen: PiecewiseGenerator, a: float, b: float, x):
     changes nothing, so the result is bitwise the full double sum.  It is a
     float for scalar ``x``, else an array of ``x``'s shape.
     """
-    if not a > 0.0 or not b > 0.0:
-        raise DegenerateLatticeError(f"lattice steps must be positive, got ({a}, {b})")
+    if not b > 0.0:
+        raise DegenerateLatticeError(f"modulation step must be positive, got {b}")
+    gen = translates.gen
+    total = np.zeros_like(translates.points)
     if overlap_vanishes(gen, b):
-        return 0.0 if np.ndim(x) == 0 else np.zeros(np.shape(x))
-    points, order, shape = _sorted_points(x)
-    translates = []
-    for start, segment in _translates(gen, a, points):
-        values = gen(segment)
-        if values.any():
-            translates.append((start, segment, values))
-    total = np.zeros_like(points)
+        return _in_input_order(total, translates.order, translates.shape)
     k_max = math.ceil(gen.support_length * b) + 1
     for k in range(-k_max, k_max + 1):
         if k == 0 or not _shift_can_overlap(gen, k / b):
             continue
-        inner = np.zeros_like(points)
-        for start, segment, values in translates:
+        inner = np.zeros_like(total)
+        for start, segment, values in translates.terms:
             moved = segment - k / b
             lo, hi = _support_slice(gen, moved)
             if lo < hi:
                 inner[start + lo:start + hi] += values[lo:hi] * gen(moved[lo:hi])
         total += np.abs(inner)
-    if not shape:
-        return float(total[0])
-    return _in_input_order(total, order, shape)
+    return _in_input_order(total, translates.order, translates.shape)
 
 
 def _periodized_quadratic_cells(gen: PiecewiseGenerator, a: float):
@@ -375,7 +390,7 @@ def _periodized_quadratic_cells(gen: PiecewiseGenerator, a: float):
             cuts.add(end)
     merged = []
     for cut in sorted(cuts):
-        if merged and cut - merged[-1] <= 1e-12 * max(1.0, a):
+        if merged and cut - merged[-1] <= 1e-12 * a:
             continue
         merged.append(cut)
     mids = [0.5 * (u + v) for u, v in zip(merged, merged[1:])]
@@ -418,30 +433,27 @@ class GaborBoundEstimate:
 def _grid_extrema(gen: PiecewiseGenerator, params: LatticeParams):
     """``inf (G0 - G1)`` and ``sup (G0 + G1)`` on the grid, each refined once.
 
-    ``G0`` and ``G1`` are evaluated once per point set: on the coarse grid
-    and on each of the two refinement windows.
+    Each translate is evaluated once per point set, for both ``G0`` and ``G1``:
+    on the coarse grid, then on both refinement windows in one pass.
     """
     a, b = params.a, params.b
     step = a / GRID_RESOLUTION
-    xs = np.arange(GRID_RESOLUTION) * step
 
     def g0_g1(points):
-        return translate_energy(gen, a, points), shift_overlap_sum(gen, a, b, points)
+        translates = evaluate_translates(gen, a, points)
+        return translate_energy(translates), shift_overlap_sum(translates, b)
 
-    g0, g1 = g0_g1(xs)
+    g0, g1 = g0_g1(np.arange(GRID_RESOLUTION) * step)
     low_values = g0 - g1
     high_values = g0 + g1
     i_min = int(np.argmin(low_values))
     i_max = int(np.argmax(high_values))
-
-    def refine(index, want_min):
-        left = max(0.0, (index - 1) * step)
-        right = min(a, (index + 1) * step)
-        g0, g1 = g0_g1(np.linspace(left, right, REFINE_POINTS))
-        return float((g0 - g1).min() if want_min else (g0 + g1).max())
-
-    lo = min(float(low_values[i_min]), refine(i_min, True))
-    hi = max(float(high_values[i_max]), refine(i_max, False))
+    windows = [
+        np.linspace(max(0.0, (i - 1) * step), min(a, (i + 1) * step), REFINE_POINTS) for i in (i_min, i_max)
+    ]
+    g0, g1 = g0_g1(np.concatenate(windows))
+    lo = min(float(low_values[i_min]), float((g0 - g1)[:REFINE_POINTS].min()))
+    hi = max(float(high_values[i_max]), float((g0 + g1)[REFINE_POINTS:].max()))
     return lo, hi
 
 
@@ -449,9 +461,9 @@ def estimate_bounds(gen: PiecewiseGenerator, params: LatticeParams) -> GaborBoun
     """Frame-bound estimate ``(inf (G0 - G1) / b, sup (G0 + G1) / b)`` over one period.
 
     Exact closed-form extrema in the vanishing-overlap case; dense grid plus
-    one refinement pass otherwise.  Raises
-    :class:`NonPositiveLowerBoundError` when the lower expression is not
-    positive, in which case the estimate supports no frame conclusion.
+    one refinement pass otherwise.  Raises :class:`NumericRangeError` when the
+    upper bound overflows, and :class:`NonPositiveLowerBoundError` when the
+    lower one is not positive, which supports no frame conclusion.
     """
     a, b = params.a, params.b
     vanishes = overlap_vanishes(gen, b)
@@ -465,6 +477,8 @@ def estimate_bounds(gen: PiecewiseGenerator, params: LatticeParams) -> GaborBoun
         lo, hi = _grid_extrema(gen, params)
         lower, upper = lo / b, hi / b
         resolution = GRID_RESOLUTION
+    if not math.isfinite(upper):
+        raise NumericRangeError(f"upper estimate {upper:.6g} overflowed the floating-point range")
     if not lower > 0.0:
         raise NonPositiveLowerBoundError(
             f"lower estimate {lower:.6g} is not positive; no frame conclusion"

@@ -5,7 +5,9 @@ from hypothesis import settings
 from framesum import FiniteFrame, NotAFrameError, exact_bounds
 
 # Every run draws the same examples, and no example fails on a wall-clock
-# deadline: timing on a shared host is noise, and stays out of tier-1.
+# deadline: timing on a shared host is noise, and stays out of tier-1.  The
+# gabor document fuzzer alone sets a deadline, seconds for examples that take
+# milliseconds, so that a runaway example fails instead of stalling the suite.
 settings.register_profile("framesum", deadline=None, derandomize=True)
 settings.load_profile("framesum")
 

@@ -496,6 +496,15 @@ def test_cli_finite_sum_near_tie_writes_a_report(tmp_path, capsys, pivot):
             },
         ),
         (
+            # finite energy, but divided by b it passes the largest float
+            "gabor",
+            {
+                "kind": "gabor",
+                "generator": {"pieces": [{"lo": 0, "hi": 1, "kind": "affine", "alpha": 0, "beta": 1}]},
+                "lattice": {"a": 0.5, "b": 1e-310},
+            },
+        ),
+        (
             "perturbed-sum",
             {
                 "kind": "perturbed-sum",
@@ -506,7 +515,7 @@ def test_cli_finite_sum_near_tie_writes_a_report(tmp_path, capsys, pivot):
             },
         ),
     ],
-    ids=["bounds-frame", "gabor-alpha", "perturbed-beta"],
+    ids=["bounds-frame", "gabor-alpha", "gabor-b", "perturbed-beta"],
 )
 def test_cli_extreme_magnitudes_exit_two_with_a_clear_error(tmp_path, capsys, command, doc):
     path = tmp_path / "huge.json"

@@ -1,23 +1,30 @@
 import cmath
+import json
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import framesum.gabor as gabor
 from framesum import (
     DegenerateLatticeError,
+    FrameToolkitError,
     LatticeParams,
     NonPositiveLowerBoundError,
     PiecewiseGenerator,
+    SpecParseError,
+    SpecSchemaError,
     WHParams,
     estimate_bounds,
+    evaluate_translates,
     overlap_vanishes,
     shift_overlap_sum,
     translate_energy,
     wh_to_gabor,
 )
+from framesum.experiments import parse_spec_text, run_experiment
 
 # the four reference windows
 SQRT_RAMP = PiecewiseGenerator(
@@ -28,6 +35,14 @@ TWO_SIDED_RAMP = PiecewiseGenerator([(0, 1, "affine", 1, -1), (1, 2, "affine", -
 HALF_SLOPE = PiecewiseGenerator(
     [(0, 1, "affine", 0.5, 0), (1, 2, "sqrt-affine", -0.25, 0.75)]
 )
+
+
+def _energy(gen, a, x):
+    return translate_energy(evaluate_translates(gen, a, x))
+
+
+def _overlap(gen, a, b, x):
+    return shift_overlap_sum(evaluate_translates(gen, a, x), b)
 
 
 # --- construction and evaluation ---------------------------------------------
@@ -125,17 +140,17 @@ def test_evaluation_bitwise_matches_the_mask_loop(rng):
 
 def test_translate_energy_sqrt_ramp():
     # two overlapping translates add up to 6x + 2 on [0, 1)
-    assert translate_energy(SQRT_RAMP, 1.0, 0.5) == pytest.approx(5.0, rel=1e-14)
-    assert translate_energy(SQRT_RAMP, 1.0, 0.0) == pytest.approx(2.0, rel=1e-14)
+    assert _energy(SQRT_RAMP, 1.0, 0.5) == pytest.approx(5.0, rel=1e-14)
+    assert _energy(SQRT_RAMP, 1.0, 0.0) == pytest.approx(2.0, rel=1e-14)
 
 
 def test_translate_energy_outside_periodized_support():
     gen = PiecewiseGenerator([(0, 1, "affine", 0, 1)])
-    assert translate_energy(gen, 3.0, 2.0) == 0.0
+    assert _energy(gen, 3.0, 2.0) == 0.0
 
 
 def test_translate_energy_two_sided_ramp():
-    assert translate_energy(TWO_SIDED_RAMP, 1.0, 0.5) == pytest.approx(0.5, rel=1e-14)
+    assert _energy(TWO_SIDED_RAMP, 1.0, 0.5) == pytest.approx(0.5, rel=1e-14)
 
 
 def _reference_energy(gen, a, xs):
@@ -153,15 +168,15 @@ def test_translate_energy_bitwise_keeps_order_and_shape(rng):
     for gen, a in ((GAPPY, 0.8), (SQRT_RAMP, 1.0), (HALF_SLOPE, 0.45)):
         xs = rng.uniform(-2, 5, 240)
         for x in (xs, np.sort(xs), xs.reshape(4, 60), xs.reshape(2, 3, 40)):
-            _assert_same_bits(translate_energy(gen, a, x), _reference_energy(gen, a, x))
-        _assert_same_bits(translate_energy(gen, a, float(xs[0])), float(_reference_energy(gen, a, xs[:1])[0]))
+            _assert_same_bits(_energy(gen, a, x), _reference_energy(gen, a, x))
+        _assert_same_bits(_energy(gen, a, float(xs[0])), float(_reference_energy(gen, a, xs[:1])[0]))
 
 
 def test_translate_energy_periodicity(rng):
     xs = rng.uniform(0, 1, size=64)
     for gen, a in ((SQRT_RAMP, 1.0), (TENT, 0.5), (HALF_SLOPE, 1.0)):
-        base = translate_energy(gen, a, xs)
-        shifted = translate_energy(gen, a, xs + a)
+        base = _energy(gen, a, xs)
+        shifted = _energy(gen, a, xs + a)
         np.testing.assert_allclose(shifted, base, rtol=0, atol=1e-12)
 
 
@@ -172,18 +187,18 @@ def test_overlap_short_circuit_sqrt_ramp():
     # support length 2 equals 1/b for b = 1/2: no overlap
     assert overlap_vanishes(SQRT_RAMP, 0.5)
     xs = np.linspace(0, 1, 11)
-    np.testing.assert_array_equal(shift_overlap_sum(SQRT_RAMP, 1.0, 0.5, xs), np.zeros(11))
+    np.testing.assert_array_equal(_overlap(SQRT_RAMP, 1.0, 0.5, xs), np.zeros(11))
 
 
 def test_overlap_short_circuit_tent():
     assert overlap_vanishes(TENT, 1.0)
-    assert shift_overlap_sum(TENT, 0.5, 1.0, 0.3) == 0.0
+    assert _overlap(TENT, 0.5, 1.0, 0.3) == 0.0
 
 
 def test_overlap_positive_for_long_support():
     wide = PiecewiseGenerator([(0, 3, "affine", 0, 1)])
     assert not overlap_vanishes(wide, 1.0)
-    assert shift_overlap_sum(wide, 1.0, 1.0, 0.5) > 0.0
+    assert _overlap(wide, 1.0, 1.0, 0.5) > 0.0
 
 
 def test_overlap_shortcut_matches_brute_force():
@@ -247,8 +262,8 @@ def test_estimate_grid_path_flags_inexact():
     assert est.grid_resolution == 2**14
     # independent dense scan of (energy -/+ overlap) over one period
     xs = np.linspace(0, 1, 200_001)
-    low = translate_energy(SQRT_RAMP, 1, xs) - shift_overlap_sum(SQRT_RAMP, 1, 0.6, xs)
-    high = translate_energy(SQRT_RAMP, 1, xs) + shift_overlap_sum(SQRT_RAMP, 1, 0.6, xs)
+    low = _energy(SQRT_RAMP, 1, xs) - _overlap(SQRT_RAMP, 1, 0.6, xs)
+    high = _energy(SQRT_RAMP, 1, xs) + _overlap(SQRT_RAMP, 1, 0.6, xs)
     assert est.lower <= low.min() / 0.6 + 1e-9
     assert est.upper >= high.max() / 0.6 - 1e-9
     assert est.lower == pytest.approx(low.min() / 0.6, rel=1e-3)
@@ -276,16 +291,16 @@ def _reference_overlap_sum(gen, a, b, xs):
 
 
 def _reference_grid_extrema(gen, a, b):
-    """Coarse grid plus one refinement per extremum, as :func:`estimate_bounds`
-    does, on the reference objective."""
+    """Coarse grid plus one refinement per extremum, each its own point set, on
+    the reference objective; also returns the coarse ``(i_min, i_max)``."""
     step = a / gabor.GRID_RESOLUTION
     xs = np.arange(gabor.GRID_RESOLUTION) * step
 
     def low(points):
-        return translate_energy(gen, a, points) - _reference_overlap_sum(gen, a, b, points)
+        return _energy(gen, a, points) - _reference_overlap_sum(gen, a, b, points)
 
     def high(points):
-        return translate_energy(gen, a, points) + _reference_overlap_sum(gen, a, b, points)
+        return _energy(gen, a, points) + _reference_overlap_sum(gen, a, b, points)
 
     def refine(index, objective):
         left = max(0.0, (index - 1) * step)
@@ -296,13 +311,13 @@ def _reference_grid_extrema(gen, a, b):
     i_min, i_max = int(np.argmin(low_values)), int(np.argmax(high_values))
     lo = min(float(low_values[i_min]), float(refine(i_min, low).min()))
     hi = max(float(high_values[i_max]), float(refine(i_max, high).max()))
-    return lo, hi
+    return lo, hi, (i_min, i_max)
 
 
-def _random_overlap_case(rng, bl=None):
+def _random_overlap_case(rng):
     """A continuous positive window of 1-6 mixed pieces on an offset support,
-    and a lattice with ``b L = bl``; by default ``b L`` is an integer on a
-    third of the draws."""
+    and a lattice with ``b L`` in ``(1.05, 3.2)``, an integer on a third of
+    the draws."""
     n_pieces = int(rng.integers(1, 7))
     length = rng.uniform(0.5, 2.5)
     steps = rng.uniform(0.3, 1.5, n_pieces)
@@ -318,8 +333,7 @@ def _random_overlap_case(rng, bl=None):
         pieces.append((float(lo), float(hi), kind, float(alpha), float(v0 - alpha * lo)))
     gen = PiecewiseGenerator(pieces)
     a = gen.support_length * rng.uniform(0.4, 0.8)
-    if bl is None:
-        bl = int(rng.integers(2, 4)) if rng.random() < 1 / 3 else rng.uniform(1.05, 3.2)
+    bl = int(rng.integers(2, 4)) if rng.random() < 1 / 3 else rng.uniform(1.05, 3.2)
     return gen, a, bl / gen.support_length
 
 
@@ -330,22 +344,51 @@ def test_overlap_sum_bitwise_matches_full_double_sum(rng):
         start = rng.uniform(-4, 4)
         xs = rng.uniform(start, start + a * rng.uniform(0.05, 2.5), 200)  # unsorted
         for x in (xs, xs.reshape(8, 25)):
-            _assert_same_bits(shift_overlap_sum(gen, a, b, x), _reference_overlap_sum(gen, a, b, x))
+            _assert_same_bits(_overlap(gen, a, b, x), _reference_overlap_sum(gen, a, b, x))
         point = float(xs[0])
-        assert shift_overlap_sum(gen, a, b, point) == float(
+        assert _overlap(gen, a, b, point) == float(
             _reference_overlap_sum(gen, a, b, xs[:1])[0]
         )
 
 
+# g^2 is a triangle on [2^-15, 2 + 2^-15), so on a = 1 and b = 1 the peak of
+# G1 sits half a grid step past 0.5; G0 = 1 plus a slope of 2^-14 moves the
+# coarse argmin of G0 - G1 and argmax of G0 + G1 to adjacent indices
+NEAR_TIE = PiecewiseGenerator(
+    [
+        (2**-15, 1 + 2**-15, "sqrt-affine", 1 + 2**-14, -(1 + 2**-14) * 2**-15),
+        (1 + 2**-15, 2 + 2**-15, "sqrt-affine", -1, 2 + 2**-15),
+    ]
+)
+
+# (window, a, b, what the coarse (i_min, i_max) must satisfy)
+EDGE_CASES = [
+    # energy 8 - 6x on [0, 1): the maximum sits at index 0 and its window is clipped at 0
+    (PiecewiseGenerator([(0, 1, "sqrt-affine", -4, 6), (1, 2, "sqrt-affine", -2, 4)]), 1.0, 0.6,
+     lambda i_min, i_max: i_max == 0),
+    # energy 6x + 2: the maximum sits at the last index and its window is clipped at a
+    (SQRT_RAMP, 1.0, 0.6, lambda i_min, i_max: i_max == gabor.GRID_RESOLUTION - 1),
+    # G0 = 1, so both extrema sit on the peak of G1
+    (PiecewiseGenerator([(0, 1, "sqrt-affine", 1, 0), (1, 2, "sqrt-affine", -1, 2)]), 1.0, 0.6,
+     lambda i_min, i_max: i_min == i_max),
+    # adjacent extrema: the two refinement windows overlap
+    (NEAR_TIE, 1.0, 1.0, lambda i_min, i_max: abs(i_min - i_max) == 1),
+]
+
+
 def test_grid_estimate_bitwise_matches_full_double_sum(rng):
+    cases = [(*_random_overlap_case(rng), None) for _ in range(60)] + EDGE_CASES
     positive = 0
-    for bl in (1.1, 1.25, 1.4, 1.55, 2, 2.4, 3):
-        gen, a, b = _random_overlap_case(rng, bl)
-        lo, hi = _reference_grid_extrema(gen, a, b)
-        assert gabor._grid_extrema(gen, LatticeParams(a, b)) == (lo, hi)
+    for gen, a, b, holds in cases:
+        lo, hi, indices = _reference_grid_extrema(gen, a, b)
+        assert holds is None or holds(*indices)
+        got_lo, got_hi = gabor._grid_extrema(gen, LatticeParams(a, b))
+        _assert_same_bits(got_lo, lo)
+        _assert_same_bits(got_hi, hi)
         if lo / b > 0.0:
             est = estimate_bounds(gen, LatticeParams(a, b))
-            assert (est.lower, est.upper) == (lo / b, hi / b)
+            _assert_same_bits(est.lower, lo / b)
+            _assert_same_bits(est.upper, hi / b)
             assert not est.exact
             positive += 1
         else:
@@ -355,17 +398,42 @@ def test_grid_estimate_bitwise_matches_full_double_sum(rng):
 
 
 def test_grid_path_evaluates_each_point_set_once(monkeypatch):
-    # one coarse grid plus one refinement window per extremum
-    calls = Counter()
+    # two point sets, the coarse grid and both refinement windows together; on
+    # each the window is handed every translate's support slice once and, for
+    # a translate not 0 on all of it, every shifted slice once
+    calls, point_sets, evaluated = Counter(), [], Counter()
     for name in ("translate_energy", "shift_overlap_sum"):
 
-        def counted(*args, _name=name, _original=getattr(gabor, name)):
+        def counted(translates, *args, _name=name, _original=getattr(gabor, name)):
             calls[_name] += 1
-            return _original(*args)
+            point_sets.append(translates.points)
+            return _original(translates, *args)
 
         monkeypatch.setattr(gabor, name, counted)
-    estimate_bounds(SQRT_RAMP, LatticeParams(1, 0.6))
-    assert calls == {"translate_energy": 3, "shift_overlap_sum": 3}
+    original = PiecewiseGenerator.__call__
+
+    def counted_call(gen, x):
+        evaluated["points"] += np.size(x)
+        return original(gen, x)
+
+    monkeypatch.setattr(PiecewiseGenerator, "__call__", counted_call)
+    a, b = 1.0, 0.6
+    estimate_bounds(SQRT_RAMP, LatticeParams(a, b))
+    assert calls == {"translate_energy": 2, "shift_overlap_sum": 2}
+    assert [xs.size for xs in point_sets] == [gabor.GRID_RESOLUTION] * 2 + [2 * gabor.REFINE_POINTS] * 2
+    lo, hi = SQRT_RAMP.support_lo, SQRT_RAMP.support_hi
+    expected = 0
+    for xs in point_sets[::2]:
+        for n in range(-4, 5):
+            u = xs - n * a
+            inside = (u >= lo) & (u < hi)
+            expected += np.count_nonzero(inside)
+            if not _masked_evaluation(SQRT_RAMP, u[inside]).any():
+                continue  # a translate that is 0 on its slice has no nonzero product
+            # support length 2 meets its shift by k / b for k = +-1 only
+            for k in (-1, 1):
+                expected += np.count_nonzero(inside & (u - k / b >= lo) & (u - k / b < hi))
+    assert evaluated["points"] == expected
 
 
 def test_grid_path_work_does_not_grow_with_the_piece_count(monkeypatch):
@@ -389,6 +457,17 @@ def test_grid_path_work_does_not_grow_with_the_piece_count(monkeypatch):
     assert estimate_bounds(one, lattice) == estimate_bounds(many, lattice)
     assert evaluated[1] == evaluated[100] > 0
     assert outside == {1: 0, 100: 0}
+
+
+def test_closed_form_estimate_scales_with_the_window():
+    # g(x / s) on the lattice (s a, b / s) has the bounds of g times s; cells
+    # are merged relative to a, so a window on [0, 2^-60) keeps its cells
+    base = estimate_bounds(TENT, LatticeParams(0.5, 1))
+    for s in (2.0**-60, 2.0**40):
+        pieces = [(p.lo * s, p.hi * s, p.kind, p.alpha / s, p.beta) for p in TENT.pieces]
+        est = estimate_bounds(PiecewiseGenerator(pieces), LatticeParams(0.5 * s, 1 / s))
+        assert est.exact
+        assert (est.lower, est.upper) == pytest.approx((base.lower * s, base.upper * s), rel=1e-12)
 
 
 def test_constant_window_has_no_positive_lower_estimate():
@@ -415,13 +494,13 @@ def _refined_grid_extrema(gen, a, coarse=100_000, fine=257):
     """Independent numeric extrema: dense scan plus one local refinement, so
     suprema attained as one-sided limits at breakpoints are resolved."""
     xs = np.linspace(0, a, coarse, endpoint=False)
-    values = translate_energy(gen, a, xs)
+    values = _energy(gen, a, xs)
     step = a / coarse
     results = []
     for want_min in (True, False):
         i = int(np.argmin(values) if want_min else np.argmax(values))
         window = np.linspace(max(0.0, (i - 1) * step), min(a, (i + 1) * step), fine)
-        local = translate_energy(gen, a, window)
+        local = _energy(gen, a, window)
         if want_min:
             results.append(min(float(values[i]), float(local.min())))
         else:
@@ -458,7 +537,7 @@ def _reference_periodized_cells(gen, a):
             cuts.add(end)
     merged = []
     for cut in sorted(cuts):
-        if merged and cut - merged[-1] <= 1e-12 * max(1.0, a):
+        if merged and cut - merged[-1] <= 1e-12 * a:
             continue
         merged.append(cut)
     cells = []
@@ -611,3 +690,60 @@ def test_modulus_check_zero_signal():
     wh = WHParams(P=1, Q=0, p0=math.pi, q0=-1)
     xs = np.linspace(-2, 4, 1001)
     assert _coefficient_modulus_residual(SQRT_RAMP, wh, xs, np.zeros_like(xs), 1, 1) == 0.0
+
+
+# --- documents ------------------------------------------------------------------
+
+
+@st.composite
+def gabor_documents(draw):
+    """A ``gabor`` document of 1-6 affine and sqrt-affine pieces, with gaps and
+    shared breakpoints, at finite position and amplitude scales up to 1e+-300,
+    on a ``lattice`` or ``wh`` form whose lattice needs at most 64 shift terms,
+    with or without ``stated_bounds``."""
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    amplitude = 10.0 ** draw(st.sampled_from([-300, -150, -8, 0, 8, 150, 300]))
+    lo = draw(st.floats(-4, 4)) * scale
+    pieces = []
+    for _ in range(draw(st.integers(1, 6))):
+        hi = lo + draw(st.floats(0.05, 2)) * scale
+        kind = draw(st.sampled_from(["affine", "sqrt-affine"]))
+        # values at the ends: the radicand's, from 0, on sqrt-affine pieces, and
+        # of either sign on affine ones
+        sign = 1.0 if kind == "sqrt-affine" else draw(st.sampled_from([-1.0, 1.0]))
+        v0, v1 = (sign * draw(st.floats(0 if sign > 0 else 0.05, 2)) * amplitude for _ in range(2))
+        alpha = (v1 - v0) / (hi - lo)
+        pieces.append({"lo": lo, "hi": hi, "kind": kind, "alpha": alpha, "beta": v0 - alpha * lo})
+        lo = hi + draw(st.sampled_from([0.0, 0.0, 0.1, 1.5])) * scale
+    length = pieces[-1]["hi"] - pieces[0]["lo"]
+    # (L/a + 1) (2 L b + 1) <= 11 * 5.8 shift terms; b L <= 1 is the painless path
+    a = length * draw(st.floats(0.1, 1.5))
+    painless = draw(st.booleans())
+    b = draw(st.floats(0.05, 0.99) if painless else st.floats(1.01, 2.4)) / length
+    doc = {"kind": "gabor", "label": "fuzz", "generator": {"pieces": pieces}}
+    if draw(st.booleans()):
+        doc["lattice"] = {"a": a, "b": b}
+    else:
+        P = draw(st.sampled_from([-2.5, -1.0, 1.0, 3.0]))
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        doc["wh"] = {"P": P, "Q": draw(st.floats(-1, 1)), "p0": 2.0 * math.pi * b / P * sign, "q0": -sign * a}
+    if draw(st.booleans()):
+        doc["stated_bounds"] = sorted(draw(st.floats(1e-300, 1e300)) for _ in range(2))
+    return doc
+
+
+@settings(max_examples=150, deadline=2000)
+@given(doc=gabor_documents())
+def test_gabor_documents_raise_only_toolkit_errors(doc):
+    try:
+        spec = parse_spec_text(json.dumps(doc))
+    except (SpecParseError, SpecSchemaError):
+        return
+    try:
+        result = run_experiment(spec)
+    except FrameToolkitError:
+        return
+    # a run that completes reports finite bounds in order
+    estimate = json.loads(result.report_json())["estimate"]
+    assert 0.0 < estimate["lower"] <= estimate["upper"] < math.inf
+    assert result.status in ("pass", "flagged")
