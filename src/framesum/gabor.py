@@ -41,9 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateLatticeError, EmptySupportError, NonPositiveLowerBoundError, NumericRangeError
-)
+from .errors import DegenerateLatticeError, EmptySupportError, NonPositiveLowerBoundError, NumericRangeError
 
 #: fallback grid: points per period for the non-vanishing-overlap case.
 GRID_RESOLUTION = 2**14
@@ -371,6 +369,10 @@ def _periodized_quadratic_cells(gen: PiecewiseGenerator, a: float):
       starting from +0, as summing its own contributions one by one, so every
       coefficient is bitwise that sum.
     """
+    # a cut's rounding error grows with its ``n a``, which reaches the support's ends
+    tolerance = 1e-12 * max(a, abs(gen.support_lo), abs(gen.support_hi))
+    if tolerance > 1e-6 * a:
+        raise DegenerateLatticeError(f"{gen} lies over 1e6 lattice steps of {a} from the origin")
     lo_list, hi_list = gen._ends.tolist()
     spans, coefficients = [], []
     cuts = {0.0, a}
@@ -390,7 +392,7 @@ def _periodized_quadratic_cells(gen: PiecewiseGenerator, a: float):
             cuts.add(end)
     merged = []
     for cut in sorted(cuts):
-        if merged and cut - merged[-1] <= 1e-12 * a:
+        if merged and cut - merged[-1] <= tolerance:
             continue
         merged.append(cut)
     mids = [0.5 * (u + v) for u, v in zip(merged, merged[1:])]
@@ -480,9 +482,7 @@ def estimate_bounds(gen: PiecewiseGenerator, params: LatticeParams) -> GaborBoun
     if not math.isfinite(upper):
         raise NumericRangeError(f"upper estimate {upper:.6g} overflowed the floating-point range")
     if not lower > 0.0:
-        raise NonPositiveLowerBoundError(
-            f"lower estimate {lower:.6g} is not positive; no frame conclusion"
-        )
+        raise NonPositiveLowerBoundError(f"lower estimate {lower:.6g} is not positive; no frame conclusion")
     return GaborBoundEstimate(
         lower=float(lower),
         upper=float(upper),

@@ -13,6 +13,7 @@ from framesum import (
     FrameToolkitError,
     LatticeParams,
     NonPositiveLowerBoundError,
+    NumericRangeError,
     PiecewiseGenerator,
     SpecParseError,
     SpecSchemaError,
@@ -460,14 +461,51 @@ def test_grid_path_work_does_not_grow_with_the_piece_count(monkeypatch):
 
 
 def test_closed_form_estimate_scales_with_the_window():
-    # g(x / s) on the lattice (s a, b / s) has the bounds of g times s; cells
-    # are merged relative to a, so a window on [0, 2^-60) keeps its cells
+    # g(x / s) on the lattice (s a, b / s) has the bounds of g times s; cuts
+    # merge relative to a and the support's ends, so a window on [0, 2^-60)
+    # keeps its cells
     base = estimate_bounds(TENT, LatticeParams(0.5, 1))
     for s in (2.0**-60, 2.0**40):
         pieces = [(p.lo * s, p.hi * s, p.kind, p.alpha / s, p.beta) for p in TENT.pieces]
         est = estimate_bounds(PiecewiseGenerator(pieces), LatticeParams(0.5 * s, 1 / s))
         assert est.exact
         assert (est.lower, est.upper) == pytest.approx((base.lower * s, base.upper * s), rel=1e-12)
+
+
+@pytest.mark.parametrize("offset", [100.0, -64.13085628626845, 255.58563716788728, -256.7856296839643])
+@pytest.mark.parametrize(
+    "pieces",
+    [[(0, 1, "affine", 0, 1)], [(0, 0.5, "affine", 2, 0), (0.5, 1, "affine", -4, 4)]],
+    ids=["rectangle", "tent"],
+)
+def test_closed_form_estimate_does_not_depend_on_the_window_offset(pieces, offset):
+    # the cuts of a window far from 0 carry rounding errors of its ends, not
+    # of a: merged relative to a alone, they left thin cells covered by one
+    # translate too few or too many (398 in place of 400 on the rectangle)
+    moved = PiecewiseGenerator([(p[0] + offset, p[1] + offset, p[2], p[3], p[4] - p[3] * offset) for p in pieces])
+    lattice = LatticeParams(0.005, 0.5)
+    base, est = estimate_bounds(PiecewiseGenerator(pieces), lattice), estimate_bounds(moved, lattice)
+    assert est.exact
+    assert (est.lower, est.upper) == pytest.approx((base.lower, base.upper), rel=1e-9)
+
+
+def test_closed_form_rejects_a_window_too_far_from_the_origin():
+    # 2e6 lattice steps out, the cuts' rounding is no longer small against a
+    far = PiecewiseGenerator([(1e6, 1e6 + 2, "affine", 0, 1)])
+    with pytest.raises(DegenerateLatticeError, match="lattice steps"):
+        estimate_bounds(far, LatticeParams(0.5, 0.25))
+    # under 1e6 steps out, a step of 1.5 still gives the bounds of the window at 0
+    est = estimate_bounds(far, LatticeParams(1.5, 0.25))
+    assert (est.exact, est.lower, est.upper) == (True, 4.0, 8.0)
+
+
+@pytest.mark.xfail(raises=NonPositiveLowerBoundError, strict=True, reason="squared window values underflow to 0")
+def test_closed_form_estimate_reports_underflow_as_a_range_error():
+    # the tent at amplitude 1e-200 has bounds 1e-400 times the tent's, below
+    # the smallest double; they are reported as a lower estimate of 0
+    tiny = PiecewiseGenerator([(0, 0.5, "affine", 2e-200, 0), (0.5, 1, "affine", -4e-200, 4e-200)])
+    with pytest.raises(NumericRangeError):
+        estimate_bounds(tiny, LatticeParams(0.5, 1))
 
 
 def test_constant_window_has_no_positive_lower_estimate():
@@ -537,7 +575,7 @@ def _reference_periodized_cells(gen, a):
             cuts.add(end)
     merged = []
     for cut in sorted(cuts):
-        if merged and cut - merged[-1] <= 1e-12 * a:
+        if merged and cut - merged[-1] <= 1e-12 * max(a, abs(gen.support_lo), abs(gen.support_hi)):
             continue
         merged.append(cut)
     cells = []
