@@ -4,9 +4,9 @@ estimates for lattice systems, and the width-driven reconstruction algorithm.
 The package splits into five layers:
 
 * :mod:`framesum.linalg` -- the complex Hermitian eigensolver (LAPACK
-  ``eigh``), extreme singular values, positive-definite solves;
+  ``eigh``), extreme singular values (LAPACK SVD), positive-definite solves;
 * :mod:`framesum.frames` -- finite frames, spectral (optimal) bounds, widths,
-  and canonical duals;
+  and the exact check of a dual pair;
 * :mod:`framesum.sums` -- sufficiency conditions and predicted bounds for the
   four combination rules, plus certification against the spectral oracle;
 * :mod:`framesum.gabor` -- piecewise windows, painless-case exact bounds,
@@ -44,7 +44,6 @@ from .frames import (
     FiniteFrame,
     FrameBounds,
     FrameCertificate,
-    canonical_dual,
     exact_bounds,
     frame_operator,
     random_unit_vector,

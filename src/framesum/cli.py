@@ -55,12 +55,15 @@ def emit_csv(header, rows, path) -> None:
     Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
-def _write_report(result: ExperimentResult, report_path, as_json: bool) -> None:
+def _write_outputs(result: ExperimentResult, report_path, as_json: bool, csv_path) -> None:
+    """Write the report (to stdout when ``report_path`` is None) and, given a path, the CSV table."""
     text = result.report_json() if as_json else result.report_text()
     if report_path is None:
         sys.stdout.write(text)
     else:
         Path(report_path).write_text(text, encoding="utf-8", newline="\n")
+    if csv_path is not None:
+        emit_csv(*result.csv, csv_path)
 
 
 def _run_single(args) -> int:
@@ -83,13 +86,7 @@ def _run_single(args) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     try:
-        _write_report(result, args.report, args.json)
-        csv_path = getattr(args, "csv", None)
-        if csv_path is not None:
-            if result.csv is None:
-                print("error: this experiment kind produces no CSV", file=sys.stderr)
-                return 1
-            emit_csv(result.csv[0], result.csv[1], csv_path)
+        _write_outputs(result, args.report, args.json, getattr(args, "csv", None))  # only algo has --csv
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -131,15 +128,8 @@ def _write_suite(args) -> int:
             rows.append((spec.label, spec.kind, "fail"))
             worst = 2
             continue
-        report_path = out_dir / f"{spec.label}.report.{extension}"
-        report_path.write_text(
-            result.report_json() if args.json else result.report_text(),
-            encoding="utf-8",
-            newline="\n",
-        )
-        if result.csv is not None:
-            csv_name = result.csv_name or f"{spec.label}.csv"
-            emit_csv(result.csv[0], result.csv[1], out_dir / csv_name)
+        csv_path = None if result.csv is None else out_dir / (result.csv_name or f"{spec.label}.csv")
+        _write_outputs(result, out_dir / f"{spec.label}.report.{extension}", args.json, csv_path)
         rows.append((spec.label, spec.kind, result.status))
         worst = max(worst, result.exit_code)
     label_width = max(len(r[0]) for r in rows)

@@ -37,17 +37,20 @@ Fixtures bundled with the package add an ``expect`` block (reference values
 re-checked on every run) and a ``discrepancies`` list naming the places where
 a stated reference value disagrees with what the oracle computes; those
 records make a fixture "flagged" instead of "pass" without failing it.  A
-runner records what it computed with ``_Reporter.observe(key=value)``, and
-``_Reporter.finish`` checks every ``expect`` key against it in one loop; a
-key the run never observed fails as ``got None``.  A run that overflows the
-floating-point range raises :class:`~framesum.errors.NumericRangeError`.
+runner collects its report in one :class:`ExperimentResult`: text lines and
+payload keys side by side, and what it computed with
+``ExperimentResult.observe(key=value)``.  ``ExperimentResult.finish`` checks
+every ``expect`` key against that in one loop (a key the run never observed
+fails as ``got None``), writes the flags, notes and failures into both
+outputs, and sets the status.  A run that overflows the floating-point range
+raises :class:`~framesum.errors.NumericRangeError`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import chain
 from pathlib import Path
 
@@ -558,17 +561,29 @@ def _payload_algo(spec: ExperimentSpec):
 # execution
 
 
-@dataclass
 class ExperimentResult:
-    """Everything a front end needs: text report, JSON payload, optional CSV."""
+    """One experiment's report: collected while it runs, then handed to a front end.
 
-    label: str
-    kind: str
-    status: str  # pass | flagged | fail
-    lines: list
-    payload: dict
-    csv: tuple | None = None  # (header, rows)
-    csv_name: str | None = None
+    A runner adds text ``lines`` and ``payload`` keys side by side, flags,
+    failures, and the values it computed under the ``expect`` keys they answer
+    (:meth:`observe`).  :meth:`finish` checks the ``expect`` block, writes the
+    flags, notes and failures into both outputs, and sets ``status``.  ``csv``
+    is an ``algo`` run's ``(header, rows)`` table.
+    """
+
+    def __init__(self, spec: ExperimentSpec):
+        self.label, self.kind, self.csv_name = spec.label, spec.kind, spec.csv_name
+        self.expect = spec.expect
+        self.lines = [f"experiment: {spec.label} ({spec.kind})"]
+        if spec.title:
+            self.lines.append(f"title: {spec.title}")
+        self.payload = {"label": spec.label, "kind": spec.kind}
+        self.flags = list(spec.discrepancies)
+        self.notes = list(spec.notes)
+        self.failures = []
+        self.observed = {}
+        self.status = None  # pass | flagged | fail, set by finish()
+        self.csv = None
 
     @property
     def exit_code(self) -> int:
@@ -579,22 +594,6 @@ class ExperimentResult:
 
     def report_json(self) -> str:
         return json.dumps(self.payload, indent=2) + "\n"
-
-
-class _Reporter:
-    """Accumulates report lines, notes, and expectation failures."""
-
-    def __init__(self, spec: ExperimentSpec):
-        self.spec = spec
-        self.lines = [f"experiment: {spec.label} ({spec.kind})"]
-        if spec.title:
-            self.lines.append(f"title: {spec.title}")
-        self.notes = list(spec.notes)
-        self.flags = list(spec.discrepancies)
-        self.failures = []
-        self.payload = {"label": spec.label, "kind": spec.kind}
-        self.rtol = spec.expect.get("rtol", DEFAULT_EXPECT_RTOL)
-        self.observed = {}
 
     def line(self, text: str):
         self.lines.append(text)
@@ -610,7 +609,7 @@ class _Reporter:
         self.observed.update(values)
 
     def check_close(self, name: str, got: float, want: float):
-        if not math.isclose(got, want, rel_tol=self.rtol, abs_tol=0.0):
+        if not math.isclose(got, want, rel_tol=self.expect.get("rtol", DEFAULT_EXPECT_RTOL), abs_tol=0.0):
             self.fail(f"expected {name} = {_fmt(want)}, got {_fmt(got)}")
 
     def check_equal(self, name: str, got, want):
@@ -618,7 +617,7 @@ class _Reporter:
             self.fail(f"expected {name} = {want!r}, got {got!r}")
 
     def finish(self) -> ExperimentResult:
-        for key, want in self.spec.expect.items():
+        for key, want in self.expect.items():
             if key in ("rtol", "envelope_order"):  # a setting, and a check _run_algo makes itself
                 continue
             got = self.observed.get(key)
@@ -629,32 +628,20 @@ class _Reporter:
                 self.check_close(key, got, want)
             else:
                 self.check_equal(key, got, want)
-        if self.flags:
-            self.line("flags:")
-            for text in self.flags:
-                self.line(f"  - {text}")
-        if self.notes:
-            self.line("notes:")
-            for text in self.notes:
-                self.line(f"  - {text}")
-        if self.failures:
-            self.line("failures:")
-            for text in self.failures:
-                self.line(f"  - {text}")
-        status = "fail" if self.failures else ("flagged" if self.flags else "pass")
-        self.line(f"status: {status}")
-        self.payload["flags"] = list(self.flags)
-        self.payload["notes"] = list(self.notes)
-        self.payload["failures"] = list(self.failures)
-        self.payload["status"] = status
-        return ExperimentResult(
-            label=self.spec.label,
-            kind=self.spec.kind,
-            status=status,
-            lines=self.lines,
-            payload=self.payload,
-            csv_name=self.spec.csv_name,
-        )
+        for section, entries in (("flags", self.flags), ("notes", self.notes), ("failures", self.failures)):
+            if entries:
+                self.lines.append(f"{section}:")
+                self.lines.extend(f"  - {text}" for text in entries)
+            self.payload[section] = list(entries)
+        self.status = "fail" if self.failures else ("flagged" if self.flags else "pass")
+        self.lines.append(f"status: {self.status}")
+        self.payload["status"] = self.status
+        return self
+
+
+def _interval(lower: float, upper: float) -> str:
+    """A bound pair as the reports render it, ``[lower, upper]``."""
+    return f"[{_fmt(lower)}, {_fmt(upper)}]"
 
 
 def _bounds_json(bounds: FrameBounds) -> dict:
@@ -668,26 +655,23 @@ def _stated_disagrees(stated: FrameBounds, computed) -> bool:
     )
 
 
-def _describe_frame(rep: _Reporter, fi: FrameInput, oracle: FrameBounds) -> None:
+def _describe_frame(rep: ExperimentResult, fi: FrameInput, oracle: FrameBounds) -> None:
     """Report one frame's oracle bounds and flag stated disagreements."""
+    shown = _interval(oracle.lower, oracle.upper)
     rep.line(
         f"frame {fi.name}: {fi.frame.count} vectors in dimension {fi.frame.dim}, "
-        f"oracle bounds [{_fmt(oracle.lower)}, {_fmt(oracle.upper)}], "
-        f"width {format_width(oracle.width)}"
+        f"oracle bounds {shown}, width {format_width(oracle.width)}"
     )
     if fi.stated_bounds is not None:
-        stated = fi.stated_bounds
-        rep.line(f"frame {fi.name}: stated bounds [{_fmt(stated.lower)}, {_fmt(stated.upper)}]")
-        if _stated_disagrees(stated, oracle):
-            rep.flag(
-                f"stated bounds [{_fmt(stated.lower)}, {_fmt(stated.upper)}] for frame "
-                f"{fi.name} disagree with oracle bounds [{_fmt(oracle.lower)}, {_fmt(oracle.upper)}]"
-            )
+        stated = _interval(fi.stated_bounds.lower, fi.stated_bounds.upper)
+        rep.line(f"frame {fi.name}: stated bounds {stated}")
+        if _stated_disagrees(fi.stated_bounds, oracle):
+            rep.flag(f"stated bounds {stated} for frame {fi.name} disagree with oracle bounds {shown}")
 
 
-def _report_prediction(rep: _Reporter, tag: str, predicted) -> dict:
+def _report_prediction(rep: ExperimentResult, tag: str, predicted) -> dict:
     rep.line(
-        f"predicted bounds ({tag}): [{_fmt(predicted.lower)}, {_fmt(predicted.upper)}]"
+        f"predicted bounds ({tag}): {_interval(predicted.lower, predicted.upper)}"
         + (f", width {format_width(predicted.width)}" if predicted.condition_holds else "")
     )
     rep.line(
@@ -703,9 +687,9 @@ def _report_prediction(rep: _Reporter, tag: str, predicted) -> dict:
     }
 
 
-def _report_certification(rep: _Reporter, report) -> dict:
+def _report_certification(rep: ExperimentResult, report) -> dict:
     rep.line(
-        f"built sum oracle bounds: [{_fmt(report.exact.lower)}, {_fmt(report.exact.upper)}], "
+        f"built sum oracle bounds: {_interval(report.exact.lower, report.exact.upper)}, "
         f"width {format_width(report.exact_width)}"
     )
     rep.line(
@@ -720,9 +704,8 @@ def _report_certification(rep: _Reporter, report) -> dict:
     }
 
 
-def _certify_and_report(rep: _Reporter, oracle_pred, stated_pred, built_frame) -> None:
+def _certify_and_report(rep: ExperimentResult, oracle_pred, stated_pred, built_frame) -> None:
     """Certify the oracle-basis prediction; bracket-check any stated one."""
-    payload = rep.payload
     if not oracle_pred.condition_holds:
         rep.fail(
             "sufficiency condition fails on oracle input bounds "
@@ -734,41 +717,37 @@ def _certify_and_report(rep: _Reporter, oracle_pred, stated_pred, built_frame) -
     except NotAFrameError as exc:
         rep.fail(f"built sum is not a frame: {exc}")
         return
-    payload["certification"] = _report_certification(rep, report)
+    rep.payload["certification"] = _report_certification(rep, report)
     rep.observe(certified=report.certified, sum_bounds=report.exact)
     if not report.certified:
         rep.fail("certification failed: prediction does not bracket the oracle bounds")
     if stated_pred is not None and stated_pred.condition_holds:
         if not brackets(stated_pred, report.exact):
             rep.flag(
-                "prediction from stated bounds "
-                f"[{_fmt(stated_pred.lower)}, {_fmt(stated_pred.upper)}] does not bracket "
-                f"the built sum's oracle bounds [{_fmt(report.exact.lower)}, "
-                f"{_fmt(report.exact.upper)}]; stated input bounds are not valid for their frame"
+                f"prediction from stated bounds {_interval(stated_pred.lower, stated_pred.upper)} "
+                f"does not bracket the built sum's oracle bounds "
+                f"{_interval(report.exact.lower, report.exact.upper)}; "
+                "stated input bounds are not valid for their frame"
             )
 
 
 def _run_bounds(spec: ExperimentSpec, rng) -> ExperimentResult:
-    rep = _Reporter(spec)
+    rep = ExperimentResult(spec)
     fi = spec.payload
     cert = exact_bounds(fi.frame)
     oracle = cert.bounds
     _describe_frame(rep, fi, oracle)
-    rep.line(
-        f"tight: {'yes' if cert.is_tight else 'no'}; parseval: {'yes' if cert.is_parseval else 'no'}"
+    rep.line(f"tight: {'yes' if cert.is_tight else 'no'}; parseval: {'yes' if cert.is_parseval else 'no'}")
+    width_4dp = format_width(cert.width)
+    rep.payload.update(
+        bounds=_bounds_json(oracle), width_4dp=width_4dp, is_tight=cert.is_tight, is_parseval=cert.is_parseval
     )
-    rep.payload["bounds"] = _bounds_json(oracle)
-    rep.payload["width_4dp"] = format_width(cert.width)
-    rep.payload["is_tight"] = cert.is_tight
-    rep.payload["is_parseval"] = cert.is_parseval
-    rep.observe(
-        bounds=oracle, width_4dp=rep.payload["width_4dp"], tight=cert.is_tight, parseval=cert.is_parseval
-    )
+    rep.observe(bounds=oracle, width_4dp=width_4dp, tight=cert.is_tight, parseval=cert.is_parseval)
     return rep.finish()
 
 
 def _run_width(spec: ExperimentSpec, rng) -> ExperimentResult:
-    rep = _Reporter(spec)
+    rep = ExperimentResult(spec)
     entries = spec.payload
     report = width_report(entries)
     for entry in report:
@@ -790,15 +769,15 @@ class _SumRule:
 
     predict: object  # list of bound pairs -> PredictedBounds
     build: object  # list of FiniteFrame -> their sum; called only when frames are given
-    at: str = ""  # where the condition was evaluated, named when it fails
+    pivot: list = field(default_factory=list)  # finite sum: the 0-based pivot, once chosen
 
 
-def _report_given(rep: _Reporter, pairs) -> None:
+def _report_given(rep: ExperimentResult, pairs) -> None:
     (_, b1), (_, b2) = pairs
-    rep.line(f"given bounds: [{_fmt(b1.lower)}, {_fmt(b1.upper)}] and [{_fmt(b2.lower)}, {_fmt(b2.upper)}]")
+    rep.line(f"given bounds: {_interval(b1.lower, b1.upper)} and {_interval(b2.lower, b2.upper)}")
 
 
-def _dual_rule(rep: _Reporter, inputs, frames, pairs) -> _SumRule | None:
+def _dual_rule(rep: ExperimentResult, inputs, frames, pairs) -> _SumRule | None:
     if frames is None:
         _report_given(rep, pairs)
         rep.line("frames not supplied: prediction only, duality asserted by the caller")
@@ -835,41 +814,13 @@ def _finite_sum_inputs(doc: dict, frames, pairs):
     return coefficients, pivot
 
 
-@dataclass(eq=False)
-class _PivotedSumRule:
-    """The finite-sum :class:`_SumRule`: the first prediction chooses the pivot
-    and names it, in the report and in ``at``; later predictions reuse it.
+def _finite_sum_rule(rep: ExperimentResult, inputs, frames, pairs) -> _SumRule:
+    """The first prediction chooses the pivot and names it; later ones reuse it.
 
-    ``predict`` is a method rather than a closure that sets ``rule.at``: that
-    closure and its rule would refer to each other, and the cycle would keep
-    the reporter, the spec and its whole document alive until the cyclic
-    garbage collector ran.
+    ``predict`` keeps the pivot in the rule's ``pivot`` list and does not refer
+    to the rule itself, so the two make no reference cycle that would keep the
+    result, the spec and its whole document alive until the cyclic collector ran.
     """
-
-    rep: _Reporter
-    coefficients: np.ndarray
-    pivot: object  # a 1-based index, or "best"
-    names: list
-    at: str = ""
-    pivot_index: int | None = None
-
-    def predict(self, bounds):
-        if self.pivot_index is not None:
-            return finite_sum_predict(bounds, self.coefficients, self.pivot_index)
-        if self.pivot == "best":
-            self.pivot_index, predicted = finite_sum_best_pivot(bounds, self.coefficients)
-        else:
-            self.pivot_index = self.pivot - 1
-            predicted = finite_sum_predict(bounds, self.coefficients, self.pivot_index)
-        self.rep.line(f"pivot: {self.names[self.pivot_index]} (index {self.pivot_index + 1})")
-        self.at = f" at pivot {self.pivot_index + 1}"
-        return predicted
-
-    def build(self, built):
-        return build_sum_frame(built, self.coefficients)
-
-
-def _finite_sum_rule(rep: _Reporter, inputs, frames, pairs) -> _PivotedSumRule:
     coefficients, pivot = inputs
     rep.line(
         "coefficients: "
@@ -878,8 +829,22 @@ def _finite_sum_rule(rep: _Reporter, inputs, frames, pairs) -> _PivotedSumRule:
     names = [fi.name for fi in frames] if frames is not None else [name for name, _ in pairs]
     if pairs is not None:
         for name, b in pairs:
-            rep.line(f"frame {name}: given bounds [{_fmt(b.lower)}, {_fmt(b.upper)}]")
-    return _PivotedSumRule(rep, coefficients, pivot, names)
+            rep.line(f"frame {name}: given bounds {_interval(b.lower, b.upper)}")
+    chosen = []
+
+    def predict(bounds):
+        if chosen:
+            return finite_sum_predict(bounds, coefficients, chosen[0])
+        if pivot == "best":
+            index, predicted = finite_sum_best_pivot(bounds, coefficients)
+        else:
+            index = pivot - 1
+            predicted = finite_sum_predict(bounds, coefficients, index)
+        chosen.append(index)
+        rep.line(f"pivot: {names[index]} (index {index + 1})")
+        return predicted
+
+    return _SumRule(predict, lambda built: build_sum_frame(built, coefficients), chosen)
 
 
 def _operator_sum_inputs(doc: dict, frames, pairs):
@@ -893,10 +858,10 @@ def _operator_sum_inputs(doc: dict, frames, pairs):
     return thetas
 
 
-def _operator_sum_rule(rep: _Reporter, thetas, frames, pairs) -> _SumRule:
+def _operator_sum_rule(rep: ExperimentResult, thetas, frames, pairs) -> _SumRule:
     sigma1, sigma2 = (extreme_singular_values(theta) for theta in thetas)
     for i, (m, norm) in enumerate((sigma1, sigma2), 1):
-        rep.line(f"operator {i}: sigma range [{_fmt(m)}, {_fmt(norm)}]")
+        rep.line(f"operator {i}: sigma range {_interval(m, norm)}")
     if pairs is not None:
         _report_given(rep, pairs)
     return _SumRule(
@@ -913,10 +878,10 @@ def _perturbed_sum_inputs(doc: dict, frames, pairs):
     return alpha, beta
 
 
-def _perturbed_sum_rule(rep: _Reporter, sequences, frames, pairs) -> _SumRule:
+def _perturbed_sum_rule(rep: ExperimentResult, sequences, frames, pairs) -> _SumRule:
     env1, env2 = (ScalarEnvelope.from_sequence(seq) for seq in sequences)
-    rep.line(f"alpha envelope: |.| in [{_fmt(env1.inf_abs)}, {_fmt(env1.sup_abs)}]")
-    rep.line(f"beta envelope: |.| in [{_fmt(env2.inf_abs)}, {_fmt(env2.sup_abs)}]")
+    rep.line(f"alpha envelope: |.| in {_interval(env1.inf_abs, env1.sup_abs)}")
+    rep.line(f"beta envelope: |.| in {_interval(env2.inf_abs, env2.sup_abs)}")
     if pairs is not None:
         _report_given(rep, pairs)
     return _SumRule(
@@ -926,7 +891,7 @@ def _perturbed_sum_rule(rep: _Reporter, sequences, frames, pairs) -> _SumRule:
 
 
 def _run_sum(spec: ExperimentSpec, rng) -> ExperimentResult:
-    rep = _Reporter(spec)
+    rep = ExperimentResult(spec)
     frames, pairs, inputs = spec.payload
     rule = _KINDS[spec.kind].rule[1](rep, inputs, frames, pairs)
     if rule is None:
@@ -935,7 +900,8 @@ def _run_sum(spec: ExperimentSpec, rng) -> ExperimentResult:
         shown = rule.predict([b for _, b in pairs])
         rep.payload["prediction"] = _report_prediction(rep, "given", shown)
         if not shown.condition_holds:
-            rep.fail(f"sufficiency condition fails{rule.at} (margin {_fmt(shown.condition_margin)})")
+            at = f" at pivot {rule.pivot[0] + 1}" if rule.pivot else ""
+            rep.fail(f"sufficiency condition fails{at} (margin {_fmt(shown.condition_margin)})")
     else:
         oracles = [fi.oracle_bounds() for fi in frames]
         for fi, oracle in zip(frames, oracles):
@@ -972,7 +938,7 @@ def _run_sum(spec: ExperimentSpec, rng) -> ExperimentResult:
 
 
 def _run_gabor(spec: ExperimentSpec, rng) -> ExperimentResult:
-    rep = _Reporter(spec)
+    rep = ExperimentResult(spec)
     generator, lattice, wh, stated = spec.payload
     rep.line(
         f"window: {len(generator.pieces)} pieces supported on "
@@ -986,37 +952,32 @@ def _run_gabor(spec: ExperimentSpec, rng) -> ExperimentResult:
     else:
         rep.line(f"lattice (a, b) = ({_fmt(lattice.a)}, {_fmt(lattice.b)})")
     estimate = estimate_bounds(generator, lattice)
+    shown = _interval(estimate.lower, estimate.upper)
     rep.line(
-        f"estimated bounds: [{_fmt(estimate.lower)}, {_fmt(estimate.upper)}] "
+        f"estimated bounds: {shown} "
         + ("(exact: no overlap term)" if estimate.exact else f"(grid, {estimate.grid_resolution} points)")
     )
-    rep.payload["estimate"] = {
-        "lower": estimate.lower,
-        "upper": estimate.upper,
-        "g1_identically_zero": estimate.g1_identically_zero,
-        "exact": estimate.exact,
-        "grid_resolution": estimate.grid_resolution,
-    }
+    rep.payload["estimate"] = asdict(estimate)  # lower, upper, g1_identically_zero, exact, grid_resolution
     if stated is not None:
-        rep.line(f"stated bounds: [{_fmt(stated.lower)}, {_fmt(stated.upper)}]")
+        rep.line(f"stated bounds: {_interval(stated.lower, stated.upper)}")
         if _stated_disagrees(stated, estimate):
             rep.flag(
-                f"stated bounds [{_fmt(stated.lower)}, {_fmt(stated.upper)}] disagree with "
-                f"the computed estimate [{_fmt(estimate.lower)}, {_fmt(estimate.upper)}]"
+                f"stated bounds {_interval(stated.lower, stated.upper)} disagree with "
+                f"the computed estimate {shown}"
             )
     rep.observe(bounds=estimate, exact=estimate.exact)
     return rep.finish()
 
 
 def _run_algo(spec: ExperimentSpec, rng) -> ExperimentResult:
-    rep = _Reporter(spec)
+    rep = ExperimentResult(spec)
     runs, max_iters = spec.payload
     rng = np.random.default_rng(rng)
     configs, targets, labels, widths = [], [], [], []
     for label, fi, bounds in runs:
         used = bounds if bounds is not None else fi.oracle_bounds()
         rep.line(
-            f"run {label}: bounds [{_fmt(used.lower)}, {_fmt(used.upper)}]"
+            f"run {label}: bounds {_interval(used.lower, used.upper)}"
             + (" (oracle)" if bounds is None else "")
             + f", width {format_width(used.width)}"
         )
@@ -1049,9 +1010,8 @@ def _run_algo(spec: ExperimentSpec, rng) -> ExperimentResult:
         if any(not earlier > later for earlier, later in zip(ordered, ordered[1:])):
             rep.fail(f"expected strictly decreasing widths along {order}, got {ordered}")
     rep.observe(envelope_dominates=dominated)
-    result = rep.finish()
-    result.csv = (table.header, table.rows())
-    return result
+    rep.csv = (table.header, table.rows())
+    return rep.finish()
 
 
 @dataclass(frozen=True)

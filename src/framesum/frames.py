@@ -178,18 +178,6 @@ def exact_bounds(frame: FiniteFrame) -> FrameCertificate:
     return cert
 
 
-def canonical_dual(frame: FiniteFrame) -> FiniteFrame:
-    """The canonical dual family ``{S^-1 f_k}``.
-
-    Its optimal bounds are ``(1/B, 1/A)`` whenever the input has optimal
-    bounds ``(A, B)``.
-    """
-    exact_bounds(frame)  # reject non-frames before inverting
-    s = frame_operator(frame)
-    dual_vectors = linalg.hpd_inverse_apply(s, frame.vectors)
-    return FiniteFrame(dual_vectors)
-
-
 @dataclass(frozen=True)
 class DualCheck:
     is_dual: bool

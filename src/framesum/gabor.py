@@ -459,37 +459,49 @@ def _grid_extrema(gen: PiecewiseGenerator, params: LatticeParams):
     return lo, hi
 
 
+def _estimate(gen: PiecewiseGenerator, params: LatticeParams) -> tuple[float, float]:
+    """``(inf (G0 - G1) / b, sup (G0 + G1) / b)``: closed form or grid, as the overlap decides."""
+    if overlap_vanishes(gen, params.b):
+        lows, highs = zip(*(_quadratic_extrema(*cell) for cell in _periodized_quadratic_cells(gen, params.a)))
+        return min(lows) / params.b, max(highs) / params.b
+    lo, hi = _grid_extrema(gen, params)
+    return lo / params.b, hi / params.b
+
+
+def _peak(gen: PiecewiseGenerator) -> float:
+    """The window's largest magnitude; each piece is monotone, so it lies at a piece end."""
+    ends = [(p, p.alpha * x + p.beta) for p in gen.pieces for x in (p.lo, p.hi)]
+    return max(math.sqrt(max(v, 0.0)) if p.kind == "sqrt-affine" else abs(v) for p, v in ends)
+
+
 def estimate_bounds(gen: PiecewiseGenerator, params: LatticeParams) -> GaborBoundEstimate:
     """Frame-bound estimate ``(inf (G0 - G1) / b, sup (G0 + G1) / b)`` over one period.
 
     Exact closed-form extrema in the vanishing-overlap case; dense grid plus
     one refinement pass otherwise.  Raises :class:`NumericRangeError` when the
-    upper bound overflows, and :class:`NonPositiveLowerBoundError` when the
-    lower one is not positive, which supports no frame conclusion.
+    upper bound overflows or the lower one underflows, and
+    :class:`NonPositiveLowerBoundError` when the lower one is not positive,
+    which supports no frame conclusion.
+
+    A lower estimate that is not positive is computed again on the window
+    scaled up by the power of two that brings its peak near 1, at most
+    ``2**511`` (sqrt-affine radicands scale by its square).  That multiplies
+    every computed value exactly, so a positive result means an underflow here.
     """
-    a, b = params.a, params.b
-    vanishes = overlap_vanishes(gen, b)
-    if vanishes:
-        cells = _periodized_quadratic_cells(gen, a)
-        lows, highs = zip(*(_quadratic_extrema(*cell) for cell in cells))
-        lower = min(lows) / b
-        upper = max(highs) / b
-        resolution = None
-    else:
-        lo, hi = _grid_extrema(gen, params)
-        lower, upper = lo / b, hi / b
-        resolution = GRID_RESOLUTION
+    vanishes = overlap_vanishes(gen, params.b)
+    lower, upper = _estimate(gen, params)
     if not math.isfinite(upper):
         raise NumericRangeError(f"upper estimate {upper:.6g} overflowed the floating-point range")
     if not lower > 0.0:
+        exponent = min(-math.frexp(_peak(gen))[1], 511)
+        try:
+            scaled = gen.scaled(2.0**exponent) if exponent > 0 else None
+        except ValueError:  # a sqrt-affine radicand within Piece's absolute slack of 0 at one scale only
+            scaled = None
+        if scaled is not None and _estimate(scaled, params)[0] > 0.0:
+            raise NumericRangeError(f"lower estimate underflowed: positive on the window times 2^{exponent}")
         raise NonPositiveLowerBoundError(f"lower estimate {lower:.6g} is not positive; no frame conclusion")
-    return GaborBoundEstimate(
-        lower=float(lower),
-        upper=float(upper),
-        g1_identically_zero=vanishes,
-        exact=vanishes,
-        grid_resolution=resolution,
-    )
+    return GaborBoundEstimate(lower, upper, vanishes, vanishes, None if vanishes else GRID_RESOLUTION)
 
 
 @dataclass(frozen=True)

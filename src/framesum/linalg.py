@@ -1,8 +1,8 @@
 """Dense complex linear algebra kernel.
 
-Everything downstream (frame bounds, canonical duals, operator norms) reduces
-to the Hermitian eigenproblem solved here, by LAPACK through
-``numpy.linalg.eigh``.  This module adds what LAPACK does not check: finite
+Frame bounds reduce to the Hermitian eigenproblem solved here, by LAPACK
+through ``numpy.linalg.eigh``; operator norms and residuals take singular
+values from LAPACK's SVD.  This module adds what LAPACK does not check: finite
 entries, a square shape, and Hermitian symmetry up to ``HERMITIAN_TOLERANCE``.
 A LAPACK convergence failure surfaces as :class:`NoConvergenceError`, so it
 stays inside the package's error hierarchy.
@@ -11,13 +11,12 @@ Conventions
 -----------
 * matrices are dense ``complex128`` arrays, row-major;
 * eigenvalues are returned ascending, eigenvectors as matching columns;
-* singular values come from the eigenvalues of ``M* M`` so the whole module
-  rests on one kernel.
+* singular values come from ``numpy.linalg.svd`` of the matrix itself, not
+  from the eigenvalues of ``M* M``, which would square its condition number.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,17 +98,16 @@ def hermitian_eig(matrix) -> EigenResult:
 
 
 def extreme_singular_values(matrix) -> tuple[float, float]:
-    """Smallest and largest singular value ``(sigma_min, sigma_max)``.
+    """Smallest and largest singular value ``(sigma_min, sigma_max)``, by LAPACK's SVD.
 
-    Computed as square roots of the extreme eigenvalues of ``M* M``; tiny
-    negative round-off eigenvalues are clamped to zero.
+    Through the eigenvalues of ``M* M``, ``sigma_min`` would carry an absolute
+    error of about ``sqrt(eps) * sigma_max``: too high, unsafe for a lower bound.
     """
-    m = as_cmatrix(matrix)
-    gram = m.conj().T @ m
-    eig = hermitian_eig(gram)
-    lo = max(float(eig.eigenvalues[0]), 0.0)
-    hi = max(float(eig.eigenvalues[-1]), 0.0)
-    return math.sqrt(lo), math.sqrt(hi)
+    try:
+        sigma = np.linalg.svd(as_cmatrix(matrix), compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"LAPACK SVD failed: {exc}") from None
+    return float(sigma[-1]), float(sigma[0])
 
 
 def solve_hpd(matrix, rhs) -> np.ndarray:

@@ -191,20 +191,12 @@ class ScalarEnvelope:
 def perturbed_sum_predict(env1: ScalarEnvelope, env2: ScalarEnvelope, bounds1, bounds2) -> PredictedBounds:
     """Predicted bounds for ``{alpha_k f_k + beta_k g_k}``.
 
-    Condition and lower bound:
-
-        ``inf|alpha|^2 A1 + inf|beta|^2 A2 - 2 sup|alpha| sup|beta| sqrt(B1 B2)``,
-
+    This is :func:`operator_sum_predict` with the modulus envelopes in place of
+    the singular ranges: condition and lower bound
+    ``inf|alpha|^2 A1 + inf|beta|^2 A2 - 2 sup|alpha| sup|beta| sqrt(B1 B2)``,
     upper bound ``(sup|alpha| sqrt(B1) + sup|beta| sqrt(B2))^2``.
     """
-    b1, b2 = as_frame_bounds(bounds1), as_frame_bounds(bounds2)
-    margin = (
-        env1.inf_abs**2 * b1.lower
-        + env2.inf_abs**2 * b2.lower
-        - 2.0 * env1.sup_abs * env2.sup_abs * math.sqrt(b1.upper * b2.upper)
-    )
-    upper = (env1.sup_abs * math.sqrt(b1.upper) + env2.sup_abs * math.sqrt(b2.upper)) ** 2
-    return PredictedBounds(margin, upper, margin > 0.0, margin)
+    return operator_sum_predict((env1.inf_abs, env1.sup_abs), (env2.inf_abs, env2.sup_abs), bounds1, bounds2)
 
 
 def _check_aligned(frames) -> None:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from framesum import FiniteFrame, NotAFrameError, exact_bounds
+from framesum import FiniteFrame, NotAFrameError, exact_bounds, frame_operator
 
 # Every run draws the same examples, and no example fails on a wall-clock
 # deadline: timing on a shared host is noise, and stays out of tier-1.  The
@@ -27,6 +27,11 @@ def random_frame(rng, count, dim):
         except NotAFrameError:
             continue
         return frame
+
+
+def canonical_dual(frame):
+    """The canonical dual family ``{S^-1 f_k}``, by a dense numpy solve."""
+    return FiniteFrame(np.linalg.solve(frame_operator(frame), frame.vectors.T).T)
 
 
 @pytest.fixture

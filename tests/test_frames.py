@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import random_frame
+from conftest import canonical_dual, random_frame
 from framesum import (
     CountMismatchError,
     DimensionMismatchError,
@@ -12,7 +12,6 @@ from framesum import (
     FrameBounds,
     InvalidBoundsError,
     NotAFrameError,
-    canonical_dual,
     exact_bounds,
     frame_operator,
     random_unit_vector,
@@ -148,32 +147,6 @@ def test_width_monotone_under_widening(lower, upper_factor, stretch_lo, stretch_
     base = width(FrameBounds(lower, upper))
     widened = width(FrameBounds(lower * stretch_lo, upper * stretch_hi))
     assert widened >= base - 1e-12
-
-
-def test_canonical_dual_parseval_is_identity():
-    frame = FiniteFrame(np.eye(3))
-    dual = canonical_dual(frame)
-    np.testing.assert_allclose(dual.vectors, frame.vectors, atol=1e-12)
-
-
-def test_canonical_dual_scaled_basis():
-    frame = FiniteFrame([[RT2, 0], [0, RT2]])
-    dual = canonical_dual(frame)
-    np.testing.assert_allclose(dual.vectors, np.eye(2) / RT2, rtol=1e-12, atol=1e-14)
-
-
-def test_canonical_dual_reciprocal_bounds():
-    dual = canonical_dual(BASE_C2)
-    cert = exact_bounds(dual)
-    assert cert.bounds.lower == pytest.approx(1 / 16, rel=1e-9)
-    assert cert.bounds.upper == pytest.approx(1 / 4, rel=1e-9)
-
-
-def test_canonical_dual_involution(rng):
-    for _ in range(5):
-        frame = random_frame(rng, 6, 3)
-        back = canonical_dual(canonical_dual(frame))
-        np.testing.assert_allclose(back.vectors, frame.vectors, rtol=1e-9, atol=1e-11)
 
 
 def test_verify_dual_canonical(rng):

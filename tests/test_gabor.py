@@ -499,13 +499,31 @@ def test_closed_form_rejects_a_window_too_far_from_the_origin():
     assert (est.exact, est.lower, est.upper) == (True, 4.0, 8.0)
 
 
-@pytest.mark.xfail(raises=NonPositiveLowerBoundError, strict=True, reason="squared window values underflow to 0")
+TINY_TENT = PiecewiseGenerator([(0, 0.5, "affine", 2e-200, 0), (0.5, 1, "affine", -4e-200, 4e-200)])
+
+
 def test_closed_form_estimate_reports_underflow_as_a_range_error():
     # the tent at amplitude 1e-200 has bounds 1e-400 times the tent's, below
-    # the smallest double; they are reported as a lower estimate of 0
-    tiny = PiecewiseGenerator([(0, 0.5, "affine", 2e-200, 0), (0.5, 1, "affine", -4e-200, 4e-200)])
-    with pytest.raises(NumericRangeError):
-        estimate_bounds(tiny, LatticeParams(0.5, 1))
+    # the smallest double; its squared values underflow to 0
+    with pytest.raises(NumericRangeError, match="underflowed"):
+        estimate_bounds(TINY_TENT, LatticeParams(0.5, 1))
+
+
+def test_grid_estimate_reports_underflow_as_a_range_error():
+    lattice = LatticeParams(0.5, 1.2)
+    assert not estimate_bounds(TENT, lattice).exact  # b = 1.2 > 1 / length: the grid path
+    with pytest.raises(NumericRangeError, match="underflowed"):
+        estimate_bounds(TINY_TENT, lattice)
+
+
+def test_underflow_check_survives_a_radicand_valid_only_at_its_own_scale():
+    # Piece accepts a radicand down to -1e-12 absolute, which the check's
+    # rescaling by 2^511 turns into an invalid piece; the answer stays "no frame"
+    window = PiecewiseGenerator([(0, 1, "sqrt-affine", 0, -1e-13), (1, 2, "affine", 0, 1e-200)])
+    with pytest.raises(ValueError):
+        window.scaled(2.0**511)
+    with pytest.raises(NonPositiveLowerBoundError):
+        estimate_bounds(window, LatticeParams(1.5, 0.4))
 
 
 def test_constant_window_has_no_positive_lower_estimate():

@@ -128,6 +128,30 @@ def test_singular_values_adjoint_symmetry(rng):
         assert hi == pytest.approx(hi_adj, rel=1e-9)
 
 
+def test_near_singular_sigma_min_keeps_its_relative_accuracy(rng):
+    """sigma_min is the operator-sum rule's lower factor, so an overestimate
+    errs in the unsafe direction.  Through the eigenvalues of M* M it came out
+    up to 165 times too high on these operators; the SVD keeps it within 1e-4."""
+
+    def unitary():
+        q, r = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    for _ in range(300):
+        lo, hi = extreme_singular_values(unitary() @ np.diag([1.0, 0.5, 0.2, 1e-10]) @ unitary())
+        assert lo == pytest.approx(1e-10, rel=1e-4)
+        assert hi == pytest.approx(1.0, rel=1e-12)
+
+
+def test_singular_value_lapack_failure_is_no_convergence(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(NoConvergenceError, match="did not converge"):
+        extreme_singular_values(np.eye(2))
+
+
 def test_sigma_max_bounds_image_norms(rng):
     # sigma_max is never exceeded by ||Mx||, and 100 random unit vectors in
     # dimension 2 come within 5% of it from below

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import random_frame
+from conftest import canonical_dual, random_frame
 from framesum import (
     AlignmentMismatchError,
     FiniteFrame,
@@ -16,7 +16,6 @@ from framesum import (
     build_operator_sum_frame,
     build_perturbed_sum_frame,
     build_sum_frame,
-    canonical_dual,
     certify,
     dual_sum_predict,
     exact_bounds,
