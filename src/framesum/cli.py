@@ -17,11 +17,10 @@ Exit codes:
 
 :func:`main` pauses CPython's cyclic garbage collector for one command and
 restores the caller's setting when the command returns or raises.  The pause
-is safe because a command makes no reference cycles of its own: reference
-counting frees what it built as soon as the command ends.  Without the pause a
-collection could start mid-command and walk the JSON tree of the document being
-read.  The few cycles the standard library leaves, such as the JSON encoder's
-nested functions, wait for the caller's next collection.
+is safe because a command makes no reference cycles: reference counting frees
+what it built as soon as the command ends, so a command leaves nothing for the
+caller's next collection.  Without the pause a collection could start
+mid-command and walk the JSON tree of the document being read.
 """
 
 from __future__ import annotations
@@ -159,8 +158,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The ``framesum`` argument parser, built on first use and then reused."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """``(parser, subparsers)``: the ``framesum`` parser and each command's parser
+    by name, built on first use and then reused."""
     parser = _Parser(
         prog="framesum",
         description="Frame bounds, sums-of-frames predictions with certification, "
@@ -187,14 +187,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     suite.add_argument("--json", action="store_true", help="write JSON reports instead of text")
     suite.set_defaults(func=_run_suite)
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``framesum`` argument parser, built on first use and then reused."""
+    return _parsers()[0]
+
+
+def parse_args(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, at the cost of the command's parser alone.
+
+    When ``argv`` starts with a command, the full parser would hand the rest
+    to that command's parser and reject what it leaves over; this does the
+    same directly, with the same usage text and exit code.  No command, an
+    unknown one and a leading ``--help`` go through the full parser.
+    """
+    parser, subparsers = _parsers()
+    command = subparsers.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
         return args.func(args)
     finally:
         if collecting:

@@ -560,6 +560,50 @@ def _payload_algo(spec: ExperimentSpec):
 # ---------------------------------------------------------------------------
 # execution
 
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for ``value`` nested where
+    ``newline`` (a line break and that level's indent) starts a line.
+
+    Scalars render as the standard library's encoder renders them, ``int``
+    and ``float`` subclasses through the base class's ``__repr__``; lists,
+    tuples and dicts with string keys recursively; any other value through
+    ``json.dumps`` itself, re-indented, which is exact because its only line
+    breaks are layout (strings escape theirs).  There is no cycle check: a
+    report payload is a tree.
+    """
+    if isinstance(value, str):
+        return _json_string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json_text(item, inner) for item in value]) + newline + "]"
+    if isinstance(value, dict) and all(isinstance(key, str) for key in value):
+        if not value:
+            return "{}"
+        items = [_json_string(key) + ": " + _json_text(item, inner) for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return json.dumps(value, indent=2).replace("\n", newline)
+
 
 class ExperimentResult:
     """One experiment's report: collected while it runs, then handed to a front end.
@@ -593,7 +637,7 @@ class ExperimentResult:
         return "\n".join(self.lines) + "\n"
 
     def report_json(self) -> str:
-        return json.dumps(self.payload, indent=2) + "\n"
+        return _json_text(self.payload) + "\n"
 
     def line(self, text: str):
         self.lines.append(text)

@@ -12,6 +12,7 @@ Inner products conjugate the *second* argument: ``<f, g> = sum f_i conj(g_i)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +50,7 @@ class FrameBounds:
 
     def __post_init__(self):
         lo, hi = float(self.lower), float(self.upper)
-        if not (np.isfinite(lo) and np.isfinite(hi)):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise InvalidBoundsError("bounds must be finite")
         if not (0.0 < lo <= hi):
             raise InvalidBoundsError(f"need 0 < lower <= upper, got ({lo}, {hi})")
@@ -112,7 +113,7 @@ class FiniteFrame:
             raise DimensionMismatchError(
                 f"expected a nonempty family of equal-length vectors, got shape {arr.shape}"
             )
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+        if not np.isfinite(arr).all():
             raise DimensionMismatchError("frame vectors must be finite")
         if not np.any(arr):
             raise NotAFrameError("all vectors are zero")

@@ -84,9 +84,8 @@ class Piece:
         if self.kind not in _KINDS:
             raise ValueError(f"piece kind must be one of {_KINDS}, got {self.kind!r}")
         if self.kind == "sqrt-affine":
-            scale = max(1.0, abs(self.alpha), abs(self.beta))
             for x in (self.lo, self.hi):
-                if self.alpha * x + self.beta < -1e-12 * scale:
+                if not _radicand_within_slack(self.alpha, self.beta, x):
                     raise ValueError(
                         f"sqrt-affine radicand is negative at x={x}: {self.alpha}*x+{self.beta}"
                     )
@@ -96,6 +95,21 @@ class Piece:
         if self.kind == "affine":
             return (self.alpha**2, 2.0 * self.alpha * self.beta, self.beta**2)
         return (0.0, self.alpha, self.beta)
+
+
+def _radicand_within_slack(alpha: float, beta: float, x: float) -> bool:
+    """Whether ``alpha x + beta >= -4 eps (|alpha x| + |beta|)``, decided exactly.
+
+    The slack is relative to the radicand's own terms: it admits the rounding
+    of decimal input, such as ``sqrt(0.3 - 0.1 x)`` at ``x = 3``, and it gives
+    the same answer after ``alpha`` and ``beta`` are multiplied by a power of
+    two (:meth:`PiecewiseGenerator.scaled`).  Every float is an integer over a
+    power of two, so the test runs on integers and nothing rounds or underflows.
+    """
+    (na, da), (nx, dx), (nb, db) = alpha.as_integer_ratio(), x.as_integer_ratio(), beta.as_integer_ratio()
+    d = max(da * dx, db)  # the least common multiple of two powers of two
+    ax, b = na * nx * (d // (da * dx)), nb * (d // db)
+    return (ax + b) << 50 >= -(abs(ax) + abs(b))  # 4 eps = 2**-50
 
 
 def _sorted_points(x):
@@ -496,7 +510,7 @@ def estimate_bounds(gen: PiecewiseGenerator, params: LatticeParams) -> GaborBoun
         exponent = min(-math.frexp(_peak(gen))[1], 511)
         try:
             scaled = gen.scaled(2.0**exponent) if exponent > 0 else None
-        except ValueError:  # a sqrt-affine radicand within Piece's absolute slack of 0 at one scale only
+        except ValueError:  # a coefficient that overflows when scaled
             scaled = None
         if scaled is not None and _estimate(scaled, params)[0] > 0.0:
             raise NumericRangeError(f"lower estimate underflowed: positive on the window times 2^{exponent}")

@@ -42,7 +42,7 @@ def as_cvector(values) -> np.ndarray:
     arr = np.asarray(values, dtype=complex)
     if arr.ndim != 1 or arr.size == 0:
         raise DimensionMismatchError(f"expected a nonempty vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise DimensionMismatchError("vector entries must be finite")
     return arr
 
@@ -52,7 +52,7 @@ def as_cmatrix(values) -> np.ndarray:
     arr = np.asarray(values, dtype=complex)
     if arr.ndim != 2 or arr.size == 0:
         raise DimensionMismatchError(f"expected a nonempty matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise DimensionMismatchError("matrix entries must be finite")
     return arr
 

@@ -65,7 +65,7 @@ def _coerce_coefficients(coefficients) -> np.ndarray:
     c = np.asarray(coefficients, dtype=complex)
     if c.ndim != 1 or c.size == 0:
         raise ZeroCoefficientError("coefficient list must be a nonempty vector")
-    if not np.all(np.isfinite(c.real)) or not np.all(np.isfinite(c.imag)):
+    if not np.isfinite(c).all():
         raise ZeroCoefficientError("coefficients must be finite")
     if np.any(c == 0):
         raise ZeroCoefficientError("all coefficients must be nonzero")
@@ -176,7 +176,7 @@ class ScalarEnvelope:
         seq = np.asarray(values, dtype=complex)
         if seq.ndim != 1 or seq.size == 0:
             raise InvalidBoundsError("scalar sequence must be a nonempty vector")
-        if not np.all(np.isfinite(seq.real)) or not np.all(np.isfinite(seq.imag)):
+        if not np.isfinite(seq).all():
             raise InvalidBoundsError("scalar sequence must be finite")
         mags = np.abs(seq)
         return cls(inf_abs=float(mags.min()), sup_abs=float(mags.max()), sequence=seq)

@@ -1,16 +1,20 @@
 import gc
 import json
 import math
+import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+import framesum
 from framesum import NumericRangeError, SpecParseError, SpecSchemaError
-from framesum.cli import bundled_fixture_names, emit_csv, load_bundled_fixture, main
+from framesum.cli import build_parser, bundled_fixture_names, emit_csv, load_bundled_fixture, main, parse_args
 from framesum.experiments import (
     _KINDS,
+    COMMANDS,
     DEFAULT_EXPECT_RTOL,
     MAX_ITERS,
     MAX_SHIFT_TERMS,
@@ -21,6 +25,7 @@ from framesum.experiments import (
 )
 
 GOLDEN_SUITE = Path(__file__).parent / "golden" / "paper_suite"
+FIXTURES = Path(framesum.__file__).parent / "fixtures"
 
 
 # --- parsing and schema -------------------------------------------------------
@@ -555,6 +560,137 @@ def test_cli_help_exits_zero(capsys, argv):
     assert "usage:" in capsys.readouterr().out
 
 
+def _full_and_abbreviated_argvs():
+    for command in [*COMMANDS, "paper-suite"]:
+        if command == "paper-suite":
+            yield [command, "--out", "d", "--seed", "5", "--json"]
+            yield [command, "--o", "d", "--se=-5", "--js"]
+            continue
+        csv = ["--csv", "t.csv"] if command == "algo" else []
+        yield [command, "--spec", "s.json", "--report", "r.txt", "--seed", "5", "--json", *csv]
+        yield [command, *(["--c=t.csv"] if csv else []), "--sp", "s.json", "--rep=r.txt", "--se", "-5", "--j"]
+        yield [command, "--spec", "a.json", "--spec", "b.json"]
+
+
+@pytest.mark.parametrize("argv", list(_full_and_abbreviated_argvs()), ids=" ".join)
+def test_command_parser_alone_gives_the_full_parsers_namespace(argv):
+    assert parse_args(argv) == build_parser().parse_args(argv)
+
+
+def _parse_outcome(parse, argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return excinfo.value.code, out, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bounds", "--spec", "x", "stray"], ["bounds"], ["bounds", "--spec", "x", "--seed", "abc"]]
+    + [["sum", "--help"], [], ["bogus"], ["--help"]],
+    ids=["stray-argument", "missing-spec", "seed-not-an-integer", "command-help", "no-command", "unknown", "help"],
+)
+def test_main_exits_as_the_full_parser_does(capsys, argv):
+    assert _parse_outcome(main, argv, capsys) == _parse_outcome(build_parser().parse_args, argv, capsys)
+
+
+def test_main_reads_sys_argv_without_arguments(monkeypatch, capsys):
+    argv = ["bounds", "--spec", str(FIXTURES / "exact_bounds_c2.json"), "--json"]
+    assert main(argv) == 0
+    expected = capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["framesum", *argv])
+    assert main() == 0
+    assert capsys.readouterr() == expected
+
+
+# --- report rendering ------------------------------------------------------------
+
+
+def _assert_standard_json(result):
+    assert result.report_json() == json.dumps(result.payload, indent=2) + "\n"
+
+
+def test_report_json_matches_the_standard_encoder_on_every_fixture():
+    for name in bundled_fixture_names():
+        _assert_standard_json(run_experiment(load_bundled_fixture(name), 0))
+
+
+def _load_perfbench(name, monkeypatch):
+    # compiled from source, not imported, so no bytecode is written next to it
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    module = types.ModuleType(name)
+    module.__file__ = str(path)
+    monkeypatch.setitem(sys.modules, name, module)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["spectral-sums", "gabor-windows", "algo-iterate"])
+def test_report_json_matches_the_standard_encoder_on_generated_documents(tmp_path, monkeypatch, workload):
+    _load_perfbench("reference", monkeypatch)
+    workloads = _load_perfbench("workloads", monkeypatch)
+    generator = workloads.WORKLOADS[workload](11, tmp_path)
+    for i in range(len(generator.slots)):  # one pass: every slot's kind and size
+        _assert_standard_json(run_experiment(parse_spec(generator.case(i).path), i))
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {},
+        [],
+        {"a": {}, "b": [], "c": [[], {}, [[]]]},
+        [-0.0, 0.0, math.nan, math.inf, -math.inf, 1e-320, 1.7976931348623157e308],
+        {"naïve ☃": "snow \U0001f600   \x00 \"q\" \\"},
+        [2**64, -(2**64) - 1, 2**200],
+        {"x": np.float64(0.1), "y": [np.float64(-0.0), np.float64(math.nan)]},
+        [True, 1, False, 0, None, 1.0],
+        (1, (2, ()), {"t": ()}),
+        {"deep": {"er": {"est": [{"k": [1, [2, [3]]]}]}}},
+        {1: "int key", 2.5: "float key", None: [], True: {"nested": [1]}},
+        {"bad": [np.bool_(True)]},
+        {(1, 2): 0},
+    ],
+)
+def test_report_json_matches_the_standard_encoder_on_edge_values(payload):
+    result = run_experiment(load_bundled_fixture("exact_bounds_c2.json"), 0)
+    result.payload = payload
+
+    def rendered(render):
+        try:
+            return render()
+        except TypeError as exc:  # the last two: not serializable, with the same message
+            return repr(exc)
+
+    assert rendered(result.report_json) == rendered(lambda: json.dumps(payload, indent=2) + "\n")
+
+
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(2**63, 2**80)
+    | st.floats()
+    | st.floats().map(np.float64)
+    | st.text()
+)
+
+
+@given(
+    st.recursive(
+        _JSON_LEAVES,
+        lambda children: st.lists(children, max_size=4)
+        | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(st.text(max_size=6), children, max_size=4),
+        max_leaves=30,
+    )
+)
+def test_report_json_matches_the_standard_encoder_on_any_json_tree(payload):
+    result = run_experiment(load_bundled_fixture("exact_bounds_c2.json"), 0)
+    result.payload = payload
+    assert result.report_json() == json.dumps(payload, indent=2) + "\n"
+
+
 def test_cli_failing_condition_exits_two(tmp_path, capsys):
     doc = {
         "kind": "finite-sum",
@@ -649,6 +785,22 @@ def test_cli_rejects_gabor_shift_loops_beyond_the_cap(tmp_path, capsys, hi, a, b
     assert code == 1
     assert "generator.pieces:" in err and "shift terms" in err
     assert "Traceback" not in err
+
+
+def test_cli_rejects_a_radicand_below_its_rounding_slack(tmp_path, capsys):
+    # radicand -1e-13 on [0, 1): inside an absolute 1e-12 slack, but far below
+    # the rounding of its terms; accepted, it gave an upper bound below the optimal 2
+    doc = _gabor_doc(1, 1, 0.5)
+    doc["generator"]["pieces"] = [
+        {"lo": 0, "hi": 1, "kind": "sqrt-affine", "alpha": 0, "beta": -1e-13},
+        {"lo": 1, "hi": 2, "kind": "affine", "alpha": 0, "beta": 1},
+    ]
+    path = tmp_path / "gabor.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["gabor", "--spec", str(path), "--json"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "generator.pieces: sqrt-affine radicand is negative" in err
 
 
 def test_gabor_shift_cap_admits_windows_up_to_it():
@@ -996,10 +1148,11 @@ def _finite_sum_path(tmp_path, k: int, d: int = 8):
 
 
 def test_main_leaves_no_cycle_that_grows_with_the_document(tmp_path):
-    """A finite-sum command leaves the same few unreachable objects, from the
-    standard library's JSON encoder, however many frames its document holds:
-    no reference cycle holds the document, so reference counting frees it
-    when the command ends, also while the collector is paused."""
+    """Once a first command has built the argument parser, a ``--json``
+    finite-sum command leaves no unreachable object, however many frames its
+    document holds: nothing it builds, the report included, sits in a
+    reference cycle, so reference counting frees it all when the command
+    ends, also while the collector is paused."""
 
     def unreachable_after(path):
         gc.collect()
@@ -1008,7 +1161,8 @@ def test_main_leaves_no_cycle_that_grows_with_the_document(tmp_path):
 
     small, large = _finite_sum_path(tmp_path, 2), _finite_sum_path(tmp_path, 16)
     unreachable_after(small)  # the argument parser is built on first use
-    assert unreachable_after(large) == unreachable_after(small)
+    assert unreachable_after(small) == 0
+    assert unreachable_after(large) == 0
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["caller-collecting", "caller-paused"])

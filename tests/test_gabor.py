@@ -2,10 +2,11 @@ import cmath
 import json
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import framesum.gabor as gabor
 from framesum import (
@@ -60,6 +61,57 @@ def test_piece_validation():
         PiecewiseGenerator([(0, 1, "affine", 1, 0), (0.5, 2, "affine", 1, 0)])  # overlap
     with pytest.raises(Exception):
         PiecewiseGenerator([])
+
+
+def test_radicand_slack_is_relative_to_its_terms():
+    # radicand -1e-13 with nothing to round: an absolute slack of 1e-12 took it,
+    # and the closed form then reported the upper bound 2 - 2e-13, below the optimal 2
+    with pytest.raises(ValueError, match="radicand is negative at x=0.0"):
+        PiecewiseGenerator([(0, 1, "sqrt-affine", 0, -1e-13), (1, 2, "affine", 0, 1)])
+    # sqrt(0.3 - 0.1 x) from decimal input: the doubles give -2.8e-17 at x = 3
+    assert Fraction(-0.1) * 3 + Fraction(0.3) < 0
+    window = PiecewiseGenerator([(0, 3, "sqrt-affine", -0.1, 0.3)])
+    assert window(2.0) == pytest.approx(math.sqrt(0.1))
+
+
+@settings(max_examples=400)
+@given(
+    lo=st.floats(-8, 8),
+    width=st.floats(2**-20, 8),
+    mantissa=st.floats(0.5, 1, exclude_max=True),
+    exponent=st.one_of(st.integers(-1074, -1022), st.integers(-1074, 1023)),  # subnormal products too
+    zero_at_hi=st.booleans(),
+    ulps=st.integers(-64, 8),
+    offset=st.sampled_from([0.0, -1e-13]),
+    j=st.integers(-537, 511),
+)
+def test_power_of_two_scaling_keeps_the_radicand_check(lo, width, mantissa, exponent, zero_at_hi, ulps, offset, j):
+    """A sqrt-affine piece whose radicand is near 0 at one end, ``ulps`` steps
+    from the rounded zero and then ``offset`` from there, is accepted or
+    rejected alike at every power-of-two scale that represents its
+    coefficients exactly, and ``scaled(2**j)`` accepts every such window that
+    ``Piece`` accepts."""
+    hi = lo + width
+    alpha = math.ldexp(-mantissa if zero_at_hi else mantissa, exponent)
+    beta = -(alpha * (hi if zero_at_hi else lo))
+    for _ in range(abs(ulps)):
+        beta = math.nextafter(beta, math.copysign(math.inf, ulps))
+    beta += offset
+    assume(math.isfinite(beta) and math.frexp(max(abs(alpha), abs(beta)))[1] + 2 * j <= 1024)
+    scaled_alpha, scaled_beta = math.ldexp(alpha, 2 * j), math.ldexp(beta, 2 * j)
+    assume(math.ldexp(scaled_alpha, -2 * j) == alpha and math.ldexp(scaled_beta, -2 * j) == beta)
+
+    def accepted(a, b):
+        try:
+            return PiecewiseGenerator([(lo, hi, "sqrt-affine", a, b)])
+        except ValueError:
+            return None
+
+    window = accepted(alpha, beta)
+    assert (window is None) == (accepted(scaled_alpha, scaled_beta) is None)
+    if window is not None:
+        (piece,) = window.scaled(2.0**j).pieces
+        assert (piece.alpha, piece.beta) == (scaled_alpha, scaled_beta)
 
 
 def test_evaluation_half_open():
@@ -516,12 +568,12 @@ def test_grid_estimate_reports_underflow_as_a_range_error():
         estimate_bounds(TINY_TENT, lattice)
 
 
-def test_underflow_check_survives_a_radicand_valid_only_at_its_own_scale():
-    # Piece accepts a radicand down to -1e-12 absolute, which the check's
-    # rescaling by 2^511 turns into an invalid piece; the answer stays "no frame"
-    window = PiecewiseGenerator([(0, 1, "sqrt-affine", 0, -1e-13), (1, 2, "affine", 0, 1e-200)])
-    with pytest.raises(ValueError):
-        window.scaled(2.0**511)
+def test_underflow_check_survives_a_coefficient_that_overflows_when_scaled():
+    # peak 1e-5, so the check rescales by 2^16 and the radicand by 2^32, which
+    # takes alpha = 1e300 past the largest double; the answer stays "no frame"
+    window = PiecewiseGenerator([(0, 1e-310, "sqrt-affine", 1e300, 0), (1, 2, "affine", 0, 1e-200)])
+    with pytest.raises(ValueError, match="finite"):
+        window.scaled(2.0**16)
     with pytest.raises(NonPositiveLowerBoundError):
         estimate_bounds(window, LatticeParams(1.5, 0.4))
 
