@@ -5,14 +5,15 @@ The package splits into five layers:
 
 * :mod:`framesum.linalg` -- the complex Hermitian eigensolver (LAPACK
   ``eigh``), extreme singular values (LAPACK SVD), positive-definite solves;
-* :mod:`framesum.frames` -- finite frames, spectral (optimal) bounds, widths,
-  and the exact check of a dual pair;
+* :mod:`framesum.frames` -- finite frames, bound pairs and their widths,
+  spectral (optimal) bounds, and the exact check of a dual pair;
 * :mod:`framesum.sums` -- sufficiency conditions and predicted bounds for the
-  four combination rules, plus certification against the spectral oracle;
+  four combination rules, the summed families, and certification against the
+  spectral oracle;
 * :mod:`framesum.gabor` -- piecewise windows, painless-case exact bounds,
   grid estimates, and the group-to-lattice parameter map;
 * :mod:`framesum.algorithm` -- the relaxed reconstruction iteration with its
-  geometric convergence envelope.
+  geometric convergence envelope, and the table that aligns several runs.
 
 The ``framesum`` command line (see :mod:`framesum.cli`) orchestrates the
 pipeline bounds -> predict -> build -> certify -> iterate over JSON
@@ -20,8 +21,6 @@ experiment files and ships a bundle of reference fixtures.
 """
 
 from .errors import (
-    AlignmentMismatchError,
-    CountMismatchError,
     DegenerateLatticeError,
     DimensionMismatchError,
     EmptySupportError,
@@ -48,12 +47,10 @@ from .frames import (
     frame_operator,
     random_unit_vector,
     verify_dual,
-    width,
 )
 from .sums import (
     CertificationReport,
     PredictedBounds,
-    ScalarEnvelope,
     build_operator_sum_frame,
     build_perturbed_sum_frame,
     build_sum_frame,
@@ -61,6 +58,7 @@ from .sums import (
     dual_sum_predict,
     finite_sum_best_pivot,
     finite_sum_predict,
+    modulus_range,
     operator_sum_predict,
     perturbed_sum_predict,
 )
@@ -79,14 +77,10 @@ from .gabor import (
     wh_to_gabor,
 )
 from .algorithm import (
-    AlgoConfig,
     ComparisonTable,
     RunSeries,
-    WidthEntry,
-    compare_runs,
     format_width,
     run,
-    width_report,
 )
 
 __version__ = "0.1.0"

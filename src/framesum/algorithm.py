@@ -26,13 +26,14 @@ error that reaches it, and the iterations after it are discarded.
 
 A run's trajectory is kept as columns: a list of errors and a list of
 envelopes, indexed by the iteration count.  :class:`ComparisonTable` aligns
-the columns of several runs for the CSV.
+the columns of several labelled runs for the CSV, and :func:`format_width`
+renders a width as the reports quote it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,32 +41,11 @@ from . import linalg
 from .errors import DimensionMismatchError, InvalidBoundsError, InvalidBoundsForFrameError
 from .frames import FiniteFrame, FrameBounds, as_frame_bounds, brackets, exact_bounds, frame_operator
 
-DEFAULT_MAX_ITERS = 200
-
 #: iterations per block of residuals whose norms are evaluated together.
 NORM_BLOCK = 32
 
 #: default stopping tolerance as a fraction of the target norm.
 STOP_TOL_FACTOR = 1e-12
-
-
-@dataclass(frozen=True)
-class AlgoConfig:
-    """One reconstruction run: a frame, the bound pair driving the relaxation,
-    an iteration cap, and an optional absolute stopping tolerance (``None``
-    means ``STOP_TOL_FACTOR`` times the target norm)."""
-
-    frame: FiniteFrame
-    bounds_used: FrameBounds
-    max_iters: int = DEFAULT_MAX_ITERS
-    stop_tol: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "bounds_used", as_frame_bounds(self.bounds_used))
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
-        if self.stop_tol is not None and self.stop_tol < 0.0:
-            raise ValueError("stop_tol must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -92,14 +72,18 @@ def validate_bounds_for_frame(frame: FiniteFrame, bounds: FrameBounds) -> None:
         )
 
 
-def run(config: AlgoConfig, target) -> RunSeries:
-    """Run the reconstruction and return its error and envelope columns.
+def run(frame: FiniteFrame, bounds, target, max_iters: int, stop_tol: float | None = None) -> RunSeries:
+    """Reconstruct ``target`` on ``frame``, relaxed by the bound pair ``bounds``,
+    and return the run's error and envelope columns.
 
     Entry ``k`` of ``errors`` and ``envelopes`` belongs to iteration ``k``;
     entry 0 is the starting state (error equals the target norm), so the
-    result's ``len`` is the number of iterations plus one.  Iteration stops at
-    ``max_iters`` or as soon as the error reaches the stopping tolerance.  The
-    returned series is unlabelled; :func:`compare_runs` names it.
+    result's ``len`` is the number of iterations plus one.  Iteration stops
+    after ``max_iters`` (at least 1) iterations or as soon as the error reaches
+    ``stop_tol``, an absolute tolerance that defaults to ``STOP_TOL_FACTOR``
+    times the target norm.  The returned series is unlabelled; a caller names
+    it with ``dataclasses.replace`` before putting it in a
+    :class:`ComparisonTable`.
 
     Norms are evaluated ``NORM_BLOCK`` iterations at a time (at most
     ``max_iters`` in all), with the same BLAS dot products and the same
@@ -107,18 +91,21 @@ def run(config: AlgoConfig, target) -> RunSeries:
     every error is bitwise the one-at-a-time value.  Iterations a block
     computes past the first error at or below the tolerance are discarded.
     """
+    bounds = as_frame_bounds(bounds)
+    if max_iters < 1:
+        raise ValueError("max_iters must be positive")
+    if stop_tol is not None and stop_tol < 0.0:
+        raise ValueError("stop_tol must be nonnegative")
     phi = linalg.as_cvector(target)
-    if phi.shape[0] != config.frame.dim:
-        raise DimensionMismatchError(
-            f"target has length {phi.shape[0]}, frame dimension is {config.frame.dim}"
-        )
-    validate_bounds_for_frame(config.frame, config.bounds_used)
+    if phi.shape[0] != frame.dim:
+        raise DimensionMismatchError(f"target has length {phi.shape[0]}, frame dimension is {frame.dim}")
+    validate_bounds_for_frame(frame, bounds)
 
-    s = frame_operator(config.frame)
-    bounds = config.bounds_used
+    s = frame_operator(frame)
     delta = bounds.width
     norm_phi = float(np.linalg.norm(phi))
-    stop_tol = config.stop_tol if config.stop_tol is not None else STOP_TOL_FACTOR * norm_phi
+    if stop_tol is None:
+        stop_tol = STOP_TOL_FACTOR * norm_phi
 
     # Track the residual r_k = target - psi_k through its own recursion
     # r_k = r_{k-1} - relaxation * S r_{k-1}: same algebra as updating psi,
@@ -141,7 +128,7 @@ def run(config: AlgoConfig, target) -> RunSeries:
     re, im = block.real, block.imag
     block[0] = phi
     errors = [norm_phi]
-    left = config.max_iters
+    left = max_iters
     while left:
         count = min(left, NORM_BLOCK)
         for residual, update in steps[:count]:
@@ -185,23 +172,6 @@ class ComparisonTable:
         return list(zip(*columns))
 
 
-def compare_runs(configs, targets, labels=None) -> ComparisonTable:
-    """Run several configurations independently and align their columns by k."""
-    configs = list(configs)
-    targets = list(targets)
-    if len(configs) != len(targets):
-        raise DimensionMismatchError(
-            f"{len(configs)} configurations but {len(targets)} targets"
-        )
-    if labels is None:
-        labels = [f"run{i + 1}" for i in range(len(configs))]
-    labels = [str(lbl) for lbl in labels]
-    if len(labels) != len(configs):
-        raise DimensionMismatchError(f"{len(configs)} configurations but {len(labels)} labels")
-    series = [replace(run(c, t), label=lbl) for c, t, lbl in zip(configs, targets, labels)]
-    return ComparisonTable(series=tuple(series))
-
-
 def format_width(delta: float) -> str:
     """Render a width truncated (not rounded) to four decimal places.
 
@@ -214,18 +184,3 @@ def format_width(delta: float) -> str:
     truncated = math.floor(delta * 1e4 + 1e-9) / 1e4
     return f"{truncated:.4f}"
 
-
-@dataclass(frozen=True)
-class WidthEntry:
-    label: str
-    width: float
-    text: str
-
-
-def width_report(entries) -> list[WidthEntry]:
-    """Widths for labelled bound pairs, with the four-decimal rendering."""
-    out = []
-    for label, bounds in entries:
-        delta = as_frame_bounds(bounds).width
-        out.append(WidthEntry(label=str(label), width=delta, text=format_width(delta)))
-    return out

@@ -51,7 +51,8 @@ def emit_csv(header, rows, path) -> None:
     template = "".join([",".join(row) + "\n" for row in zip(*specs)])
     cells = tuple([cell for row in rows for cell in row if cell is not None])
     text = ",".join(str(h) for h in header) + "\n" + template % cells
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as file:
+        file.write(text)
 
 
 def _write_outputs(result: ExperimentResult, report_path, as_json: bool, csv_path) -> None:
@@ -60,7 +61,8 @@ def _write_outputs(result: ExperimentResult, report_path, as_json: bool, csv_pat
     if report_path is None:
         sys.stdout.write(text)
     else:
-        Path(report_path).write_text(text, encoding="utf-8", newline="\n")
+        with open(report_path, "w", encoding="utf-8", newline="\n") as file:
+            file.write(text)
     if csv_path is not None:
         emit_csv(*result.csv, csv_path)
 

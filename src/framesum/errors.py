@@ -2,7 +2,9 @@
 
 All toolkit errors derive from :class:`FrameToolkitError`, so callers can
 catch one base class at pipeline boundaries while tests assert on the
-specific subclass.
+specific subclass.  A subclass names a kind of fault, not the function that
+found it: every size that does not line up, whether of a vector, a matrix or
+a family of summed frames, is a :class:`DimensionMismatchError`.
 """
 
 
@@ -23,11 +25,8 @@ class SingularOperatorError(FrameToolkitError):
 
 
 class DimensionMismatchError(FrameToolkitError):
-    """Vector or matrix dimensions do not line up."""
-
-
-class CountMismatchError(FrameToolkitError):
-    """Two frames were expected to have the same number of vectors."""
+    """Sizes do not line up: a vector or matrix dimension, or the vector or
+    coefficient count of frames that are summed or paired entry by entry."""
 
 
 class NotAFrameError(FrameToolkitError):
@@ -40,10 +39,6 @@ class InvalidBoundsError(FrameToolkitError):
 
 class ZeroCoefficientError(FrameToolkitError):
     """Weighted-sum coefficients must all be nonzero."""
-
-
-class AlignmentMismatchError(FrameToolkitError):
-    """Summed frames must share dimension and vector count."""
 
 
 class NonPositiveLowerBoundError(FrameToolkitError):

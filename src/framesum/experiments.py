@@ -56,7 +56,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algorithm import AlgoConfig, compare_runs, format_width, width_report
+from .algorithm import ComparisonTable, format_width, run
 from .errors import (
     FrameToolkitError,
     NotAFrameError,
@@ -68,7 +68,6 @@ from .frames import FiniteFrame, FrameBounds, brackets, exact_bounds, random_uni
 from .gabor import LatticeParams, PiecewiseGenerator, WHParams, estimate_bounds, wh_to_gabor
 from .linalg import extreme_singular_values
 from .sums import (
-    ScalarEnvelope,
     build_operator_sum_frame,
     build_perturbed_sum_frame,
     build_sum_frame,
@@ -76,6 +75,7 @@ from .sums import (
     dual_sum_predict,
     finite_sum_best_pivot,
     finite_sum_predict,
+    modulus_range,
     operator_sum_predict,
     perturbed_sum_predict,
 )
@@ -187,6 +187,13 @@ def _as_string(value, path: str) -> str:
     return value
 
 
+def _as_name(value, path: str) -> str:
+    """A label or a name: a nonempty string."""
+    if not isinstance(value, str) or not value:
+        raise _schema_error(path, "must be a nonempty string")
+    return value
+
+
 def _as_strings(value, path: str) -> list[str]:
     return [_as_string(entry, f"{path}[{i}]") for i, entry in enumerate(_as_array(value, path))]
 
@@ -259,7 +266,7 @@ class FrameInput:
     """A frame from an experiment file, with an optional stated bound pair."""
 
     name: str
-    frame: FiniteFrame | None
+    frame: FiniteFrame
     stated_bounds: FrameBounds | None = None
 
     def oracle_bounds(self) -> FrameBounds:
@@ -268,9 +275,7 @@ class FrameInput:
 
 def _as_frame(value, path: str, default_name: str) -> FrameInput:
     obj = _as_record(value, path, {"name", "vectors", "stated_bounds"})
-    name = obj.get("name", default_name)
-    if not isinstance(name, str) or not name:
-        raise _schema_error(path + ".name", "frame name must be a nonempty string")
+    name = _as_name(obj.get("name", default_name), path + ".name")
     vectors = _as_complex_array(obj.get("vectors"), path + ".vectors", 2)
     try:
         frame = FiniteFrame(vectors)
@@ -311,27 +316,27 @@ class ExperimentSpec:
         return hash(self.label)
 
 
-def parse_spec_text(text: str, origin: str = "<string>") -> ExperimentSpec:
-    """Parse and validate one experiment document from JSON text."""
+def parse_spec_text(text: str, origin="<string>") -> ExperimentSpec:
+    """Parse and validate one experiment document from JSON text.  A syntax
+    error names ``origin`` as ``pathlib.Path`` renders it, and a document
+    with no ``label`` takes the stem of ``origin``."""
     try:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecParseError(
-            f"{origin}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
+            f"{Path(origin)}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
             line=exc.lineno,
             column=exc.colno,
         ) from None
     except (ValueError, RecursionError) as exc:  # an integer past the digit limit; too deep a nesting
-        raise SpecParseError(f"{origin}: invalid JSON: {exc}") from None
+        raise SpecParseError(f"{Path(origin)}: invalid JSON: {exc}") from None
     kind = _as_object(document, "").get("kind")
     if kind not in KINDS:
         raise _schema_error("kind", f"must be one of {', '.join(KINDS)}, got {kind!r}")
     entry = _KINDS[kind]
     _as_record(document, "", _COMMON_KEYS | entry.fields)
 
-    label = document.get("label", Path(origin).stem)
-    if not isinstance(label, str) or not label:
-        raise _schema_error("label", "must be a nonempty string")
+    label = _as_name(document["label"] if "label" in document else Path(origin).stem, "label")
     title = document.get("title", "")
     if not isinstance(title, str):
         raise _schema_error("title", "must be a string")
@@ -368,15 +373,16 @@ def parse_spec_text(text: str, origin: str = "<string>") -> ExperimentSpec:
 
 
 def parse_spec(path) -> ExperimentSpec:
-    """Parse an experiment file from disk."""
-    path = Path(path)
+    """Parse an experiment file from disk; messages name it as ``pathlib.Path``
+    renders it."""
     try:
-        text = path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
     except OSError as exc:
-        raise SpecParseError(f"cannot read {path}: {exc}") from None
+        raise SpecParseError(f"cannot read {Path(path)}: {exc}") from None
     except UnicodeDecodeError as exc:
-        raise SpecParseError(f"{path} is not valid UTF-8: {exc}") from None
-    return parse_spec_text(text, origin=str(path))
+        raise SpecParseError(f"{Path(path)} is not valid UTF-8: {exc}") from None
+    return parse_spec_text(text, origin=path)
 
 
 def render_spec(spec: ExperimentSpec) -> str:
@@ -400,9 +406,7 @@ def _payload_width(spec: ExperimentSpec) -> list[tuple[str, FrameBounds]]:
     out = []
     for i, entry in enumerate(entries):
         obj = _as_record(entry, f"entries[{i}]", {"label", "bounds"})
-        name = obj.get("label", f"entry{i + 1}")
-        if not isinstance(name, str):
-            raise _schema_error(f"entries[{i}].label", "must be a string")
+        name = _as_name(obj.get("label", f"entry{i + 1}"), f"entries[{i}].label")
         out.append((name, _as_bound_pair(obj.get("bounds"), f"entries[{i}].bounds")))
     if not out:
         raise _schema_error("entries", "must be nonempty")
@@ -429,9 +433,7 @@ def _as_summands(doc: dict, kind: str):
                 path = f"frame_bounds[{i}]"
                 if isinstance(entry, dict):
                     _as_record(entry, path, {"name", "bounds"})
-                    name = entry.get("name", f"F{i + 1}")
-                    if not isinstance(name, str):
-                        raise _schema_error(path + ".name", "must be a string")
+                    name = _as_name(entry.get("name", f"F{i + 1}"), path + ".name")
                     pairs.append((name, _as_bound_pair(entry.get("bounds"), path + ".bounds")))
                 else:
                     pairs.append((f"F{i + 1}", _as_bound_pair(entry, path)))
@@ -537,9 +539,7 @@ def _payload_algo(spec: ExperimentSpec):
     for i, entry in enumerate(_as_array(doc.get("runs"), "runs")):
         path = f"runs[{i}]"
         obj = _as_record(entry, path, {"label", "frame", "bounds"})
-        label = obj.get("label", f"run{i + 1}")
-        if not isinstance(label, str) or not label:
-            raise _schema_error(path + ".label", "must be a nonempty string")
+        label = _as_name(obj.get("label", f"run{i + 1}"), path + ".label")
         frame = _as_frame(obj.get("frame"), path + ".frame", label)
         vectors = frame.frame.vectors
         frame = replace(frame, frame=shared.setdefault((vectors.shape, vectors.tobytes()), frame.frame))
@@ -731,10 +731,10 @@ def _report_prediction(rep: ExperimentResult, tag: str, predicted) -> dict:
     }
 
 
-def _report_certification(rep: ExperimentResult, report) -> dict:
+def _report_certification(rep: ExperimentResult, predicted, report) -> dict:
     rep.line(
         f"built sum oracle bounds: {_interval(report.exact.lower, report.exact.upper)}, "
-        f"width {format_width(report.exact_width)}"
+        f"width {format_width(report.exact.width)}"
     )
     rep.line(
         f"certified: {'yes' if report.certified else 'NO'} "
@@ -744,7 +744,7 @@ def _report_certification(rep: ExperimentResult, report) -> dict:
         "exact": _bounds_json(report.exact),
         "certified": report.certified,
         "slacks": [report.lower_slack, report.upper_slack],
-        "widths": {"predicted": report.predicted_width, "exact": report.exact_width},
+        "widths": {"predicted": predicted.width, "exact": report.exact.width},
     }
 
 
@@ -761,7 +761,7 @@ def _certify_and_report(rep: ExperimentResult, oracle_pred, stated_pred, built_f
     except NotAFrameError as exc:
         rep.fail(f"built sum is not a frame: {exc}")
         return
-    rep.payload["certification"] = _report_certification(rep, report)
+    rep.payload["certification"] = _report_certification(rep, oracle_pred, report)
     rep.observe(certified=report.certified, sum_bounds=report.exact)
     if not report.certified:
         rep.fail("certification failed: prediction does not bracket the oracle bounds")
@@ -782,7 +782,7 @@ def _run_bounds(spec: ExperimentSpec, rng) -> ExperimentResult:
     oracle = cert.bounds
     _describe_frame(rep, fi, oracle)
     rep.line(f"tight: {'yes' if cert.is_tight else 'no'}; parseval: {'yes' if cert.is_parseval else 'no'}")
-    width_4dp = format_width(cert.width)
+    width_4dp = format_width(oracle.width)
     rep.payload.update(
         bounds=_bounds_json(oracle), width_4dp=width_4dp, is_tight=cert.is_tight, is_parseval=cert.is_parseval
     )
@@ -792,14 +792,11 @@ def _run_bounds(spec: ExperimentSpec, rng) -> ExperimentResult:
 
 def _run_width(spec: ExperimentSpec, rng) -> ExperimentResult:
     rep = ExperimentResult(spec)
-    entries = spec.payload
-    report = width_report(entries)
-    for entry in report:
-        rep.line(f"width {entry.label}: {entry.text} ({_fmt(entry.width)})")
-    rep.payload["widths"] = [
-        {"label": e.label, "width": e.width, "width_4dp": e.text} for e in report
-    ]
-    rep.observe(widths_4dp=[e.text for e in report])
+    widths = [{"label": label, "width": b.width, "width_4dp": format_width(b.width)} for label, b in spec.payload]
+    for w in widths:
+        rep.line(f"width {w['label']}: {w['width_4dp']} ({_fmt(w['width'])})")
+    rep.payload["widths"] = widths
+    rep.observe(widths_4dp=[w["width_4dp"] for w in widths])
     return rep.finish()
 
 
@@ -899,6 +896,9 @@ def _operator_sum_inputs(doc: dict, frames, pairs):
         if frames is not None and theta.shape[0] != frames[0].frame.dim:
             dim = frames[0].frame.dim
             raise _schema_error(name, f"must be {dim}x{dim} like the frames, got {theta.shape}")
+    n = len(thetas[0])
+    if thetas[1].shape != (n, n):  # given bounds only: T1 and T2 still act on one space
+        raise _schema_error("theta2", f"must be {n}x{n} like theta1, got {thetas[1].shape}")
     return thetas
 
 
@@ -919,18 +919,20 @@ def _perturbed_sum_inputs(doc: dict, frames, pairs):
     counts = (len(alpha), len(beta))
     if frames is not None and counts != (frames[0].frame.count, frames[1].frame.count):
         raise _schema_error("alpha", "scalar sequences must have one entry per frame vector")
+    if len(beta) != len(alpha):  # given bounds only: alpha_k and beta_k still index one vector
+        raise _schema_error("beta", f"must have as many entries as alpha ({len(alpha)}), got {len(beta)}")
     return alpha, beta
 
 
 def _perturbed_sum_rule(rep: ExperimentResult, sequences, frames, pairs) -> _SumRule:
-    env1, env2 = (ScalarEnvelope.from_sequence(seq) for seq in sequences)
-    rep.line(f"alpha envelope: |.| in {_interval(env1.inf_abs, env1.sup_abs)}")
-    rep.line(f"beta envelope: |.| in {_interval(env2.inf_abs, env2.sup_abs)}")
+    range1, range2 = (modulus_range(seq) for seq in sequences)
+    rep.line(f"alpha envelope: |.| in {_interval(*range1)}")
+    rep.line(f"beta envelope: |.| in {_interval(*range2)}")
     if pairs is not None:
         _report_given(rep, pairs)
     return _SumRule(
-        predict=lambda bounds: perturbed_sum_predict(env1, env2, *bounds),
-        build=lambda built: build_perturbed_sum_frame(env1, env2, *built),
+        predict=lambda bounds: perturbed_sum_predict(range1, range2, *bounds),
+        build=lambda built: build_perturbed_sum_frame(*built, *sequences),
     )
 
 
@@ -971,11 +973,11 @@ def _run_sum(spec: ExperimentSpec, rng) -> ExperimentResult:
     if spec.kind == "dual":
         # the dual rule quotes a width table: the input frames against the
         # *predicted* pair for the sum, which is how tightness gains are quoted
-        entries = [(fi.name, oracle) for fi, oracle in zip(frames, oracles)]
-        widths = width_report(entries + [("+".join(fi.name for fi in frames), shown.as_bounds())])
-        rep.line("widths: " + "  ".join(f"{w.label} {w.text}" for w in widths))
-        rep.payload["widths_4dp"] = [w.text for w in widths]
-        rep.observe(widths_4dp=rep.payload["widths_4dp"])
+        names = [fi.name for fi in frames]
+        widths = [format_width(b.width) for b in [*oracles, shown]]
+        rep.line("widths: " + "  ".join(f"{name} {w}" for name, w in zip([*names, "+".join(names)], widths)))
+        rep.payload["widths_4dp"] = widths
+        rep.observe(widths_4dp=widths)
 
     _certify_and_report(rep, oracle_pred, stated_pred, rule.build([fi.frame for fi in frames]))
     return rep.finish()
@@ -1017,19 +1019,19 @@ def _run_algo(spec: ExperimentSpec, rng) -> ExperimentResult:
     rep = ExperimentResult(spec)
     runs, max_iters = spec.payload
     rng = np.random.default_rng(rng)
-    configs, targets, labels, widths = [], [], [], []
+    used, targets = [], []
     for label, fi, bounds in runs:
-        used = bounds if bounds is not None else fi.oracle_bounds()
+        pair = bounds if bounds is not None else fi.oracle_bounds()
         rep.line(
-            f"run {label}: bounds {_interval(used.lower, used.upper)}"
+            f"run {label}: bounds {_interval(pair.lower, pair.upper)}"
             + (" (oracle)" if bounds is None else "")
-            + f", width {format_width(used.width)}"
+            + f", width {format_width(pair.width)}"
         )
-        configs.append(AlgoConfig(frame=fi.frame, bounds_used=used, max_iters=max_iters))
+        used.append(pair)
         targets.append(random_unit_vector(rng, fi.frame.dim))
-        labels.append(label)
-        widths.append(used.width)
-    table = compare_runs(configs, targets, labels)
+    # every oracle and target before the first run: an oracle that fails raises first
+    series = [run(fi.frame, pair, target, max_iters) for (_, fi, _), pair, target in zip(runs, used, targets)]
+    table = ComparisonTable(tuple(replace(s, label=label) for (label, _, _), s in zip(runs, series)))
     for s in table.series:
         rep.line(
             f"run {s.label}: stopped at k={len(s) - 1}, "
@@ -1049,8 +1051,9 @@ def _run_algo(spec: ExperimentSpec, rng) -> ExperimentResult:
     expect = spec.expect
     if "envelope_order" in expect:
         order = expect["envelope_order"]
-        rep.check_equal("run labels", sorted(labels), sorted(order))
-        ordered = [widths[labels.index(lbl)] for lbl in order if lbl in labels]
+        widths = {s.label: s.width for s in table.series}
+        rep.check_equal("run labels", sorted(widths), sorted(order))
+        ordered = [widths[lbl] for lbl in order if lbl in widths]
         if any(not earlier > later for earlier, later in zip(ordered, ordered[1:])):
             rep.fail(f"expected strictly decreasing widths along {order}, got {ordered}")
     rep.observe(envelope_dominates=dominated)

@@ -18,12 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import (
-    CountMismatchError,
-    DimensionMismatchError,
-    InvalidBoundsError,
-    NotAFrameError,
-)
+from .errors import DimensionMismatchError, InvalidBoundsError, NotAFrameError
 
 #: width at or below which a frame is certified tight.
 TIGHTNESS_TOLERANCE = 1e-10
@@ -59,6 +54,7 @@ class FrameBounds:
 
     @property
     def width(self) -> float:
+        """Tightness measure ``(B - A) / (B + A)``, in ``[0, 1)``."""
         return (self.upper - self.lower) / (self.upper + self.lower)
 
 
@@ -79,17 +75,11 @@ def brackets(pair, optimal: FrameBounds) -> bool:
     )
 
 
-def width(bounds: FrameBounds) -> float:
-    """Tightness measure ``(B - A) / (B + A)``, in ``[0, 1)``."""
-    return as_frame_bounds(bounds).width
-
-
 @dataclass(frozen=True)
 class FrameCertificate:
     """Spectral bound certificate: optimal bounds plus tightness flags."""
 
     bounds: FrameBounds
-    width: float
     is_tight: bool
     is_parseval: bool
 
@@ -171,10 +161,9 @@ def exact_bounds(frame: FiniteFrame) -> FrameCertificate:
             f"vectors do not span: extreme eigenvalues ({lo:.3e}, {hi:.3e})"
         )
     bounds = FrameBounds(lo, hi)
-    w = bounds.width
-    tight = w <= TIGHTNESS_TOLERANCE
+    tight = bounds.width <= TIGHTNESS_TOLERANCE
     parseval = tight and abs(lo - 1.0) <= PARSEVAL_TOLERANCE
-    cert = FrameCertificate(bounds=bounds, width=w, is_tight=tight, is_parseval=parseval)
+    cert = FrameCertificate(bounds=bounds, is_tight=tight, is_parseval=parseval)
     frame._certificate = cert
     return cert
 
@@ -198,7 +187,7 @@ def verify_dual(frame: FiniteFrame, dual: FiniteFrame) -> DualCheck:
             f"frame dimension {frame.dim} differs from candidate dual dimension {dual.dim}"
         )
     if frame.count != dual.count:
-        raise CountMismatchError(
+        raise DimensionMismatchError(
             f"frame has {frame.count} vectors, candidate dual has {dual.count}"
         )
     mixed = dual.vectors.T @ frame.vectors.conj()

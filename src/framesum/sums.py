@@ -8,57 +8,59 @@ Four predictors, one per combination rule:
 * scalar perturbations ``alpha_k f_k + beta_k g_k``.
 
 Each predictor is pure bound arithmetic; it does not look at the vectors.
-:func:`certify` closes the loop by building nothing itself but comparing a
-prediction against the spectral oracle bounds of an actually-built sum frame.
-Strict inequalities are evaluated as ``margin > 0`` in plain double
-arithmetic; a tie reports the condition as failed.
+The operator-sum and perturbed-sum predictors take ranges ``(inf, sup)``: of
+the operators' singular values, from
+:func:`~framesum.linalg.extreme_singular_values`, and of the scalar
+sequences' moduli, from :func:`modulus_range`.  A ``build_*`` function builds
+the summed family itself, and :func:`certify` compares a prediction against
+the spectral oracle bounds of that family.  Strict inequalities are evaluated
+as ``margin > 0`` in plain double arithmetic, and
+``PredictedBounds.condition_holds`` is that test: a tie reports the condition
+as failed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .errors import AlignmentMismatchError, InvalidBoundsError, ZeroCoefficientError
+from .errors import DimensionMismatchError, InvalidBoundsError, ZeroCoefficientError
 from .frames import FiniteFrame, FrameBounds, as_frame_bounds, brackets, exact_bounds
 
 
 @dataclass(frozen=True)
 class PredictedBounds:
-    """Theorem-predicted bound pair plus the sufficiency-condition record.
+    """Theorem-predicted bound pair plus the margin of its sufficiency condition.
 
     ``condition_margin`` is the left side minus the right side of the strict
     inequality backing the prediction; the condition holds exactly when the
-    margin is positive.  Fields are stored as plain ``float`` and ``bool``
-    (numpy scalars are converted), so reports serialize as JSON.
+    margin is positive.  Fields are stored as plain ``float`` (numpy scalars
+    are converted), so reports serialize as JSON.
     """
 
     lower: float
     upper: float
-    condition_holds: bool
     condition_margin: float
 
     def __post_init__(self):
         object.__setattr__(self, "lower", float(self.lower))
         object.__setattr__(self, "upper", float(self.upper))
-        object.__setattr__(self, "condition_holds", bool(self.condition_holds))
         object.__setattr__(self, "condition_margin", float(self.condition_margin))
-        if self.condition_holds != (self.condition_margin > 0.0):
-            raise InvalidBoundsError("condition flag disagrees with its margin")
         if self.condition_holds and not (0.0 < self.lower <= self.upper):
             raise InvalidBoundsError(
                 f"holding condition must give 0 < lower <= upper, got ({self.lower}, {self.upper})"
             )
 
     @property
+    def condition_holds(self) -> bool:
+        return self.condition_margin > 0.0
+
+    @property
     def width(self) -> float:
         return FrameBounds(self.lower, self.upper).width
-
-    def as_bounds(self) -> FrameBounds:
-        return FrameBounds(self.lower, self.upper)
 
 
 def _coerce_coefficients(coefficients) -> np.ndarray:
@@ -107,7 +109,7 @@ def finite_sum_predict(bounds, coefficients, pivot: int) -> PredictedBounds:
     upper = k * float(np.sum(mags**2 * b))
     if lower <= 0.0:  # lower is |c_j| margin up to round-off: a sign split is a tie
         margin = min(margin, 0.0)
-    return PredictedBounds(lower, upper, margin > 0.0, margin)
+    return PredictedBounds(lower, upper, margin)
 
 
 def finite_sum_best_pivot(bounds, coefficients) -> tuple[int, PredictedBounds]:
@@ -136,7 +138,7 @@ def dual_sum_predict(bounds1, bounds2) -> PredictedBounds:
     b1, b2 = as_frame_bounds(bounds1), as_frame_bounds(bounds2)
     lower = b1.lower + b2.lower + 2.0
     upper = b1.upper + b2.upper + 2.0
-    return PredictedBounds(lower, upper, True, lower)
+    return PredictedBounds(lower, upper, lower)
 
 
 def operator_sum_predict(sigma1, sigma2, bounds1, bounds2) -> PredictedBounds:
@@ -160,51 +162,40 @@ def operator_sum_predict(sigma1, sigma2, bounds1, bounds2) -> PredictedBounds:
         - 2.0 * math.sqrt(b1.upper * b2.upper) * norm1 * norm2
     )
     upper = (math.sqrt(b1.upper) * norm1 + math.sqrt(b2.upper) * norm2) ** 2
-    return PredictedBounds(margin, upper, margin > 0.0, margin)
+    return PredictedBounds(margin, upper, margin)
 
 
-@dataclass(frozen=True)
-class ScalarEnvelope:
-    """Modulus envelope of a scalar sequence aligned with a frame's indexing."""
-
-    inf_abs: float
-    sup_abs: float
-    sequence: np.ndarray = field(compare=False)
-
-    @classmethod
-    def from_sequence(cls, values) -> "ScalarEnvelope":
-        seq = np.asarray(values, dtype=complex)
-        if seq.ndim != 1 or seq.size == 0:
-            raise InvalidBoundsError("scalar sequence must be a nonempty vector")
-        if not np.isfinite(seq).all():
-            raise InvalidBoundsError("scalar sequence must be finite")
-        mags = np.abs(seq)
-        return cls(inf_abs=float(mags.min()), sup_abs=float(mags.max()), sequence=seq)
-
-    def __post_init__(self):
-        if not (0.0 <= self.inf_abs <= self.sup_abs):
-            raise InvalidBoundsError(
-                f"need 0 <= inf <= sup, got ({self.inf_abs}, {self.sup_abs})"
-            )
+def modulus_range(values) -> tuple[float, float]:
+    """``(inf |v_k|, sup |v_k|)`` of a nonempty finite scalar sequence: for the
+    perturbed-sum rule, what :func:`~framesum.linalg.extreme_singular_values`
+    is for the operator-sum rule."""
+    seq = np.asarray(values, dtype=complex)
+    if seq.ndim != 1 or seq.size == 0:
+        raise InvalidBoundsError("scalar sequence must be a nonempty vector")
+    if not np.isfinite(seq).all():
+        raise InvalidBoundsError("scalar sequence must be finite")
+    mags = np.abs(seq)
+    return float(mags.min()), float(mags.max())
 
 
-def perturbed_sum_predict(env1: ScalarEnvelope, env2: ScalarEnvelope, bounds1, bounds2) -> PredictedBounds:
+def perturbed_sum_predict(range1, range2, bounds1, bounds2) -> PredictedBounds:
     """Predicted bounds for ``{alpha_k f_k + beta_k g_k}``.
 
-    This is :func:`operator_sum_predict` with the modulus envelopes in place of
-    the singular ranges: condition and lower bound
-    ``inf|alpha|^2 A1 + inf|beta|^2 A2 - 2 sup|alpha| sup|beta| sqrt(B1 B2)``,
+    This is :func:`operator_sum_predict` with the modulus ranges
+    ``(inf|alpha|, sup|alpha|)`` and ``(inf|beta|, sup|beta|)`` of
+    :func:`modulus_range` in place of the singular ranges: condition and lower
+    bound ``inf|alpha|^2 A1 + inf|beta|^2 A2 - 2 sup|alpha| sup|beta| sqrt(B1 B2)``,
     upper bound ``(sup|alpha| sqrt(B1) + sup|beta| sqrt(B2))^2``.
     """
-    return operator_sum_predict((env1.inf_abs, env1.sup_abs), (env2.inf_abs, env2.sup_abs), bounds1, bounds2)
+    return operator_sum_predict(range1, range2, bounds1, bounds2)
 
 
 def _check_aligned(frames) -> None:
-    """Raise :class:`AlignmentMismatchError` unless all frames share dim and count."""
+    """Raise :class:`DimensionMismatchError` unless all frames share dim and count."""
     first = frames[0]
     for fr in frames[1:]:
         if fr.dim != first.dim or fr.count != first.count:
-            raise AlignmentMismatchError(f"frames must align: {first!r} vs {fr!r}")
+            raise DimensionMismatchError(f"frames must align: {first!r} vs {fr!r}")
 
 
 def build_sum_frame(frames, coefficients) -> FiniteFrame:
@@ -212,7 +203,7 @@ def build_sum_frame(frames, coefficients) -> FiniteFrame:
     frames = tuple(frames)
     c = _coerce_coefficients(coefficients)
     if c.shape[0] != len(frames):
-        raise AlignmentMismatchError(f"{len(frames)} frames but {c.shape[0]} coefficients")
+        raise DimensionMismatchError(f"{len(frames)} frames but {c.shape[0]} coefficients")
     _check_aligned(frames)
     stacked = np.stack([fr.vectors for fr in frames])
     return FiniteFrame(np.tensordot(c, stacked, axes=(0, 0)))
@@ -225,21 +216,17 @@ def build_operator_sum_frame(frame1: FiniteFrame, frame2: FiniteFrame, theta1, t
     t1, t2 = linalg.as_cmatrix(theta1), linalg.as_cmatrix(theta2)
     for name, t in (("theta1", t1), ("theta2", t2)):
         if t.shape != (d, d):
-            raise AlignmentMismatchError(f"{name} must be {d}x{d}, got {t.shape}")
+            raise DimensionMismatchError(f"{name} must be {d}x{d}, got {t.shape}")
     return FiniteFrame(frame1.vectors @ t1.T + frame2.vectors @ t2.T)
 
 
-def build_perturbed_sum_frame(
-    env1: ScalarEnvelope, env2: ScalarEnvelope, frame1: FiniteFrame, frame2: FiniteFrame
-) -> FiniteFrame:
-    """Vector-wise ``alpha_k f_k + beta_k g_k`` using the envelopes' sequences."""
+def build_perturbed_sum_frame(frame1: FiniteFrame, frame2: FiniteFrame, alpha, beta) -> FiniteFrame:
+    """Vector-wise ``alpha_k f_k + beta_k g_k`` for aligned frames."""
     _check_aligned((frame1, frame2))
-    if env1.sequence.shape[0] != frame1.count or env2.sequence.shape[0] != frame2.count:
-        raise AlignmentMismatchError(
-            "scalar sequences must have one entry per frame vector"
-        )
-    summed = env1.sequence[:, None] * frame1.vectors + env2.sequence[:, None] * frame2.vectors
-    return FiniteFrame(summed)
+    alpha, beta = np.asarray(alpha, dtype=complex), np.asarray(beta, dtype=complex)
+    if alpha.shape != (frame1.count,) or beta.shape != (frame2.count,):
+        raise DimensionMismatchError("scalar sequences must have one entry per frame vector")
+    return FiniteFrame(alpha[:, None] * frame1.vectors + beta[:, None] * frame2.vectors)
 
 
 @dataclass(frozen=True)
@@ -252,13 +239,10 @@ class CertificationReport:
     Slacks are ``A* - lower`` and ``upper - B*``.
     """
 
-    predicted: PredictedBounds
     exact: FrameBounds
     certified: bool
     lower_slack: float
     upper_slack: float
-    predicted_width: float
-    exact_width: float
 
 
 def certify(predicted: PredictedBounds, actual: FiniteFrame) -> CertificationReport:
@@ -273,11 +257,8 @@ def certify(predicted: PredictedBounds, actual: FiniteFrame) -> CertificationRep
         raise InvalidBoundsError("cannot certify a prediction whose condition failed")
     cert = exact_bounds(actual)
     return CertificationReport(
-        predicted=predicted,
         exact=cert.bounds,
         certified=brackets(predicted, cert.bounds),
         lower_slack=cert.bounds.lower - predicted.lower,
         upper_slack=predicted.upper - cert.bounds.upper,
-        predicted_width=predicted.width,
-        exact_width=cert.width,
     )

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,19 +7,17 @@ from hypothesis import example, given, strategies as st
 
 from conftest import random_frame
 from framesum import (
-    AlgoConfig,
+    ComparisonTable,
     FiniteFrame,
     FrameBounds,
     InvalidBoundsError,
     InvalidBoundsForFrameError,
     build_sum_frame,
-    compare_runs,
     exact_bounds,
     format_width,
     frame_operator,
     random_unit_vector,
     run,
-    width_report,
 )
 from framesum.algorithm import NORM_BLOCK, STOP_TOL_FACTOR
 
@@ -30,19 +29,27 @@ TIGHT_C2 = FiniteFrame([[2, 0], [0, RT2], [0, RT2]])
 
 def test_rejects_invalid_bound_pairs():
     with pytest.raises(InvalidBoundsForFrameError):
-        run(AlgoConfig(frame=BASE_C2, bounds_used=FrameBounds(5, 16)), [1, 0])
+        run(BASE_C2, FrameBounds(5, 16), [1, 0], 200)
     with pytest.raises(InvalidBoundsForFrameError):
-        run(AlgoConfig(frame=BASE_C2, bounds_used=FrameBounds(4, 15)), [1, 0])
+        run(BASE_C2, FrameBounds(4, 15), [1, 0], 200)
+
+
+def test_rejects_an_empty_iteration_cap_and_a_negative_tolerance():
+    with pytest.raises(ValueError, match="max_iters must be positive"):
+        run(BASE_C2, FrameBounds(4, 16), [1, 0], 0)
+    with pytest.raises(ValueError, match="stop_tol must be nonnegative"):
+        run(BASE_C2, FrameBounds(4, 16), [1, 0], 10, stop_tol=-1.0)
+    assert len(run(BASE_C2, FrameBounds(4, 16), [1, 0], 1, stop_tol=0.0)) == 2
 
 
 def test_accepts_valid_loose_pair():
-    series = run(AlgoConfig(frame=BASE_C2, bounds_used=FrameBounds(2, 32), max_iters=10), [1, 0])
+    series = run(BASE_C2, FrameBounds(2, 32), [1, 0], 10)
     assert len(series) == 11
 
 
 def test_start_record_is_target_norm(rng):
     phi = 3.0 * random_unit_vector(rng, 2)
-    series = run(AlgoConfig(frame=BASE_C2, bounds_used=FrameBounds(4, 16), max_iters=5), phi)
+    series = run(BASE_C2, FrameBounds(4, 16), phi, 5)
     assert len(series.errors) == len(series.envelopes) == 6  # entry k is iteration k
     assert series.errors[0] == pytest.approx(3.0, rel=1e-12)
     assert series.envelopes[0] == series.errors[0]
@@ -50,16 +57,15 @@ def test_start_record_is_target_norm(rng):
 
 def test_tight_frame_converges_in_one_step(rng):
     phi = random_unit_vector(rng, 2)
-    series = run(AlgoConfig(frame=TIGHT_C2, bounds_used=FrameBounds(4, 4)), phi)
+    series = run(TIGHT_C2, FrameBounds(4, 4), phi, 200)
     assert series.errors[1] <= 1e-12
     assert len(series) == 2  # stopped immediately
 
 
 def test_envelope_dominates_base_frame(rng):
-    config = AlgoConfig(frame=BASE_C2, bounds_used=FrameBounds(4, 16), max_iters=50, stop_tol=0.0)
     for _ in range(20):
         phi = random_unit_vector(rng, 2)
-        series = run(config, phi)
+        series = run(BASE_C2, FrameBounds(4, 16), phi, 50, stop_tol=0.0)
         for error, envelope in zip(series.errors, series.envelopes):
             assert error <= envelope * (1 + 1e-9)
 
@@ -70,7 +76,7 @@ def test_sum_frame_run_beats_published_width(rng):
     summed = build_sum_frame((BASE_C2, DIAG_C2), np.array([1.0, 100.0]))
     bounds = exact_bounds(summed).bounds
     phi = random_unit_vector(rng, 2)
-    series = run(AlgoConfig(frame=summed, bounds_used=bounds, max_iters=60), phi)
+    series = run(summed, bounds, phi, 60)
     for k, error in enumerate(series.errors[1:], start=1):
         assert error <= 0.3453**k * (1 + 1e-9)
 
@@ -82,7 +88,7 @@ def test_contraction_per_step(rng):
         bounds = exact_bounds(frame).bounds
         delta = bounds.width
         phi = random_unit_vector(rng, dim)
-        errors = run(AlgoConfig(frame=frame, bounds_used=bounds, max_iters=50), phi).errors
+        errors = run(frame, bounds, phi, 50).errors
         for prev, cur in zip(errors, errors[1:]):
             assert cur <= delta * prev * (1 + 1e-9) + 1e-15
 
@@ -93,7 +99,7 @@ def test_envelope_dominance_random_frames(rng):
         frame = random_frame(rng, dim + 3, dim)
         bounds = exact_bounds(frame).bounds
         phi = random_unit_vector(rng, dim)
-        series = run(AlgoConfig(frame=frame, bounds_used=bounds, max_iters=50), phi)
+        series = run(frame, bounds, phi, 50)
         for error, envelope in zip(series.errors, series.envelopes):
             assert error <= envelope * (1 + 1e-9) + 1e-15
 
@@ -104,25 +110,24 @@ def test_oracle_bounds_give_smallest_width(rng):
     loose = FrameBounds(oracle.lower / 2, oracle.upper * 2)
     assert oracle.width <= loose.width
     phi = random_unit_vector(rng, 3)
-    tight = run(AlgoConfig(frame=frame, bounds_used=oracle, max_iters=25, stop_tol=0.0), phi)
-    loose_run = run(AlgoConfig(frame=frame, bounds_used=loose, max_iters=25, stop_tol=0.0), phi)
+    tight = run(frame, oracle, phi, 25, stop_tol=0.0)
+    loose_run = run(frame, loose, phi, 25, stop_tol=0.0)
     for a, b in zip(tight.envelopes[1:], loose_run.envelopes[1:]):
         assert a <= b * (1 + 1e-12)
 
 
 
-def _allocating_run(config, target):
+def _allocating_run(frame, bounds, target, max_iters, stop_tol):
     """The iteration as ``r - relaxation * (S @ r)`` with ``numpy.linalg.norm``,
     one new vector per step: the reference the in-place loop must match bit for bit."""
     phi = np.asarray(target, dtype=complex)
-    s = frame_operator(config.frame)
-    bounds = config.bounds_used
+    s = frame_operator(frame)
     relaxation = 2.0 / (bounds.lower + bounds.upper)
     norm_phi = float(np.linalg.norm(phi))
-    stop_tol = config.stop_tol if config.stop_tol is not None else STOP_TOL_FACTOR * norm_phi
+    stop_tol = stop_tol if stop_tol is not None else STOP_TOL_FACTOR * norm_phi
     residual = phi.copy()
     errors, envelopes = [norm_phi], [norm_phi]
-    for k in range(1, config.max_iters + 1):
+    for k in range(1, max_iters + 1):
         residual = residual - relaxation * (s @ residual)
         error = float(np.linalg.norm(residual))
         errors.append(error)
@@ -187,14 +192,12 @@ def test_in_place_run_matches_the_allocating_loop_bit_for_bit(
         target = np.zeros(dim, dtype=complex)
     stop_tol = stop
     if isinstance(stop, int):
-        capped = AlgoConfig(frame=frame, bounds_used=bounds, max_iters=stop, stop_tol=0.0)
-        reference = _allocating_run(capped, target)[0]
+        reference = _allocating_run(frame, bounds, target, stop, 0.0)[0]
         stop_tol = reference[-1]
-    config = AlgoConfig(frame=frame, bounds_used=bounds, max_iters=max_iters, stop_tol=stop_tol)
     before = target.copy()
 
-    series = run(config, target)
-    errors, envelopes = _allocating_run(config, target)
+    series = run(frame, bounds, target, max_iters, stop_tol)
+    errors, envelopes = _allocating_run(frame, bounds, target, max_iters, stop_tol)
 
     assert len(series) == len(errors) == len(series.envelopes)
     assert series.errors == errors
@@ -207,11 +210,15 @@ def test_in_place_run_matches_the_allocating_loop_bit_for_bit(
         assert len(series) == min(stop, max_iters) + 1
 
 
+def _table(labelled_runs) -> ComparisonTable:
+    """A table of ``(label, series)`` pairs, labelled as ``algo`` documents label their runs."""
+    return ComparisonTable(tuple(replace(series, label=label) for label, series in labelled_runs))
+
+
 def test_compare_runs_single_matches_run(rng):
     phi = random_unit_vector(rng, 2)
-    config = AlgoConfig(frame=BASE_C2, bounds_used=FrameBounds(4, 16), max_iters=12)
-    table = compare_runs([config], [phi], labels=["only"])
-    direct = run(config, phi)
+    table = _table([("only", run(BASE_C2, FrameBounds(4, 16), phi, 12))])
+    direct = run(BASE_C2, FrameBounds(4, 16), phi, 12)
     assert table.header == ["k", "err_only", "env_only"]
     assert len(table.series[0]) == len(direct)
     assert table.series[0].errors == direct.errors
@@ -220,12 +227,11 @@ def test_compare_runs_single_matches_run(rng):
 
 def test_compare_runs_envelope_ordering(rng):
     summed = build_sum_frame((BASE_C2, DIAG_C2), np.array([1.0, 100.0]))
-    configs = [
-        AlgoConfig(frame=BASE_C2, bounds_used=FrameBounds(4, 16), max_iters=30, stop_tol=0.0),
-        AlgoConfig(frame=summed, bounds_used=exact_bounds(summed).bounds, max_iters=30, stop_tol=0.0),
-    ]
     targets = [random_unit_vector(rng, 2), random_unit_vector(rng, 2)]
-    table = compare_runs(configs, targets, labels=["base", "sum"])
+    table = _table([
+        ("base", run(BASE_C2, FrameBounds(4, 16), targets[0], 30, stop_tol=0.0)),
+        ("sum", run(summed, exact_bounds(summed).bounds, targets[1], 30, stop_tol=0.0)),
+    ])
     rows = table.rows()
     assert rows[0][0] == 0
     for row in rows[1:]:
@@ -234,35 +240,23 @@ def test_compare_runs_envelope_ordering(rng):
 
 
 def test_compare_runs_pads_short_series(rng):
-    configs = [
-        AlgoConfig(frame=TIGHT_C2, bounds_used=FrameBounds(4, 4), max_iters=30),
-        AlgoConfig(frame=BASE_C2, bounds_used=FrameBounds(4, 16), max_iters=30, stop_tol=0.0),
-    ]
     targets = [random_unit_vector(rng, 2), random_unit_vector(rng, 2)]
-    table = compare_runs(configs, targets)
+    table = _table([
+        ("run1", run(TIGHT_C2, FrameBounds(4, 4), targets[0], 30)),
+        ("run2", run(BASE_C2, FrameBounds(4, 16), targets[1], 30, stop_tol=0.0)),
+    ])
     rows = table.rows()
     assert len(rows) == 31
     assert rows[-1][1] is None  # tight run stopped after one step
     assert rows[-1][3] is not None
 
 
-def test_compare_runs_length_mismatch(rng):
-    config = AlgoConfig(frame=BASE_C2, bounds_used=FrameBounds(4, 16))
-    with pytest.raises(Exception):
-        compare_runs([config], [])
-
-
 def test_width_report_reference_values():
-    report = width_report(
-        [
-            ("operator", (24961 / 6400, 6561 / 1600)),
-            ("perturbed", (193 / 4, 81)),
-            ("tight", (7, 7)),
-            ("dual_g", (7 / 8, 3)),
-        ]
-    )
-    assert [entry.text for entry in report] == ["0.0250", "0.2533", "0.0000", "0.5483"]
-    assert report[0].width == pytest.approx(1283 / 51205, rel=1e-12)
+    # the operator, perturbed, tight and dual_g entries of the width fixture
+    pairs = [(24961 / 6400, 6561 / 1600), (193 / 4, 81), (7, 7), (7 / 8, 3)]
+    widths = [FrameBounds(*pair).width for pair in pairs]
+    assert [format_width(w) for w in widths] == ["0.0250", "0.2533", "0.0000", "0.5483"]
+    assert widths[0] == pytest.approx(1283 / 51205, rel=1e-12)
 
 
 def test_format_width_truncates_not_rounds():

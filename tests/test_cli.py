@@ -277,6 +277,17 @@ E3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         ("dual", {"kind": "dual", "frame": {"vectors": E2}, "dual": {"vectors": E3[:2]}}, "dual.vectors"),
         ("sum", {"kind": "finite-sum", "frame_bounds": [], "coefficients": []}, "frame_bounds"),
         ("sum", {"kind": "finite-sum", "frames": [], "coefficients": []}, "frames"),
+        # given bounds only: T1 and T2 act on one space, alpha_k and beta_k index one vector
+        (
+            "op-sum",
+            {"kind": "operator-sum", "bounds1": [1, 2], "bounds2": [1, 2], "theta1": E2, "theta2": E3},
+            "theta2",
+        ),
+        (
+            "perturbed-sum",
+            {"kind": "perturbed-sum", "bounds1": [1, 2], "bounds2": [1, 2], "alpha": [1, 1], "beta": [1, 1, 1]},
+            "beta",
+        ),
     ],
     ids=[
         "sum-dimensions",
@@ -288,6 +299,8 @@ E3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         "dual-dimensions",
         "sum-no-bound-pairs",
         "sum-no-frames",
+        "op-sum-bounds-only-theta-sizes",
+        "perturbed-sum-bounds-only-lengths",
     ],
 )
 def test_cli_rejects_misaligned_summands_at_parse_time(tmp_path, capsys, command, doc, field):
@@ -300,6 +313,58 @@ def test_cli_rejects_misaligned_summands_at_parse_time(tmp_path, capsys, command
     assert code == 1
     assert f"{field}:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["", 5], ids=["empty", "number"])
+@pytest.mark.parametrize(
+    "command,doc,field",
+    [
+        ("width", {"kind": "width", "label": None, "entries": [{"bounds": [1, 2]}]}, "label"),
+        ("width", {"kind": "width", "entries": [{"label": None, "bounds": [1, 2]}]}, "entries[0].label"),
+        ("bounds", {"kind": "bounds", "frame": {"name": None, "vectors": E2}}, "frame.name"),
+        (
+            "sum",
+            {"kind": "finite-sum", "frame_bounds": [[1, 2], {"name": None, "bounds": [1, 2]}], "coefficients": [1, 1]},
+            "frame_bounds[1].name",
+        ),
+        ("algo", {"kind": "algo", "runs": [{"label": None, "frame": {"vectors": E2}}]}, "runs[0].label"),
+    ],
+    ids=["label", "entry-label", "frame-name", "frame-bounds-name", "run-label"],
+)
+def test_cli_rejects_a_name_that_is_not_a_nonempty_string(tmp_path, capsys, command, doc, field, value):
+    text = json.dumps(doc).replace("null", json.dumps(value))
+    path = tmp_path / "named.json"
+    path.write_text(text, encoding="utf-8")
+    code = main([command, "--spec", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {field}: must be a nonempty string\n"
+
+
+# The margin is exactly 0 for each rule: a tie fails the condition.
+MARGIN_TIES = [
+    ("sum", {"kind": "finite-sum", "frame_bounds": [[1, 1], [1, 1]], "coefficients": [1, 1], "pivot": 1}),
+    ("op-sum", {"kind": "operator-sum", "bounds1": [1, 1], "bounds2": [1, 1], "theta1": [[1]], "theta2": [[1]]}),
+    ("perturbed-sum", {"kind": "perturbed-sum", "bounds1": [1, 1], "bounds2": [1, 1], "alpha": [1], "beta": [-1]}),
+]
+
+
+@pytest.mark.parametrize("command,doc", MARGIN_TIES, ids=["finite-sum", "operator-sum", "perturbed-sum"])
+def test_cli_a_margin_of_exactly_zero_fails_the_condition(tmp_path, capsys, command, doc):
+    path = tmp_path / "tie.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main([command, "--spec", str(path)]) == 2
+    text = capsys.readouterr()
+    assert main([command, "--spec", str(path), "--json"]) == 2
+    report = capsys.readouterr()
+    assert text.err == report.err == ""
+    assert "condition (given): margin 0 -> FAILS (needs margin > 0)\n" in text.out
+    assert ", width" not in text.out and "status: fail" in text.out
+    payload = json.loads(report.out)
+    assert payload["prediction"]["condition_margin"] == 0.0
+    assert payload["prediction"]["condition_holds"] is False
+    assert payload["prediction"]["width"] is None
+    assert payload["status"] == "fail"
 
 
 HUGE = "1" + "0" * 400  # a JSON integer too large for a float
@@ -875,11 +940,12 @@ def test_emit_csv_header_only(tmp_path):
 
 
 def test_emit_csv_tight_run(tmp_path, rng):
-    from framesum import AlgoConfig, FiniteFrame, FrameBounds, compare_runs
+    from dataclasses import replace
+
+    from framesum import ComparisonTable, FiniteFrame, FrameBounds, run
 
     frame = FiniteFrame([[2, 0], [0, np.sqrt(2)], [0, np.sqrt(2)]])
-    config = AlgoConfig(frame=frame, bounds_used=FrameBounds(4, 4), max_iters=20)
-    table = compare_runs([config], [np.array([0.6, 0.8])], labels=["t"])
+    table = ComparisonTable((replace(run(frame, FrameBounds(4, 4), np.array([0.6, 0.8]), 20), label="t"),))
     path = tmp_path / "tight.csv"
     emit_csv(table.header, table.rows(), path)
     lines = path.read_text(encoding="utf-8").splitlines()

@@ -6,12 +6,11 @@ from hypothesis import assume, given, strategies as st
 
 from conftest import canonical_dual, random_frame
 from framesum import (
-    AlignmentMismatchError,
+    DimensionMismatchError,
     FiniteFrame,
     FrameBounds,
     InvalidBoundsError,
     NotAFrameError,
-    ScalarEnvelope,
     ZeroCoefficientError,
     build_operator_sum_frame,
     build_perturbed_sum_frame,
@@ -22,6 +21,7 @@ from framesum import (
     extreme_singular_values,
     finite_sum_best_pivot,
     finite_sum_predict,
+    modulus_range,
     operator_sum_predict,
     perturbed_sum_predict,
     verify_dual,
@@ -227,9 +227,9 @@ def test_operator_sum_self_parseval_condition_fails():
 
 
 def test_operator_sum_alignment_errors():
-    with pytest.raises(AlignmentMismatchError):
+    with pytest.raises(DimensionMismatchError):
         build_operator_sum_frame(BASE_C2, DUAL_F_C3, np.eye(2), np.eye(2))
-    with pytest.raises(AlignmentMismatchError):
+    with pytest.raises(DimensionMismatchError):
         build_operator_sum_frame(BASE_C2, TIGHT_C2, np.eye(3), np.eye(2))
 
 
@@ -237,9 +237,9 @@ def test_operator_sum_alignment_errors():
 
 
 def test_perturbed_sum_half_three_envelopes():
-    env1 = ScalarEnvelope.from_sequence([0.5, -0.5, 0.5, -0.5])
-    env2 = ScalarEnvelope.from_sequence([3, -3, 3, -3])
-    predicted = perturbed_sum_predict(env1, env2, (4, 16), (4, 4))
+    range1 = modulus_range([0.5, -0.5, 0.5, -0.5])
+    range2 = modulus_range([3, -3, 3, -3])
+    predicted = perturbed_sum_predict(range1, range2, (4, 16), (4, 4))
     assert predicted.condition_holds
     assert predicted.condition_margin == pytest.approx(37 - 24, rel=1e-12)
     assert predicted.lower == pytest.approx(13, rel=1e-12)
@@ -247,27 +247,24 @@ def test_perturbed_sum_half_three_envelopes():
 
 
 def test_perturbed_sum_quarter_four_envelopes():
-    env1 = ScalarEnvelope.from_sequence([-0.25, 0.25, -0.25])
-    env2 = ScalarEnvelope.from_sequence([-4, 4, -4])
-    predicted = perturbed_sum_predict(env1, env2, (4, 16), (4, 4))
+    alpha, beta = [-0.25, 0.25, -0.25], [-4, 4, -4]
+    predicted = perturbed_sum_predict(modulus_range(alpha), modulus_range(beta), (4, 16), (4, 4))
     assert predicted.lower == pytest.approx(193 / 4, rel=1e-12)
     assert predicted.upper == pytest.approx(81, rel=1e-12)
-    built = build_perturbed_sum_frame(env1, env2, BASE_C2, TIGHT_C2)
+    built = build_perturbed_sum_frame(BASE_C2, TIGHT_C2, alpha, beta)
     assert certify(predicted, built).certified
 
 
 def test_perturbed_sum_degenerate_second_sequence():
-    env1 = ScalarEnvelope.from_sequence([1, 1, 1])
-    env2 = ScalarEnvelope.from_sequence([0, 0, 0])
-    predicted = perturbed_sum_predict(env1, env2, (4, 16), (2, 3))
+    predicted = perturbed_sum_predict(modulus_range([1, 1, 1]), modulus_range([0, 0, 0]), (4, 16), (2, 3))
     assert predicted.lower == pytest.approx(4)
     assert predicted.upper == pytest.approx(16)
 
 
 def test_envelope_from_sequence():
-    env = ScalarEnvelope.from_sequence([1 + 1j, -2, 0.5j])
-    assert env.inf_abs == pytest.approx(0.5)
-    assert env.sup_abs == pytest.approx(2.0)
+    inf_abs, sup_abs = modulus_range([1 + 1j, -2, 0.5j])
+    assert inf_abs == pytest.approx(0.5)
+    assert sup_abs == pytest.approx(2.0)
 
 
 # --- builders ----------------------------------------------------------------
@@ -292,7 +289,7 @@ def test_build_sum_frame_exact_cancellation():
 
 
 def test_build_sum_frame_alignment():
-    with pytest.raises(AlignmentMismatchError):
+    with pytest.raises(DimensionMismatchError):
         build_sum_frame((BASE_C2, DUAL_F_C3), np.array([1.0, 1.0]))
 
 
@@ -302,17 +299,13 @@ def test_build_operator_sum_identity_and_zero():
 
 
 def test_build_perturbed_plain_sum():
-    env1 = ScalarEnvelope.from_sequence([1, 1, 1])
-    env2 = ScalarEnvelope.from_sequence([1, 1, 1])
-    built = build_perturbed_sum_frame(env1, env2, BASE_C2, TIGHT_C2)
+    built = build_perturbed_sum_frame(BASE_C2, TIGHT_C2, [1, 1, 1], [1, 1, 1])
     np.testing.assert_allclose(built.vectors, BASE_C2.vectors + TIGHT_C2.vectors, atol=0)
 
 
 def test_build_perturbed_rejects_misaligned_sequences():
-    env1 = ScalarEnvelope.from_sequence([1, 1])
-    env2 = ScalarEnvelope.from_sequence([1, 1, 1])
-    with pytest.raises(AlignmentMismatchError):
-        build_perturbed_sum_frame(env1, env2, BASE_C2, TIGHT_C2)
+    with pytest.raises(DimensionMismatchError):
+        build_perturbed_sum_frame(BASE_C2, TIGHT_C2, [1, 1], [1, 1, 1])
 
 
 # --- certification -----------------------------------------------------------
@@ -328,9 +321,7 @@ def test_certify_trivial_sum_has_zero_slack():
 
 
 def test_certify_requires_holding_condition():
-    predicted = perturbed_sum_predict(
-        ScalarEnvelope.from_sequence([1]), ScalarEnvelope.from_sequence([1]), (1, 1), (1, 1)
-    )
+    predicted = perturbed_sum_predict(modulus_range([1]), modulus_range([1]), (1, 1), (1, 1))
     assert not predicted.condition_holds
     with pytest.raises(InvalidBoundsError):
         certify(predicted, BASE_C2)
@@ -417,11 +408,13 @@ def test_operator_sum_certifies_whenever_the_condition_holds(seed, dim, extra, s
 def test_perturbed_sum_certifies_whenever_the_condition_holds(seed, dim, extra, scale):
     rng, (f1, f2) = _draw_frames(seed, dim, extra)
     count = dim + extra
-    env1 = ScalarEnvelope.from_sequence(rng.uniform(0.5, 1.0, count) * _unit_phases(rng, count))
-    env2 = ScalarEnvelope.from_sequence(scale * rng.uniform(0.0, 1.0, count) * _unit_phases(rng, count))
-    predicted = perturbed_sum_predict(env1, env2, exact_bounds(f1).bounds, exact_bounds(f2).bounds)
+    alpha = rng.uniform(0.5, 1.0, count) * _unit_phases(rng, count)
+    beta = scale * rng.uniform(0.0, 1.0, count) * _unit_phases(rng, count)
+    predicted = perturbed_sum_predict(
+        modulus_range(alpha), modulus_range(beta), exact_bounds(f1).bounds, exact_bounds(f2).bounds
+    )
     assume(predicted.condition_holds)
-    assert certify(predicted, build_perturbed_sum_frame(env1, env2, f1, f2)).certified
+    assert certify(predicted, build_perturbed_sum_frame(f1, f2, alpha, beta)).certified
 
 
 @given(**SMALL_FRAMES, scale=SCALE)

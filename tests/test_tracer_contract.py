@@ -44,13 +44,11 @@ def test_traced_method_resolves(module, cls, method):
 
 
 def test_run_length_is_iterations_plus_one():
-    from framesum import AlgoConfig, FiniteFrame, FrameBounds, run
+    from framesum import FiniteFrame, FrameBounds, run
 
     frame = FiniteFrame([[1, 0], [0, 1], [1, 1]])
-    capped = AlgoConfig(frame=frame, bounds_used=FrameBounds(0.5, 4), max_iters=7, stop_tol=0.0)
-    assert len(run(capped, [1, 0])) == 7 + 1
-    tight = AlgoConfig(frame=FiniteFrame([[1, 0], [0, 1]]), bounds_used=FrameBounds(1, 1))
-    assert len(run(tight, [1, 0])) == 1 + 1
+    assert len(run(frame, FrameBounds(0.5, 4), [1, 0], 7, stop_tol=0.0)) == 7 + 1
+    assert len(run(FiniteFrame([[1, 0], [0, 1]]), FrameBounds(1, 1), [1, 0], 60)) == 1 + 1
 
 
 def test_one_cli_algo_run_calls_what_the_tracer_wraps(tmp_path, monkeypatch):
@@ -69,7 +67,13 @@ def test_one_cli_algo_run_calls_what_the_tracer_wraps(tmp_path, monkeypatch):
                 after(result)
             return result
 
-        monkeypatch.setattr(owner, name, wrapper)
+        # like the tracer: a function is replaced in every framesum namespace
+        # that imported it by name, a method on its class
+        owners = [owner] if isinstance(owner, type) else spans.framesum_namespaces()
+        for ns in owners:
+            for key, value in list(vars(ns).items()):
+                if value is original:
+                    monkeypatch.setattr(ns, key, wrapper)
 
     count(framesum.algorithm, "validate_bounds_for_frame")
     count(framesum.algorithm, "run", after=lambda result: lengths.append(len(result)))
