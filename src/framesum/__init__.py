@@ -30,22 +30,18 @@ from .errors import (
     NoConvergenceError,
     NonPositiveLowerBoundError,
     NotAFrameError,
-    NotHermitianError,
     NumericRangeError,
-    SingularOperatorError,
     SpecParseError,
     SpecSchemaError,
     ZeroCoefficientError,
 )
-from .linalg import EigenResult, extreme_singular_values, hermitian_eig, solve_hpd
+from .linalg import extreme_singular_values
 from .frames import (
     DualCheck,
     FiniteFrame,
     FrameBounds,
     FrameCertificate,
     exact_bounds,
-    frame_operator,
-    random_unit_vector,
     verify_dual,
 )
 from .sums import (
@@ -67,13 +63,8 @@ from .gabor import (
     LatticeParams,
     Piece,
     PiecewiseGenerator,
-    Translates,
     WHParams,
     estimate_bounds,
-    evaluate_translates,
-    overlap_vanishes,
-    shift_overlap_sum,
-    translate_energy,
     wh_to_gabor,
 )
 from .algorithm import (

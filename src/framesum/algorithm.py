@@ -24,10 +24,10 @@ one vector, and the square root is correctly rounded in numpy as in
 block can run past the stopping tolerance; the series is cut at the first
 error that reaches it, and the iterations after it are discarded.
 
-A run's trajectory is kept as columns: a list of errors and a list of
-envelopes, indexed by the iteration count.  :class:`ComparisonTable` aligns
-the columns of several labelled runs for the CSV, and :func:`format_width`
-renders a width as the reports quote it.
+A run's trajectory is kept as columns, unnamed: a list of errors and a list
+of envelopes, indexed by the iteration count.  :class:`ComparisonTable` aligns
+the columns of several runs, named by its ``labels``, for the CSV, and
+:func:`format_width` renders a width as the reports quote it.
 """
 
 from __future__ import annotations
@@ -51,9 +51,8 @@ STOP_TOL_FACTOR = 1e-12
 @dataclass(frozen=True)
 class RunSeries:
     """One run's trajectory as columns: ``errors[k]`` and ``envelopes[k]`` after
-    ``k`` iterations, with the run's label and the width that drove it."""
+    ``k`` iterations, with the width that drove it."""
 
-    label: str
     width: float
     errors: list
     envelopes: list
@@ -81,9 +80,8 @@ def run(frame: FiniteFrame, bounds, target, max_iters: int, stop_tol: float | No
     result's ``len`` is the number of iterations plus one.  Iteration stops
     after ``max_iters`` (at least 1) iterations or as soon as the error reaches
     ``stop_tol``, an absolute tolerance that defaults to ``STOP_TOL_FACTOR``
-    times the target norm.  The returned series is unlabelled; a caller names
-    it with ``dataclasses.replace`` before putting it in a
-    :class:`ComparisonTable`.
+    times the target norm.  The series has no name; a
+    :class:`ComparisonTable` takes its label beside it.
 
     Norms are evaluated ``NORM_BLOCK`` iterations at a time (at most
     ``max_iters`` in all), with the same BLAS dot products and the same
@@ -146,20 +144,21 @@ def run(frame: FiniteFrame, bounds, target, max_iters: int, stop_tol: float | No
         left -= count
         block[0] = block[count]
     envelopes = [delta**k * norm_phi for k in range(len(errors))]
-    return RunSeries(label="", width=delta, errors=errors, envelopes=envelopes)
+    return RunSeries(width=delta, errors=errors, envelopes=envelopes)
 
 
 @dataclass(frozen=True)
 class ComparisonTable:
-    """Aligned-by-iteration table of (error, envelope) columns, one per run."""
+    """Aligned-by-iteration (error, envelope) columns, one per run: ``labels[i]`` names ``series[i]``."""
 
+    labels: tuple
     series: tuple
 
     @property
     def header(self) -> list[str]:
         columns = ["k"]
-        for s in self.series:
-            columns.extend([f"err_{s.label}", f"env_{s.label}"])
+        for label in self.labels:
+            columns.extend([f"err_{label}", f"env_{label}"])
         return columns
 
     def rows(self) -> list[tuple]:

@@ -56,15 +56,16 @@ def emit_csv(header, rows, path) -> None:
 
 
 def _write_outputs(result: ExperimentResult, report_path, as_json: bool, csv_path) -> None:
-    """Write the report (to stdout when ``report_path`` is None) and, given a path, the CSV table."""
+    """Write the CSV table, given a path, then the report (to stdout when
+    ``report_path`` is None), so that a CSV that cannot be written leaves no report."""
+    if csv_path is not None:
+        emit_csv(*result.csv, csv_path)
     text = result.report_json() if as_json else result.report_text()
     if report_path is None:
         sys.stdout.write(text)
     else:
         with open(report_path, "w", encoding="utf-8", newline="\n") as file:
             file.write(text)
-    if csv_path is not None:
-        emit_csv(*result.csv, csv_path)
 
 
 def _run_single(args) -> int:
@@ -129,7 +130,7 @@ def _write_suite(args) -> int:
             rows.append((spec.label, spec.kind, "fail"))
             worst = 2
             continue
-        csv_path = None if result.csv is None else out_dir / (result.csv_name or f"{spec.label}.csv")
+        csv_path = None if result.csv is None else out_dir / (spec.csv_name or f"{spec.label}.csv")
         _write_outputs(result, out_dir / f"{spec.label}.report.{extension}", args.json, csv_path)
         rows.append((spec.label, spec.kind, result.status))
         worst = max(worst, result.exit_code)

@@ -15,13 +15,13 @@ equal share one frame, so its spectrum is solved once.
 
 Each experiment kind is declared once, in the registry ``_KINDS``: its CLI
 command, its document fields, its ``expect`` keys with a parser for each
-value, the payload parser that :func:`parse_spec_text` runs once, and its
-runner.  ``KINDS`` and the CLI's ``COMMANDS`` are derived from it.
+value, its payload parser, which :func:`parse_spec_text` runs once on the
+document, and its runner.  ``KINDS`` and the CLI's ``COMMANDS`` derive from it.
 
-The four sum rules share one summand parser (:func:`_as_summands`) and one
+The four sum rules share one payload parser (:func:`_payload_sum`) and one
 runner (:func:`_run_sum`): take oracle bounds of the input frames, predict
 bounds, build the actual summed family, and certify the prediction against the
-oracle bounds of the result.  A sum kind's registry entry adds its rule: a
+oracle bounds of the result.  A sum kind's entry binds its rule into both: a
 parser of the rule's own fields, and a start that writes the rule's preamble
 lines and returns its ``predict(pairs)`` and ``build(frames)``.  The dual rule
 first checks the dual identity exactly (:func:`~framesum.frames.verify_dual`).
@@ -51,6 +51,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from itertools import chain
 from pathlib import Path
 
@@ -269,9 +270,6 @@ class FrameInput:
     frame: FiniteFrame
     stated_bounds: FrameBounds | None = None
 
-    def oracle_bounds(self) -> FrameBounds:
-        return exact_bounds(self.frame).bounds
-
 
 def _as_frame(value, path: str, default_name: str) -> FrameInput:
     obj = _as_record(value, path, {"name", "vectors", "stated_bounds"})
@@ -287,33 +285,34 @@ def _as_frame(value, path: str, default_name: str) -> FrameInput:
     return FrameInput(name=name, frame=frame, stated_bounds=stated)
 
 
-_COMMON_KEYS = {"kind", "label", "title", "notes", "discrepancies", "expect", "csv"}
+_COMMON_KEYS = {"kind", "label", "title", "notes", "discrepancies", "expect"}
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A parsed, schema-validated experiment document.
 
-    ``payload`` is what the kind's payload extractor returned while
-    :func:`parse_spec_text` validated the document; the runners read it from
-    here, so each document is validated and extracted exactly once.
+    ``payload`` is what the kind's payload parser returned for the document;
+    the runners read it from here, so each document is validated and
+    extracted exactly once.  Equal specs have equal documents, so the hash
+    reads the document's ``label``: a spec without one takes its origin's.
     """
 
     kind: str
     label: str
     title: str
     document: dict
+    payload: object = field(repr=False)
     notes: tuple = ()
     discrepancies: tuple = ()
     expect: dict = field(default_factory=dict)  # values parsed by the kind's expect parsers
     csv_name: str | None = None
-    payload: object = field(default=None, repr=False)
 
     def __eq__(self, other):
         return isinstance(other, ExperimentSpec) and self.document == other.document
 
     def __hash__(self):
-        return hash(self.label)
+        return hash(self.document.get("label"))
 
 
 def parse_spec_text(text: str, origin="<string>") -> ExperimentSpec:
@@ -356,20 +355,17 @@ def parse_spec_text(text: str, origin="<string>") -> ExperimentSpec:
     if csv_name is not None and (not isinstance(csv_name, str) or not csv_name):
         raise _schema_error("csv", "must be a nonempty string")
 
-    spec = ExperimentSpec(
+    return ExperimentSpec(
         kind=kind,
         label=label,
         title=title,
         document=document,
+        payload=entry.parse(document),
         notes=tuple(document.get("notes", [])),
         discrepancies=tuple(document.get("discrepancies", [])),
         expect=expect,
         csv_name=csv_name,
     )
-    # validate the payload eagerly so schema errors surface at parse time, and
-    # keep it for the runner
-    object.__setattr__(spec, "payload", entry.parse(spec))
-    return spec
 
 
 def parse_spec(path) -> ExperimentSpec:
@@ -394,15 +390,14 @@ def render_spec(spec: ExperimentSpec) -> str:
 # payload extraction (run once, at parse time)
 
 
-def _payload_bounds(spec: ExperimentSpec) -> FrameInput:
-    doc = spec.document
+def _payload_bounds(doc: dict) -> FrameInput:
     if "frame" not in doc:
         raise _schema_error("frame", "required for kind bounds")
     return _as_frame(doc["frame"], "frame", "F")
 
 
-def _payload_width(spec: ExperimentSpec) -> list[tuple[str, FrameBounds]]:
-    entries = _as_array(spec.document.get("entries"), "entries")
+def _payload_width(doc: dict) -> list[tuple[str, FrameBounds]]:
+    entries = _as_array(doc.get("entries"), "entries")
     out = []
     for i, entry in enumerate(entries):
         obj = _as_record(entry, f"entries[{i}]", {"label", "bounds"})
@@ -465,13 +460,13 @@ def _as_summands(doc: dict, kind: str):
     return frames, None
 
 
-def _payload_sum(spec: ExperimentSpec):
-    frames, pairs = _as_summands(spec.document, spec.kind)
-    return frames, pairs, _KINDS[spec.kind].rule[0](spec.document, frames, pairs)
+def _payload_sum(kind: str, parse_inputs, doc: dict):
+    """The summands and the rule's own inputs, ``parse_inputs(doc, frames, pairs)``."""
+    frames, pairs = _as_summands(doc, kind)
+    return frames, pairs, parse_inputs(doc, frames, pairs)
 
 
-def _payload_gabor(spec: ExperimentSpec):
-    doc = spec.document
+def _payload_gabor(doc: dict):
     gen_obj = _as_record(doc.get("generator"), "generator", {"pieces"})
     pieces = []
     for i, piece in enumerate(_as_array(gen_obj.get("pieces"), "generator.pieces")):
@@ -526,8 +521,7 @@ def _payload_gabor(spec: ExperimentSpec):
     return generator, lattice, wh, stated
 
 
-def _payload_algo(spec: ExperimentSpec):
-    doc = spec.document
+def _payload_algo(doc: dict):
     max_iters = doc.get("max_iters", 60)
     if isinstance(max_iters, bool) or not isinstance(max_iters, int) or not 1 <= max_iters <= MAX_ITERS:
         raise _schema_error("max_iters", f"must be an integer in 1..{MAX_ITERS}, got {max_iters!r}")
@@ -616,7 +610,6 @@ class ExperimentResult:
     """
 
     def __init__(self, spec: ExperimentSpec):
-        self.label, self.kind, self.csv_name = spec.label, spec.kind, spec.csv_name
         self.expect = spec.expect
         self.lines = [f"experiment: {spec.label} ({spec.kind})"]
         if spec.title:
@@ -936,10 +929,10 @@ def _perturbed_sum_rule(rep: ExperimentResult, sequences, frames, pairs) -> _Sum
     )
 
 
-def _run_sum(spec: ExperimentSpec, rng) -> ExperimentResult:
+def _run_sum(start, spec: ExperimentSpec, rng) -> ExperimentResult:
     rep = ExperimentResult(spec)
     frames, pairs, inputs = spec.payload
-    rule = _KINDS[spec.kind].rule[1](rep, inputs, frames, pairs)
+    rule = start(rep, inputs, frames, pairs)
     if rule is None:
         return rep.finish()
     if frames is None:
@@ -949,7 +942,7 @@ def _run_sum(spec: ExperimentSpec, rng) -> ExperimentResult:
             at = f" at pivot {rule.pivot[0] + 1}" if rule.pivot else ""
             rep.fail(f"sufficiency condition fails{at} (margin {_fmt(shown.condition_margin)})")
     else:
-        oracles = [fi.oracle_bounds() for fi in frames]
+        oracles = [exact_bounds(fi.frame).bounds for fi in frames]
         for fi, oracle in zip(frames, oracles):
             _describe_frame(rep, fi, oracle)
         has_stated = any(fi.stated_bounds is not None for fi in frames)
@@ -1021,7 +1014,7 @@ def _run_algo(spec: ExperimentSpec, rng) -> ExperimentResult:
     rng = np.random.default_rng(rng)
     used, targets = [], []
     for label, fi, bounds in runs:
-        pair = bounds if bounds is not None else fi.oracle_bounds()
+        pair = bounds if bounds is not None else exact_bounds(fi.frame).bounds
         rep.line(
             f"run {label}: bounds {_interval(pair.lower, pair.upper)}"
             + (" (oracle)" if bounds is None else "")
@@ -1031,15 +1024,15 @@ def _run_algo(spec: ExperimentSpec, rng) -> ExperimentResult:
         targets.append(random_unit_vector(rng, fi.frame.dim))
     # every oracle and target before the first run: an oracle that fails raises first
     series = [run(fi.frame, pair, target, max_iters) for (_, fi, _), pair, target in zip(runs, used, targets)]
-    table = ComparisonTable(tuple(replace(s, label=label) for (label, _, _), s in zip(runs, series)))
-    for s in table.series:
+    table = ComparisonTable(tuple(label for label, _, _ in runs), tuple(series))
+    for label, s in zip(table.labels, table.series):
         rep.line(
-            f"run {s.label}: stopped at k={len(s) - 1}, "
+            f"run {label}: stopped at k={len(s) - 1}, "
             f"error {_fmt(s.errors[-1])}, envelope {_fmt(s.envelopes[-1])}"
         )
     rep.payload["runs"] = [
-        {"label": s.label, "width": s.width, "iterations": len(s) - 1, "final_error": s.errors[-1]}
-        for s in table.series
+        {"label": label, "width": s.width, "iterations": len(s) - 1, "final_error": s.errors[-1]}
+        for label, s in zip(table.labels, table.series)
     ]
     dominated = all(
         bool(np.all(np.asarray(s.errors) <= np.asarray(s.envelopes) * (1.0 + 1e-9) + 1e-12))
@@ -1051,7 +1044,7 @@ def _run_algo(spec: ExperimentSpec, rng) -> ExperimentResult:
     expect = spec.expect
     if "envelope_order" in expect:
         order = expect["envelope_order"]
-        widths = {s.label: s.width for s in table.series}
+        widths = {label: s.width for label, s in zip(table.labels, table.series)}
         rep.check_equal("run labels", sorted(widths), sorted(order))
         ordered = [widths[lbl] for lbl in order if lbl in widths]
         if any(not earlier > later for earlier, later in zip(ordered, ordered[1:])):
@@ -1068,9 +1061,8 @@ class _Kind:
     command: str  # the CLI command that runs it
     fields: set  # document fields besides _COMMON_KEYS
     expect: dict  # expect key -> parser of its value
-    parse: object  # ExperimentSpec -> payload, run once by parse_spec_text
+    parse: object  # JSON document -> payload, run once by parse_spec_text
     run: object  # (ExperimentSpec, seed or Generator) -> ExperimentResult
-    rule: tuple | None = None  # sum kinds: (parser of the rule's own fields, run-time start)
 
 
 #: expect keys that every sum kind accepts
@@ -1087,22 +1079,22 @@ _KINDS = {
     "dual": _Kind(
         "dual", {"frame", "dual", "bounds1", "bounds2"},
         {**_SUM_EXPECT, "verify_dual": _as_bool, "sum_bounds": _as_bound_pair, "widths_4dp": _as_strings},
-        _payload_sum, _run_sum, (lambda doc, frames, pairs: None, _dual_rule),
+        partial(_payload_sum, "dual", lambda doc, frames, pairs: None), partial(_run_sum, _dual_rule),
     ),
     "finite-sum": _Kind(
         "sum", {"frames", "frame_bounds", "coefficients", "pivot"},
         {**_SUM_EXPECT, "condition_margin": _as_real},
-        _payload_sum, _run_sum, (_finite_sum_inputs, _finite_sum_rule),
+        partial(_payload_sum, "finite-sum", _finite_sum_inputs), partial(_run_sum, _finite_sum_rule),
     ),
     "operator-sum": _Kind(
         "op-sum", {"frame1", "frame2", "bounds1", "bounds2", "theta1", "theta2"},
         _SUM_EXPECT,
-        _payload_sum, _run_sum, (_operator_sum_inputs, _operator_sum_rule),
+        partial(_payload_sum, "operator-sum", _operator_sum_inputs), partial(_run_sum, _operator_sum_rule),
     ),
     "perturbed-sum": _Kind(
         "perturbed-sum", {"frame1", "frame2", "bounds1", "bounds2", "alpha", "beta"},
         _SUM_EXPECT,
-        _payload_sum, _run_sum, (_perturbed_sum_inputs, _perturbed_sum_rule),
+        partial(_payload_sum, "perturbed-sum", _perturbed_sum_inputs), partial(_run_sum, _perturbed_sum_rule),
     ),
     "gabor": _Kind(
         "gabor", {"generator", "lattice", "wh", "stated_bounds"},
@@ -1110,7 +1102,7 @@ _KINDS = {
         _payload_gabor, _run_gabor,
     ),
     "algo": _Kind(
-        "algo", {"runs", "max_iters"},
+        "algo", {"runs", "max_iters", "csv"},
         {"envelope_order": _as_strings, "envelope_dominates": _as_bool},
         _payload_algo, _run_algo,
     ),

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from framesum import FiniteFrame, NotAFrameError, exact_bounds, frame_operator
+from framesum import FiniteFrame, NotAFrameError, exact_bounds
+from framesum.frames import frame_operator
 
 # Every run draws the same examples, and no example fails on a wall-clock
 # deadline: timing on a shared host is noise, and stays out of tier-1.  The

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,11 +14,10 @@ from framesum import (
     build_sum_frame,
     exact_bounds,
     format_width,
-    frame_operator,
-    random_unit_vector,
     run,
 )
 from framesum.algorithm import NORM_BLOCK, STOP_TOL_FACTOR
+from framesum.frames import frame_operator, random_unit_vector
 
 RT2, RT3, RT6 = math.sqrt(2), math.sqrt(3), math.sqrt(6)
 BASE_C2 = FiniteFrame([[RT6, RT6], [0, 2], [2, 0]])
@@ -212,7 +210,7 @@ def test_in_place_run_matches_the_allocating_loop_bit_for_bit(
 
 def _table(labelled_runs) -> ComparisonTable:
     """A table of ``(label, series)`` pairs, labelled as ``algo`` documents label their runs."""
-    return ComparisonTable(tuple(replace(series, label=label) for label, series in labelled_runs))
+    return ComparisonTable(*zip(*labelled_runs))
 
 
 def test_compare_runs_single_matches_run(rng):

@@ -16,6 +16,7 @@ from framesum.experiments import (
     _KINDS,
     COMMANDS,
     DEFAULT_EXPECT_RTOL,
+    KINDS,
     MAX_ITERS,
     MAX_SHIFT_TERMS,
     parse_spec,
@@ -53,6 +54,15 @@ def test_round_trip_every_fixture():
         spec = load_bundled_fixture(name)
         again = parse_spec_text(render_spec(spec), origin=name)
         assert again == spec
+
+
+def test_equal_specs_hash_equal_whatever_their_origin():
+    # a document without a label takes its origin's stem, which the document
+    # comparison does not see
+    text = '{"kind": "bounds", "frame": {"vectors": [[1, 0], [0, 1]]}}'
+    a, b = parse_spec_text(text, origin="a.json"), parse_spec_text(text, origin="b.json")
+    assert (a.label, b.label) == ("a", "b")
+    assert a == b and hash(a) == hash(b)
 
 
 def test_parse_error_reports_position(tmp_path):
@@ -110,6 +120,28 @@ def test_dual_trials_is_an_unknown_field(tmp_path, capsys):
     path.write_text(json.dumps({**doc, "trials": 100}), encoding="utf-8")
     assert main(["dual", "--spec", str(path)]) == 1
     assert "trials: unknown field" in capsys.readouterr().err
+
+
+#: one bundled fixture of every kind but algo, the only kind that writes a CSV
+FIXTURE_OF_KIND = {
+    "bounds": "exact_bounds_c2.json",
+    "dual": "dual_sum_c3.json",
+    "finite-sum": "finite_sum_c2.json",
+    "operator-sum": "operator_sum_c2.json",
+    "perturbed-sum": "perturbed_sum_c2.json",
+    "gabor": "gabor_tent_window.json",
+    "width": "width_reference.json",
+}
+
+
+@pytest.mark.parametrize("kind", [kind for kind in KINDS if kind != "algo"])
+def test_csv_is_an_unknown_field_outside_algo(tmp_path, capsys, kind):
+    doc = load_bundled_fixture(FIXTURE_OF_KIND[kind]).document
+    path = tmp_path / "csv.json"
+    path.write_text(json.dumps({**doc, "csv": "x.csv"}), encoding="utf-8")
+    assert main([_KINDS[kind].command, "--spec", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: csv: unknown field\n"
 
 
 def test_schema_rejects_zero_coefficient():
@@ -365,6 +397,69 @@ def test_cli_a_margin_of_exactly_zero_fails_the_condition(tmp_path, capsys, comm
     assert payload["prediction"]["condition_holds"] is False
     assert payload["prediction"]["width"] is None
     assert payload["status"] == "fail"
+
+
+# Known false passes: each bounds-only document below exits 0 with "status:
+# pass", but some frames with the given bounds make a sum outside the
+# predicted bounds (F1 + 3 F2 - 3 F3 with F2 = F3 is F1; m F + m G with G = -F
+# is the zero family).  Each should exit 2.
+FALSE_PASSES = [
+    pytest.param(
+        "sum",
+        {"kind": "finite-sum", "frame_bounds": [[1, 1], [1, 1], [1, 1]], "coefficients": [1, 3, -3], "pivot": 1},
+        marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 1: the k >= 3 finite-sum lower bound is false; it predicts [7, 57]"
+        ),
+        id="finite-sum-k3",
+    ),
+    pytest.param(
+        "sum",
+        {
+            "kind": "finite-sum",
+            "frame_bounds": [[9.56473929170357, 9.56473929170357]] * 2,
+            "coefficients": [2.848699712472113] * 2,
+            "pivot": 1,
+        },
+        marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 13: an exact margin of 0 comes out positive in floating point"
+        ),
+        id="finite-sum-tie",
+    ),
+    pytest.param(
+        "op-sum",
+        {
+            "kind": "operator-sum",
+            "bounds1": [1.0292099090649256, 1.0292099090649256],
+            "bounds2": [1.0292099090649256, 1.0292099090649256],
+            "theta1": [[0.1822076819138183]],
+            "theta2": [[0.1822076819138183]],
+        },
+        marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 13: an exact margin of 0 comes out positive in floating point"
+        ),
+        id="operator-sum-tie",
+    ),
+]
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("command,doc", FALSE_PASSES)
+def test_cli_a_false_prediction_from_given_bounds_fails(tmp_path, capsys, command, doc, flags):
+    path = tmp_path / "false.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main([command, "--spec", str(path), *flags]) == 2
+
+
+def test_cli_the_k3_finite_sum_counterexample_fails_certification_given_frames(tmp_path, capsys):
+    # F2 = F3, so the sum F1 + 3 F2 - 3 F3 is F1 itself, with bounds (1, 1)
+    doc = {"kind": "finite-sum", "frames": [{"vectors": [[1]]}] * 3, "coefficients": [1, 3, -3], "pivot": 1}
+    path = tmp_path / "k3.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["sum", "--spec", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert "predicted bounds (oracle inputs): [7, 57]" in out
+    assert "built sum oracle bounds: [1, 1]" in out
+    assert "certification failed" in out
 
 
 HUGE = "1" + "0" * 400  # a JSON integer too large for a float
@@ -914,6 +1009,17 @@ def test_cli_algo_csv_columns(tmp_path):
     assert float(second[6]) == pytest.approx(99 / 253, rel=1e-12)  # env_sum at k=1
 
 
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "report-file"])
+def test_cli_algo_csv_that_cannot_be_written_leaves_no_report(tmp_path, capsys, to_file):
+    report = tmp_path / "report.txt"
+    argv = ["algo", "--spec", str(FIXTURES / "algo_finite_sum_c2.json"), "--csv", str(tmp_path / "missing" / "t.csv")]
+    assert main(argv + (["--report", str(report)] if to_file else [])) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "t.csv" in captured.err
+    assert not report.exists()
+
+
 def test_cli_gabor_flags_discrepancy(tmp_path, capsys):
     path = _fixture_path(tmp_path, "gabor_tent_window.json")
     code = main(["gabor", "--spec", str(path)])
@@ -940,12 +1046,10 @@ def test_emit_csv_header_only(tmp_path):
 
 
 def test_emit_csv_tight_run(tmp_path, rng):
-    from dataclasses import replace
-
     from framesum import ComparisonTable, FiniteFrame, FrameBounds, run
 
     frame = FiniteFrame([[2, 0], [0, np.sqrt(2)], [0, np.sqrt(2)]])
-    table = ComparisonTable((replace(run(frame, FrameBounds(4, 4), np.array([0.6, 0.8]), 20), label="t"),))
+    table = ComparisonTable(("t",), (run(frame, FrameBounds(4, 4), np.array([0.6, 0.8]), 20),))
     path = tmp_path / "tight.csv"
     emit_csv(table.header, table.rows(), path)
     lines = path.read_text(encoding="utf-8").splitlines()

@@ -12,10 +12,9 @@ from framesum import (
     InvalidBoundsError,
     NotAFrameError,
     exact_bounds,
-    frame_operator,
-    random_unit_vector,
     verify_dual,
 )
+from framesum.frames import frame_operator, random_unit_vector
 
 RT2, RT3, RT6 = math.sqrt(2), math.sqrt(3), math.sqrt(6)
 

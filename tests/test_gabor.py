@@ -20,13 +20,10 @@ from framesum import (
     SpecSchemaError,
     WHParams,
     estimate_bounds,
-    evaluate_translates,
-    overlap_vanishes,
-    shift_overlap_sum,
-    translate_energy,
     wh_to_gabor,
 )
 from framesum.experiments import parse_spec_text, run_experiment
+from framesum.gabor import evaluate_translates, overlap_vanishes, shift_overlap_sum, translate_energy
 
 # the four reference windows
 SQRT_RAMP = PiecewiseGenerator(

@@ -2,16 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import random_hermitian
-from framesum import (
-    DimensionMismatchError,
-    NoConvergenceError,
-    NotHermitianError,
-    SingularOperatorError,
-    extreme_singular_values,
-    hermitian_eig,
-    solve_hpd,
-)
-from framesum.linalg import hpd_inverse_apply
+from framesum import DimensionMismatchError, NoConvergenceError, extreme_singular_values
+from framesum.errors import NotHermitianError, SingularOperatorError
+from framesum.linalg import hermitian_eig, hpd_inverse_apply, solve_hpd
 
 
 def test_eig_two_by_two_coupled():
