@@ -19,16 +19,16 @@ value, its payload parser, which :func:`parse_spec_text` runs once on the
 document, and its runner.  ``KINDS`` and the CLI's ``COMMANDS`` derive from it.
 
 The four sum rules share one payload parser (:func:`_payload_sum`) and one
-runner (:func:`_run_sum`): take oracle bounds of the input frames, predict
-bounds, build the actual summed family, and certify the prediction against the
-oracle bounds of the result.  A sum kind's entry binds its rule into both: a
-parser of the rule's own fields, and a start that writes the rule's preamble
-lines and returns its ``predict(pairs)`` and ``build(frames)``.  The dual rule
-first checks the dual identity exactly (:func:`~framesum.frames.verify_dual`).
-Inputs may carry ``stated_bounds`` overriding the oracle *for the reported
-prediction only* -- certification always runs on oracle inputs, and any
-disagreement between the two routes is flagged rather than silently adopted.
-Both certification and that check use :func:`~framesum.frames.brackets`.
+runner (:func:`_run_sum`).  A sum kind's entry binds a parser of its own fields
+into the first, and three functions into the second: a start writes the lines
+before the summands' bounds and returns what prediction needs, or ``None`` when
+the dual identity (:func:`~framesum.frames.verify_dual`) fails; a predictor
+returns one prediction per list of bound pairs, and where a failing condition
+was taken; a builder builds the summed family.  The runner predicts once, over
+the given pairs, or over the oracle bounds and then any ``stated_bounds``, which
+change only the reported prediction.  It builds the sum only once the
+oracle-basis condition holds and certifies that prediction against the sum's
+oracle bounds; a stated-basis prediction that does not bracket them is flagged.
 
 Every kind is deterministic except ``algo``: the random generator handed to
 :func:`run_experiment` (the CLI's ``--seed``) draws only its runs' targets.
@@ -741,16 +741,12 @@ def _report_certification(rep: ExperimentResult, predicted, report) -> dict:
     }
 
 
-def _certify_and_report(rep: ExperimentResult, oracle_pred, stated_pred, built_frame) -> None:
-    """Certify the oracle-basis prediction; bracket-check any stated one."""
-    if not oracle_pred.condition_holds:
-        rep.fail(
-            "sufficiency condition fails on oracle input bounds "
-            f"(margin {_fmt(oracle_pred.condition_margin)})"
-        )
-        return
+def _certify_and_report(rep: ExperimentResult, predicted, build, inputs, frames) -> None:
+    """Certify the oracle-basis ``predicted[0]``, whose condition holds, on the sum
+    ``build(inputs, frames)``; bracket-check a stated-basis ``predicted[1]``."""
+    oracle_pred, *stated_pred = predicted
     try:
-        report = certify(oracle_pred, built_frame)
+        report = certify(oracle_pred, build(inputs, frames))
     except NotAFrameError as exc:
         rep.fail(f"built sum is not a frame: {exc}")
         return
@@ -758,10 +754,10 @@ def _certify_and_report(rep: ExperimentResult, oracle_pred, stated_pred, built_f
     rep.observe(certified=report.certified, sum_bounds=report.exact)
     if not report.certified:
         rep.fail("certification failed: prediction does not bracket the oracle bounds")
-    if stated_pred is not None and stated_pred.condition_holds:
-        if not brackets(stated_pred, report.exact):
+    for stated in stated_pred:
+        if stated.condition_holds and not brackets(stated, report.exact):
             rep.flag(
-                f"prediction from stated bounds {_interval(stated_pred.lower, stated_pred.upper)} "
+                f"prediction from stated bounds {_interval(stated.lower, stated.upper)} "
                 f"does not bracket the built sum's oracle bounds "
                 f"{_interval(report.exact.lower, report.exact.upper)}; "
                 "stated input bounds are not valid for their frame"
@@ -797,39 +793,35 @@ def _run_width(spec: ExperimentSpec, rng) -> ExperimentResult:
 # sum rules
 
 
-@dataclass
-class _SumRule:
-    """What one combination rule supplies to :func:`_run_sum`."""
-
-    predict: object  # list of bound pairs -> PredictedBounds
-    build: object  # list of FiniteFrame -> their sum; called only when frames are given
-    pivot: list = field(default_factory=list)  # finite sum: the 0-based pivot, once chosen
-
-
 def _report_given(rep: ExperimentResult, pairs) -> None:
     (_, b1), (_, b2) = pairs
     rep.line(f"given bounds: {_interval(b1.lower, b1.upper)} and {_interval(b2.lower, b2.upper)}")
 
 
-def _dual_rule(rep: ExperimentResult, inputs, frames, pairs) -> _SumRule | None:
+def _dual_start(rep: ExperimentResult, inputs, frames, pairs):
+    """``None`` when given frames fail the dual identity; else ``()``, as prediction needs nothing more."""
     if frames is None:
         _report_given(rep, pairs)
         rep.line("frames not supplied: prediction only, duality asserted by the caller")
-    else:
-        check = verify_dual(frames[0].frame, frames[1].frame)
-        rep.line(
-            f"dual identity over all unit vectors: max residual {_fmt(check.max_residual)}"
-            f" -> {'verified' if check.is_dual else 'NOT a dual pair'}"
-        )
-        rep.payload["verify_dual"] = {"is_dual": check.is_dual, "max_residual": check.max_residual}
-        rep.observe(verify_dual=check.is_dual)
-        if not check.is_dual:
-            rep.fail("dual identity does not hold; the dual-sum rule does not apply")
-            return None
-    return _SumRule(
-        predict=lambda bounds: dual_sum_predict(*bounds),
-        build=lambda built: FiniteFrame(built[0].vectors + built[1].vectors),
+        return ()
+    check = verify_dual(frames[0].frame, frames[1].frame)
+    rep.line(
+        f"dual identity over all unit vectors: max residual {_fmt(check.max_residual)}"
+        f" -> {'verified' if check.is_dual else 'NOT a dual pair'}"
     )
+    rep.payload["verify_dual"] = {"is_dual": check.is_dual, "max_residual": check.max_residual}
+    rep.observe(verify_dual=check.is_dual)
+    if not check.is_dual:
+        rep.fail("dual identity does not hold; the dual-sum rule does not apply")
+    return () if check.is_dual else None
+
+
+def _dual_predictions(rep: ExperimentResult, needs, bound_lists):
+    return [dual_sum_predict(*bounds) for bounds in bound_lists], ""
+
+
+def _dual_build(inputs, frames) -> FiniteFrame:
+    return FiniteFrame(frames[0].vectors + frames[1].vectors)
 
 
 def _finite_sum_inputs(doc: dict, frames, pairs):
@@ -848,37 +840,29 @@ def _finite_sum_inputs(doc: dict, frames, pairs):
     return coefficients, pivot
 
 
-def _finite_sum_rule(rep: ExperimentResult, inputs, frames, pairs) -> _SumRule:
-    """The first prediction chooses the pivot and names it; later ones reuse it.
-
-    ``predict`` keeps the pivot in the rule's ``pivot`` list and does not refer
-    to the rule itself, so the two make no reference cycle that would keep the
-    result, the spec and its whole document alive until the cyclic collector ran.
-    """
+def _finite_sum_start(rep: ExperimentResult, inputs, frames, pairs):
     coefficients, pivot = inputs
     rep.line(
         "coefficients: "
         + ", ".join(_fmt(c.real) if c.imag == 0 else f"{_fmt(c.real)}{c.imag:+.12g}i" for c in coefficients)
     )
-    names = [fi.name for fi in frames] if frames is not None else [name for name, _ in pairs]
     if pairs is not None:
         for name, b in pairs:
             rep.line(f"frame {name}: given bounds {_interval(b.lower, b.upper)}")
-    chosen = []
+    names = [fi.name for fi in frames] if frames is not None else [name for name, _ in pairs]
+    return coefficients, pivot, names
 
-    def predict(bounds):
-        if chosen:
-            return finite_sum_predict(bounds, coefficients, chosen[0])
-        if pivot == "best":
-            index, predicted = finite_sum_best_pivot(bounds, coefficients)
-        else:
-            index = pivot - 1
-            predicted = finite_sum_predict(bounds, coefficients, index)
-        chosen.append(index)
-        rep.line(f"pivot: {names[index]} (index {index + 1})")
-        return predicted
 
-    return _SumRule(predict, lambda built: build_sum_frame(built, coefficients), chosen)
+def _finite_sum_predictions(rep: ExperimentResult, needs, bound_lists):
+    """The pivot is chosen on the first list, named once, and used for every list."""
+    coefficients, pivot, names = needs
+    index = finite_sum_best_pivot(bound_lists[0], coefficients)[0] if pivot == "best" else pivot - 1
+    rep.line(f"pivot: {names[index]} (index {index + 1})")
+    return [finite_sum_predict(bounds, coefficients, index) for bounds in bound_lists], f" at pivot {index + 1}"
+
+
+def _finite_sum_build(inputs, frames) -> FiniteFrame:
+    return build_sum_frame(frames, inputs[0])
 
 
 def _operator_sum_inputs(doc: dict, frames, pairs):
@@ -895,16 +879,21 @@ def _operator_sum_inputs(doc: dict, frames, pairs):
     return thetas
 
 
-def _operator_sum_rule(rep: ExperimentResult, thetas, frames, pairs) -> _SumRule:
-    sigma1, sigma2 = (extreme_singular_values(theta) for theta in thetas)
-    for i, (m, norm) in enumerate((sigma1, sigma2), 1):
+def _operator_sum_start(rep: ExperimentResult, thetas, frames, pairs):
+    sigmas = tuple(extreme_singular_values(theta) for theta in thetas)
+    for i, (m, norm) in enumerate(sigmas, 1):
         rep.line(f"operator {i}: sigma range {_interval(m, norm)}")
     if pairs is not None:
         _report_given(rep, pairs)
-    return _SumRule(
-        predict=lambda bounds: operator_sum_predict(sigma1, sigma2, *bounds),
-        build=lambda built: build_operator_sum_frame(*built, *thetas),
-    )
+    return sigmas
+
+
+def _operator_sum_predictions(rep: ExperimentResult, sigmas, bound_lists):
+    return [operator_sum_predict(*sigmas, *bounds) for bounds in bound_lists], ""
+
+
+def _operator_sum_build(thetas, frames) -> FiniteFrame:
+    return build_operator_sum_frame(*frames, *thetas)
 
 
 def _perturbed_sum_inputs(doc: dict, frames, pairs):
@@ -917,53 +906,50 @@ def _perturbed_sum_inputs(doc: dict, frames, pairs):
     return alpha, beta
 
 
-def _perturbed_sum_rule(rep: ExperimentResult, sequences, frames, pairs) -> _SumRule:
-    range1, range2 = (modulus_range(seq) for seq in sequences)
-    rep.line(f"alpha envelope: |.| in {_interval(*range1)}")
-    rep.line(f"beta envelope: |.| in {_interval(*range2)}")
+def _perturbed_sum_start(rep: ExperimentResult, sequences, frames, pairs):
+    ranges = tuple(modulus_range(seq) for seq in sequences)
+    rep.line(f"alpha envelope: |.| in {_interval(*ranges[0])}")
+    rep.line(f"beta envelope: |.| in {_interval(*ranges[1])}")
     if pairs is not None:
         _report_given(rep, pairs)
-    return _SumRule(
-        predict=lambda bounds: perturbed_sum_predict(range1, range2, *bounds),
-        build=lambda built: build_perturbed_sum_frame(*built, *sequences),
-    )
+    return ranges
 
 
-def _run_sum(start, spec: ExperimentSpec, rng) -> ExperimentResult:
+def _perturbed_sum_predictions(rep: ExperimentResult, ranges, bound_lists):
+    return [perturbed_sum_predict(*ranges, *bounds) for bounds in bound_lists], ""
+
+
+def _perturbed_sum_build(sequences, frames) -> FiniteFrame:
+    return build_perturbed_sum_frame(*frames, *sequences)
+
+
+def _run_sum(start, predictions, build, spec: ExperimentSpec, rng) -> ExperimentResult:
     rep = ExperimentResult(spec)
     frames, pairs, inputs = spec.payload
-    rule = start(rep, inputs, frames, pairs)
-    if rule is None:
+    needs = start(rep, inputs, frames, pairs)
+    if needs is None:
         return rep.finish()
     if frames is None:
-        shown = rule.predict([b for _, b in pairs])
-        rep.payload["prediction"] = _report_prediction(rep, "given", shown)
-        if not shown.condition_holds:
-            at = f" at pivot {rule.pivot[0] + 1}" if rule.pivot else ""
-            rep.fail(f"sufficiency condition fails{at} (margin {_fmt(shown.condition_margin)})")
+        bound_lists = [[b for _, b in pairs]]
     else:
         oracles = [exact_bounds(fi.frame).bounds for fi in frames]
         for fi, oracle in zip(frames, oracles):
             _describe_frame(rep, fi, oracle)
-        has_stated = any(fi.stated_bounds is not None for fi in frames)
-        oracle_pred = rule.predict(oracles)
-        stated = [fi.stated_bounds or oracle for fi, oracle in zip(frames, oracles)]
-        stated_pred = rule.predict(stated) if has_stated else None
-        shown = stated_pred if stated_pred is not None else oracle_pred
-        rep.payload["prediction"] = _report_prediction(
-            rep, "stated inputs" if has_stated else "oracle inputs", shown
-        )
-        if has_stated:
-            rep.payload["prediction_oracle"] = _report_prediction(rep, "oracle inputs", oracle_pred)
+        bound_lists = [oracles]
+        if any(fi.stated_bounds is not None for fi in frames):
+            bound_lists.append([fi.stated_bounds or oracle for fi, oracle in zip(frames, oracles)])
+    predicted, at = predictions(rep, needs, bound_lists)
+    shown = predicted[-1]  # the stated-input prediction, where there is one
+    tag = "given" if frames is None else ("stated inputs" if len(predicted) > 1 else "oracle inputs")
+    rep.payload["prediction"] = _report_prediction(rep, tag, shown)
+    if len(predicted) > 1:
+        rep.payload["prediction_oracle"] = _report_prediction(rep, "oracle inputs", predicted[0])
     rep.observe(
         predicted=shown,
         condition_margin=shown.condition_margin,
         predicted_width_4dp=format_width(shown.width) if shown.condition_holds else None,
     )
-    if frames is None:
-        return rep.finish()
-
-    if spec.kind == "dual":
+    if frames is not None and spec.kind == "dual":
         # the dual rule quotes a width table: the input frames against the
         # *predicted* pair for the sum, which is how tightness gains are quoted
         names = [fi.name for fi in frames]
@@ -971,8 +957,11 @@ def _run_sum(start, spec: ExperimentSpec, rng) -> ExperimentResult:
         rep.line("widths: " + "  ".join(f"{name} {w}" for name, w in zip([*names, "+".join(names)], widths)))
         rep.payload["widths_4dp"] = widths
         rep.observe(widths_4dp=widths)
-
-    _certify_and_report(rep, oracle_pred, stated_pred, rule.build([fi.frame for fi in frames]))
+    if not predicted[0].condition_holds:  # the given or the oracle-basis prediction
+        where = at if frames is None else " on oracle input bounds"
+        rep.fail(f"sufficiency condition fails{where} (margin {_fmt(predicted[0].condition_margin)})")
+    elif frames is not None:
+        _certify_and_report(rep, predicted, build, inputs, [fi.frame for fi in frames])
     return rep.finish()
 
 
@@ -1079,22 +1068,26 @@ _KINDS = {
     "dual": _Kind(
         "dual", {"frame", "dual", "bounds1", "bounds2"},
         {**_SUM_EXPECT, "verify_dual": _as_bool, "sum_bounds": _as_bound_pair, "widths_4dp": _as_strings},
-        partial(_payload_sum, "dual", lambda doc, frames, pairs: None), partial(_run_sum, _dual_rule),
+        partial(_payload_sum, "dual", lambda doc, frames, pairs: None),
+        partial(_run_sum, _dual_start, _dual_predictions, _dual_build),
     ),
     "finite-sum": _Kind(
         "sum", {"frames", "frame_bounds", "coefficients", "pivot"},
         {**_SUM_EXPECT, "condition_margin": _as_real},
-        partial(_payload_sum, "finite-sum", _finite_sum_inputs), partial(_run_sum, _finite_sum_rule),
+        partial(_payload_sum, "finite-sum", _finite_sum_inputs),
+        partial(_run_sum, _finite_sum_start, _finite_sum_predictions, _finite_sum_build),
     ),
     "operator-sum": _Kind(
         "op-sum", {"frame1", "frame2", "bounds1", "bounds2", "theta1", "theta2"},
         _SUM_EXPECT,
-        partial(_payload_sum, "operator-sum", _operator_sum_inputs), partial(_run_sum, _operator_sum_rule),
+        partial(_payload_sum, "operator-sum", _operator_sum_inputs),
+        partial(_run_sum, _operator_sum_start, _operator_sum_predictions, _operator_sum_build),
     ),
     "perturbed-sum": _Kind(
         "perturbed-sum", {"frame1", "frame2", "bounds1", "bounds2", "alpha", "beta"},
         _SUM_EXPECT,
-        partial(_payload_sum, "perturbed-sum", _perturbed_sum_inputs), partial(_run_sum, _perturbed_sum_rule),
+        partial(_payload_sum, "perturbed-sum", _perturbed_sum_inputs),
+        partial(_run_sum, _perturbed_sum_start, _perturbed_sum_predictions, _perturbed_sum_build),
     ),
     "gabor": _Kind(
         "gabor", {"generator", "lattice", "wh", "stated_bounds"},

@@ -49,7 +49,8 @@ GRID_RESOLUTION = 2**14
 #: points used by the local refinement pass around a coarse extremum.
 REFINE_POINTS = 257
 
-#: absolute slack when deciding that support length <= 1/b.
+#: relative slack when deciding that support length <= 1/b: the test is
+#: ``length * b <= 1 + OVERLAP_SLACK``, so a dilated window gets the same answer.
 OVERLAP_SLACK = 1e-12
 
 _KINDS = ("affine", "sqrt-affine")
@@ -302,7 +303,7 @@ def translate_energy(translates: Translates):
 
 def overlap_vanishes(gen: PiecewiseGenerator, b: float) -> bool:
     """Support arithmetic: no k/b shift can overlap when length <= 1/b."""
-    return gen.support_length <= 1.0 / b + OVERLAP_SLACK
+    return gen.support_length * b <= 1.0 + OVERLAP_SLACK
 
 
 def _shift_can_overlap(gen: PiecewiseGenerator, shift: float) -> bool:

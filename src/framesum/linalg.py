@@ -17,8 +17,6 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -57,24 +55,15 @@ def as_cmatrix(values) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class EigenResult:
-    """Eigendecomposition ``M = Q diag(eigenvalues) Q*``.
-
-    ``eigenvalues`` is a real ascending array, ``eigenvectors`` holds the
-    matching orthonormal columns.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_eig(matrix) -> EigenResult:
+def hermitian_eig(matrix):
     """Eigendecomposition of a Hermitian matrix by LAPACK (``numpy.linalg.eigh``).
 
-    Raises :class:`NotHermitianError` if the input is asymmetric beyond
-    ``HERMITIAN_TOLERANCE`` (relative to the largest entry) and
-    :class:`NoConvergenceError` if LAPACK reports that it did not converge.
+    Returns numpy's ``EighResult`` of ``M = Q diag(eigenvalues) Q*``:
+    ``eigenvalues`` is a real ascending array, ``eigenvectors`` holds the
+    matching orthonormal columns.  Raises :class:`NotHermitianError` if the
+    input is asymmetric beyond ``HERMITIAN_TOLERANCE`` (relative to the
+    largest entry) and :class:`NoConvergenceError` if LAPACK reports that it
+    did not converge.
     """
     a = as_cmatrix(matrix)
     n, m = a.shape
@@ -91,10 +80,9 @@ def hermitian_eig(matrix) -> EigenResult:
     # Solve the Hermitian average so round-off asymmetry in the input is not
     # silently dropped by reading only one triangle.
     try:
-        eigenvalues, eigenvectors = np.linalg.eigh((a + a.conj().T) / 2.0)
+        return np.linalg.eigh((a + a.conj().T) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"LAPACK eigensolver failed: {exc}") from None
-    return EigenResult(eigenvalues, eigenvectors)
 
 
 def extreme_singular_values(matrix) -> tuple[float, float]:

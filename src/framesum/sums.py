@@ -15,8 +15,11 @@ sequences' moduli, from :func:`modulus_range`.  A ``build_*`` function builds
 the summed family itself, and :func:`certify` compares a prediction against
 the spectral oracle bounds of that family.  Strict inequalities are evaluated
 as ``margin > 0`` in plain double arithmetic, and
-``PredictedBounds.condition_holds`` is that test: a tie reports the condition
-as failed.
+``PredictedBounds.condition_holds`` is that test.  So a tie fails the condition
+only when its margin comes out exactly 0; an exact tie whose margin rounds to a
+small positive number reports the condition as holding (the strict xfails
+``finite-sum-tie`` and ``operator-sum-tie`` in ``tests/test_cli.py``, and
+ROADMAP item 13).
 """
 
 from __future__ import annotations

@@ -462,6 +462,55 @@ def test_cli_the_k3_finite_sum_counterexample_fails_certification_given_frames(t
     assert "certification failed" in out
 
 
+# Sums of the zero family: F - F, and T F + T G with G = -F.  Each writes its
+# report and exits 2: the sum is built only once the condition holds, so the
+# first fails its condition, and the second, whose tie comes out positive
+# (ROADMAP item 13), fails as a sum that is not a frame.
+CANCELLING_SUMS = [
+    pytest.param(
+        "sum",
+        {
+            "kind": "finite-sum",
+            "frames": [{"vectors": [[1, 0], [0, 1], [1, 1]]}] * 2,
+            "coefficients": [1, -1],
+            "pivot": 1,
+        },
+        "sufficiency condition fails on oracle input bounds (margin -4)",
+        id="finite-sum",
+    ),
+    pytest.param(
+        "op-sum",
+        {
+            "kind": "operator-sum",
+            "frame1": {"vectors": [[1.0292099090649256]]},
+            "frame2": {"vectors": [[-1.0292099090649256]]},
+            "theta1": [[0.1822076819138183]],
+            "theta2": [[0.1822076819138183]],
+        },
+        None,
+        id="operator-sum-tie",
+    ),
+]
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("command,doc,failure", CANCELLING_SUMS)
+def test_cli_a_sum_whose_vectors_cancel_writes_a_failing_report(tmp_path, capsys, command, doc, failure, flags):
+    path = tmp_path / "cancel.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main([command, "--spec", str(path), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if flags:
+        payload = json.loads(captured.out)
+        assert payload["status"] == "fail"
+        assert failure is None or failure in payload["failures"]
+    else:
+        assert captured.out.startswith(f"experiment: cancel ({doc['kind']})\n")
+        assert captured.out.endswith("status: fail\n")
+        assert failure is None or f"  - {failure}\n" in captured.out
+
+
 HUGE = "1" + "0" * 400  # a JSON integer too large for a float
 
 

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -512,9 +513,10 @@ def test_grid_path_work_does_not_grow_with_the_piece_count(monkeypatch):
 def test_closed_form_estimate_scales_with_the_window():
     # g(x / s) on the lattice (s a, b / s) has the bounds of g times s; cuts
     # merge relative to a and the support's ends, so a window on [0, 2^-60)
-    # keeps its cells
+    # keeps its cells.  The overlap test is relative too: at s = 1e9 an
+    # absolute slack sent the tent to the grid.
     base = estimate_bounds(TENT, LatticeParams(0.5, 1))
-    for s in (2.0**-60, 2.0**40):
+    for s in (2.0**-60, 1e-13, 1e-6, 1e6, 1e9, 1e12, 2.0**40):
         pieces = [(p.lo * s, p.hi * s, p.kind, p.alpha / s, p.beta) for p in TENT.pieces]
         est = estimate_bounds(PiecewiseGenerator(pieces), LatticeParams(0.5 * s, 1 / s))
         assert est.exact
@@ -573,6 +575,16 @@ def test_underflow_check_survives_a_coefficient_that_overflows_when_scaled():
         window.scaled(2.0**16)
     with pytest.raises(NonPositiveLowerBoundError):
         estimate_bounds(window, LatticeParams(1.5, 0.4))
+
+
+@pytest.mark.parametrize("s", [1e-13, 1e-6, 1.0, 1e9])
+def test_an_indicator_five_steps_long_is_no_frame_at_any_scale(s):
+    # at ab = 1 the indicator of [0, 5a) has G0 = 5 and G1 = 20 everywhere;
+    # at s = 1e-13 an absolute overlap slack took it for a painless window
+    # and reported the bounds [5e-13, 5e-13]
+    window = PiecewiseGenerator([(0, 5 * s, "affine", 0, 1)])
+    with pytest.raises(NonPositiveLowerBoundError, match=re.escape(f"lower estimate {-15 * s:.6g} is not")):
+        estimate_bounds(window, LatticeParams(s, 1 / s))
 
 
 def test_constant_window_has_no_positive_lower_estimate():
