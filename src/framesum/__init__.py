@@ -3,10 +3,10 @@ estimates for lattice systems, and the width-driven reconstruction algorithm.
 
 The package splits into five layers:
 
-* :mod:`framesum.linalg` -- the complex Hermitian eigensolver (LAPACK
-  ``eigh``), extreme singular values (LAPACK SVD), positive-definite solves;
-* :mod:`framesum.frames` -- finite frames, bound pairs and their widths,
-  spectral (optimal) bounds, and the exact check of a dual pair;
+* :mod:`framesum.linalg` -- LAPACK ``eigh`` for exactly Hermitian matrices,
+  extreme singular values (LAPACK SVD), positive-definite solves;
+* :mod:`framesum.frames` -- finite frames, bound pairs with their widths and
+  tightness flags, spectral (optimal) bounds, the exact check of a dual pair;
 * :mod:`framesum.sums` -- sufficiency conditions and predicted bounds for the
   four combination rules, the summed families, and certification against the
   spectral oracle;
@@ -40,7 +40,6 @@ from .frames import (
     DualCheck,
     FiniteFrame,
     FrameBounds,
-    FrameCertificate,
     exact_bounds,
     verify_dual,
 )

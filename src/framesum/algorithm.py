@@ -63,7 +63,7 @@ class RunSeries:
 
 def validate_bounds_for_frame(frame: FiniteFrame, bounds: FrameBounds) -> None:
     """Check ``lower <= lambda_min`` and ``upper >= lambda_max`` (with slack)."""
-    optimal = exact_bounds(frame).bounds
+    optimal = exact_bounds(frame)
     if not brackets(bounds, optimal):
         raise InvalidBoundsForFrameError(
             f"pair ({bounds.lower}, {bounds.upper}) is not valid for a frame with "

@@ -12,10 +12,6 @@ class FrameToolkitError(Exception):
     """Base class for every error raised by this package."""
 
 
-class NotHermitianError(FrameToolkitError):
-    """Matrix fails the Hermitian symmetry check."""
-
-
 class NoConvergenceError(FrameToolkitError):
     """The LAPACK eigensolver reported that it did not converge."""
 

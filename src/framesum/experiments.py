@@ -767,15 +767,13 @@ def _certify_and_report(rep: ExperimentResult, predicted, build, inputs, frames)
 def _run_bounds(spec: ExperimentSpec, rng) -> ExperimentResult:
     rep = ExperimentResult(spec)
     fi = spec.payload
-    cert = exact_bounds(fi.frame)
-    oracle = cert.bounds
+    oracle = exact_bounds(fi.frame)
+    tight, parseval = oracle.is_tight, oracle.is_parseval
     _describe_frame(rep, fi, oracle)
-    rep.line(f"tight: {'yes' if cert.is_tight else 'no'}; parseval: {'yes' if cert.is_parseval else 'no'}")
+    rep.line(f"tight: {'yes' if tight else 'no'}; parseval: {'yes' if parseval else 'no'}")
     width_4dp = format_width(oracle.width)
-    rep.payload.update(
-        bounds=_bounds_json(oracle), width_4dp=width_4dp, is_tight=cert.is_tight, is_parseval=cert.is_parseval
-    )
-    rep.observe(bounds=oracle, width_4dp=width_4dp, tight=cert.is_tight, parseval=cert.is_parseval)
+    rep.payload.update(bounds=_bounds_json(oracle), width_4dp=width_4dp, is_tight=tight, is_parseval=parseval)
+    rep.observe(bounds=oracle, width_4dp=width_4dp, tight=tight, parseval=parseval)
     return rep.finish()
 
 
@@ -932,7 +930,7 @@ def _run_sum(start, predictions, build, spec: ExperimentSpec, rng) -> Experiment
     if frames is None:
         bound_lists = [[b for _, b in pairs]]
     else:
-        oracles = [exact_bounds(fi.frame).bounds for fi in frames]
+        oracles = [exact_bounds(fi.frame) for fi in frames]
         for fi, oracle in zip(frames, oracles):
             _describe_frame(rep, fi, oracle)
         bound_lists = [oracles]
@@ -1003,7 +1001,7 @@ def _run_algo(spec: ExperimentSpec, rng) -> ExperimentResult:
     rng = np.random.default_rng(rng)
     used, targets = [], []
     for label, fi, bounds in runs:
-        pair = bounds if bounds is not None else exact_bounds(fi.frame).bounds
+        pair = bounds if bounds is not None else exact_bounds(fi.frame)
         rep.line(
             f"run {label}: bounds {_interval(pair.lower, pair.upper)}"
             + (" (oracle)" if bounds is None else "")

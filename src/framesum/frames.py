@@ -1,4 +1,4 @@
-"""Finite frames and their spectral bound certificates.
+"""Finite frames and their spectral (optimal) bounds.
 
 A finite frame is a family of vectors ``{f_k}`` in ``C^d`` whose analysis
 energy ``sum_k |<f, f_k>|^2`` is pinched between ``A ||f||^2`` and
@@ -57,6 +57,16 @@ class FrameBounds:
         """Tightness measure ``(B - A) / (B + A)``, in ``[0, 1)``."""
         return (self.upper - self.lower) / (self.upper + self.lower)
 
+    @property
+    def is_tight(self) -> bool:
+        """Whether the width is at most ``TIGHTNESS_TOLERANCE``."""
+        return self.width <= TIGHTNESS_TOLERANCE
+
+    @property
+    def is_parseval(self) -> bool:
+        """Whether the pair is tight with ``A`` within ``PARSEVAL_TOLERANCE`` of 1."""
+        return self.is_tight and abs(self.lower - 1.0) <= PARSEVAL_TOLERANCE
+
 
 def as_frame_bounds(pair) -> FrameBounds:
     """``pair`` if it is a :class:`FrameBounds`, else ``FrameBounds(*pair)``."""
@@ -75,25 +85,16 @@ def brackets(pair, optimal: FrameBounds) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class FrameCertificate:
-    """Spectral bound certificate: optimal bounds plus tightness flags."""
-
-    bounds: FrameBounds
-    is_tight: bool
-    is_parseval: bool
-
-
 class FiniteFrame:
     """An indexed family of complex vectors in a common dimension.
 
     Vectors are stored as rows of an immutable ``(count, dim)`` array, a
     copy of the caller's.  Individual zero vectors are allowed (they
-    contribute nothing); an all-zero family is rejected.  ``_certificate``
-    holds the result of :func:`exact_bounds` once it has been computed.
+    contribute nothing); an all-zero family is rejected.  ``_bounds`` holds
+    the optimal bounds from :func:`exact_bounds` once they have been computed.
     """
 
-    __slots__ = ("_vectors", "_certificate")
+    __slots__ = ("_vectors", "_bounds")
 
     def __init__(self, vectors):
         arr = np.asarray(vectors, dtype=complex)
@@ -110,7 +111,7 @@ class FiniteFrame:
         arr = arr.copy()
         arr.setflags(write=False)
         self._vectors = arr
-        self._certificate = None
+        self._bounds = None
 
     @property
     def vectors(self) -> np.ndarray:
@@ -141,18 +142,18 @@ def frame_operator(frame: FiniteFrame) -> np.ndarray:
     return (s + s.conj().T) / 2.0
 
 
-def exact_bounds(frame: FiniteFrame) -> FrameCertificate:
+def exact_bounds(frame: FiniteFrame) -> FrameBounds:
     """Optimal frame bounds: the extreme eigenvalues of the frame operator.
 
-    The certificate is computed once per frame and saved on it: a frame's
-    vectors are a read-only copy, so its spectrum cannot change.
+    The bounds are computed once per frame and saved on it: a frame's vectors
+    are a read-only copy, so its spectrum cannot change.
 
     Raises :class:`NotAFrameError` when the family fails to span (smallest
     eigenvalue at or below ``SPAN_TOLERANCE`` times the largest); that
     outcome is not saved, so every call raises it again.
     """
-    if frame._certificate is not None:
-        return frame._certificate
+    if frame._bounds is not None:
+        return frame._bounds
     eig = linalg.hermitian_eig(frame_operator(frame))
     lo = float(eig.eigenvalues[0])
     hi = float(eig.eigenvalues[-1])
@@ -160,12 +161,8 @@ def exact_bounds(frame: FiniteFrame) -> FrameCertificate:
         raise NotAFrameError(
             f"vectors do not span: extreme eigenvalues ({lo:.3e}, {hi:.3e})"
         )
-    bounds = FrameBounds(lo, hi)
-    tight = bounds.width <= TIGHTNESS_TOLERANCE
-    parseval = tight and abs(lo - 1.0) <= PARSEVAL_TOLERANCE
-    cert = FrameCertificate(bounds=bounds, is_tight=tight, is_parseval=parseval)
-    frame._certificate = cert
-    return cert
+    frame._bounds = FrameBounds(lo, hi)
+    return frame._bounds
 
 
 @dataclass(frozen=True)

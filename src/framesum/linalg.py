@@ -3,9 +3,10 @@
 Frame bounds reduce to the Hermitian eigenproblem solved here, by LAPACK
 through ``numpy.linalg.eigh``; operator norms and residuals take singular
 values from LAPACK's SVD.  This module adds what LAPACK does not check: finite
-entries, a square shape, and Hermitian symmetry up to ``HERMITIAN_TOLERANCE``.
-A LAPACK convergence failure surfaces as :class:`NoConvergenceError`, so it
-stays inside the package's error hierarchy.
+entries and a square shape.  It does not check Hermitian symmetry: the
+eigensolver reads one triangle, so its input must be exactly Hermitian, as
+``frames.frame_operator`` builds it.  A LAPACK convergence failure surfaces as
+:class:`NoConvergenceError`, so it stays inside the package's error hierarchy.
 
 Conventions
 -----------
@@ -22,13 +23,8 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     NoConvergenceError,
-    NotHermitianError,
     SingularOperatorError,
 )
-
-#: relative max-norm asymmetry tolerated before a matrix is rejected as
-#: non-Hermitian.
-HERMITIAN_TOLERANCE = 1e-10
 
 #: relative spectral floor: eigenvalues below RANK_TOLERANCE * lambda_max are
 #: treated as zero by the positive-definite solver.
@@ -60,27 +56,18 @@ def hermitian_eig(matrix):
 
     Returns numpy's ``EighResult`` of ``M = Q diag(eigenvalues) Q*``:
     ``eigenvalues`` is a real ascending array, ``eigenvectors`` holds the
-    matching orthonormal columns.  Raises :class:`NotHermitianError` if the
-    input is asymmetric beyond ``HERMITIAN_TOLERANCE`` (relative to the
-    largest entry) and :class:`NoConvergenceError` if LAPACK reports that it
+    matching orthonormal columns.  LAPACK reads only the lower triangle and
+    the real part of the diagonal, so the caller must pass a matrix whose
+    entries ``(i, j)`` and ``(j, i)`` are exact conjugates; nothing here
+    checks it.  Raises :class:`NoConvergenceError` if LAPACK reports that it
     did not converge.
     """
     a = as_cmatrix(matrix)
     n, m = a.shape
     if n != m:
         raise DimensionMismatchError(f"matrix must be square, got {n}x{m}")
-
-    scale = float(np.max(np.abs(a)))
-    asym = float(np.max(np.abs(a - a.conj().T)))
-    if scale > 0.0 and asym > HERMITIAN_TOLERANCE * scale:
-        raise NotHermitianError(
-            f"asymmetry {asym:.3e} exceeds {HERMITIAN_TOLERANCE:.0e} * max entry {scale:.3e}"
-        )
-
-    # Solve the Hermitian average so round-off asymmetry in the input is not
-    # silently dropped by reading only one triangle.
     try:
-        return np.linalg.eigh((a + a.conj().T) / 2.0)
+        return np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"LAPACK eigensolver failed: {exc}") from None
 
@@ -99,9 +86,10 @@ def extreme_singular_values(matrix) -> tuple[float, float]:
 
 
 def solve_hpd(matrix, rhs) -> np.ndarray:
-    """Solve ``M x = b`` for Hermitian positive definite ``M``.
+    """Solve ``M x = b`` for an exactly Hermitian positive definite ``M``.
 
-    Uses the eigendecomposition, so accuracy matches :func:`hermitian_eig`.
+    Uses the eigendecomposition of :func:`hermitian_eig`, so ``M`` must be
+    exactly Hermitian and the accuracy matches that solver's.
     Raises :class:`SingularOperatorError` when the smallest eigenvalue sits at
     or below ``RANK_TOLERANCE`` times the largest.
     """
@@ -119,6 +107,7 @@ def solve_hpd(matrix, rhs) -> np.ndarray:
 def hpd_inverse_apply(matrix, vectors) -> np.ndarray:
     """Apply ``M^-1`` to each row of ``vectors`` (one factorization, many solves).
 
+    ``M`` must be exactly Hermitian, as :func:`hermitian_eig` requires.
     Raises :class:`SingularOperatorError` when the smallest eigenvalue sits at
     or below ``RANK_TOLERANCE`` times the largest.
     """

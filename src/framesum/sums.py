@@ -258,10 +258,10 @@ def certify(predicted: PredictedBounds, actual: FiniteFrame) -> CertificationRep
     """
     if not predicted.condition_holds:
         raise InvalidBoundsError("cannot certify a prediction whose condition failed")
-    cert = exact_bounds(actual)
+    exact = exact_bounds(actual)
     return CertificationReport(
-        exact=cert.bounds,
-        certified=brackets(predicted, cert.bounds),
-        lower_slack=cert.bounds.lower - predicted.lower,
-        upper_slack=predicted.upper - cert.bounds.upper,
+        exact=exact,
+        certified=brackets(predicted, exact),
+        lower_slack=exact.lower - predicted.lower,
+        upper_slack=predicted.upper - exact.upper,
     )

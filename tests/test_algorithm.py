@@ -72,7 +72,7 @@ def test_sum_frame_run_beats_published_width(rng):
     # weighted-sum frame driven by its oracle bounds: the error stays under
     # the quoted 0.3453 rate with room to spare
     summed = build_sum_frame((BASE_C2, DIAG_C2), np.array([1.0, 100.0]))
-    bounds = exact_bounds(summed).bounds
+    bounds = exact_bounds(summed)
     phi = random_unit_vector(rng, 2)
     series = run(summed, bounds, phi, 60)
     for k, error in enumerate(series.errors[1:], start=1):
@@ -83,7 +83,7 @@ def test_contraction_per_step(rng):
     for _ in range(6):
         dim = int(rng.integers(2, 9))
         frame = random_frame(rng, dim + 2, dim)
-        bounds = exact_bounds(frame).bounds
+        bounds = exact_bounds(frame)
         delta = bounds.width
         phi = random_unit_vector(rng, dim)
         errors = run(frame, bounds, phi, 50).errors
@@ -95,7 +95,7 @@ def test_envelope_dominance_random_frames(rng):
     for _ in range(6):
         dim = int(rng.integers(2, 9))
         frame = random_frame(rng, dim + 3, dim)
-        bounds = exact_bounds(frame).bounds
+        bounds = exact_bounds(frame)
         phi = random_unit_vector(rng, dim)
         series = run(frame, bounds, phi, 50)
         for error, envelope in zip(series.errors, series.envelopes):
@@ -104,7 +104,7 @@ def test_envelope_dominance_random_frames(rng):
 
 def test_oracle_bounds_give_smallest_width(rng):
     frame = random_frame(rng, 6, 3)
-    oracle = exact_bounds(frame).bounds
+    oracle = exact_bounds(frame)
     loose = FrameBounds(oracle.lower / 2, oracle.upper * 2)
     assert oracle.width <= loose.width
     phi = random_unit_vector(rng, 3)
@@ -182,7 +182,7 @@ def test_in_place_run_matches_the_allocating_loop_bit_for_bit(
     else:
         frame = random_frame(rng, dim + extra, dim)
         frame = FiniteFrame(scale * frame.vectors)
-    bounds = exact_bounds(frame).bounds
+    bounds = exact_bounds(frame)
     if loosen is not None:
         bounds = FrameBounds(bounds.lower / loosen[0], bounds.upper * loosen[1])
     target = scale * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
@@ -228,7 +228,7 @@ def test_compare_runs_envelope_ordering(rng):
     targets = [random_unit_vector(rng, 2), random_unit_vector(rng, 2)]
     table = _table([
         ("base", run(BASE_C2, FrameBounds(4, 16), targets[0], 30, stop_tol=0.0)),
-        ("sum", run(summed, exact_bounds(summed).bounds, targets[1], 30, stop_tol=0.0)),
+        ("sum", run(summed, exact_bounds(summed), targets[1], 30, stop_tol=0.0)),
     ])
     rows = table.rows()
     assert rows[0][0] == 0

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from conftest import canonical_dual, random_frame
 from framesum import (
@@ -14,7 +14,7 @@ from framesum import (
     exact_bounds,
     verify_dual,
 )
-from framesum.frames import frame_operator, random_unit_vector
+from framesum.frames import SPAN_TOLERANCE, frame_operator, random_unit_vector
 
 RT2, RT3, RT6 = math.sqrt(2), math.sqrt(3), math.sqrt(6)
 
@@ -54,25 +54,55 @@ def test_construction_rejects_ragged_and_nonfinite():
 
 
 def test_exact_bounds_base_frame():
-    cert = exact_bounds(BASE_C2)
-    assert cert.bounds.lower == pytest.approx(4, rel=1e-12)
-    assert cert.bounds.upper == pytest.approx(16, rel=1e-12)
-    assert cert.bounds.width == pytest.approx(0.6, rel=1e-12)
-    assert not cert.is_tight
+    bounds = exact_bounds(BASE_C2)
+    assert bounds.lower == pytest.approx(4, rel=1e-12)
+    assert bounds.upper == pytest.approx(16, rel=1e-12)
+    assert bounds.width == pytest.approx(0.6, rel=1e-12)
+    assert not bounds.is_tight
 
 
 def test_exact_bounds_c3_frame():
-    cert = exact_bounds(DUAL_F_C3)
-    assert cert.bounds.lower == pytest.approx(1 / 3, rel=1e-12)
-    assert cert.bounds.upper == pytest.approx(7 / 3, rel=1e-12)
+    bounds = exact_bounds(DUAL_F_C3)
+    assert bounds.lower == pytest.approx(1 / 3, rel=1e-12)
+    assert bounds.upper == pytest.approx(7 / 3, rel=1e-12)
 
 
 def test_exact_bounds_tight():
-    cert = exact_bounds(TIGHT_C2)
-    assert cert.is_tight
-    assert not cert.is_parseval
-    assert cert.bounds.lower == pytest.approx(4, rel=1e-12)
-    assert cert.bounds.upper == pytest.approx(4, rel=1e-12)
+    bounds = exact_bounds(TIGHT_C2)
+    assert bounds.is_tight
+    assert not bounds.is_parseval
+    assert bounds.lower == pytest.approx(4, rel=1e-12)
+    assert bounds.upper == pytest.approx(4, rel=1e-12)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 8),
+    extra=st.integers(0, 4),
+    zeros=st.integers(0, 3),
+    complex_entries=st.booleans(),
+    exponent=st.integers(-400, 400),
+)
+@example(seed=0, dim=8, extra=0, zeros=3, complex_entries=True, exponent=400)
+@example(seed=0, dim=8, extra=0, zeros=3, complex_entries=True, exponent=-400)
+def test_frame_operator_is_exactly_hermitian_and_the_oracle_solves_it_as_is(
+    seed, dim, extra, zeros, complex_entries, exponent
+):
+    """LAPACK reads one triangle of the frame operator, so the oracle's bounds
+    are sound only if ``S`` is Hermitian to the last bit."""
+    rng = np.random.default_rng(seed)
+    vectors = rng.standard_normal((dim + extra, dim))
+    if complex_entries:
+        vectors = vectors + 1j * rng.standard_normal(vectors.shape)
+    vectors = np.insert(vectors, rng.integers(0, dim + extra + 1, zeros), 0.0, axis=0)
+    frame = FiniteFrame(vectors * 2.0**exponent)
+    s = frame_operator(frame)
+    assert np.array_equal(s, s.conj().T)
+    assert not s.diagonal().imag.any()
+    lam = np.linalg.eigh(s).eigenvalues
+    assume(lam[-1] > 0.0 and lam[0] > SPAN_TOLERANCE * lam[-1])
+    bounds = exact_bounds(frame)
+    assert (bounds.lower, bounds.upper) == (lam[0], lam[-1])
 
 
 def test_exact_bounds_rejects_rank_deficient():
@@ -103,9 +133,9 @@ def test_exact_bounds_ignores_changes_to_the_source_array(solve_first):
     if solve_first:
         exact_bounds(frame)
     source[:] = [[1, 0], [0, 1], [0, 0]]
-    cert = exact_bounds(frame)
-    assert cert == exact_bounds(FiniteFrame([[RT6, RT6], [0, 2], [2, 0]]))
-    assert cert.bounds.upper == pytest.approx(16, rel=1e-12)
+    bounds = exact_bounds(frame)
+    assert bounds == exact_bounds(FiniteFrame([[RT6, RT6], [0, 2], [2, 0]]))
+    assert bounds.upper == pytest.approx(16, rel=1e-12)
 
 
 def test_exact_bounds_raises_for_a_non_frame_on_every_call(eig_calls):
@@ -185,8 +215,8 @@ def test_verify_dual_shape_errors():
 def test_sampling_consistency(rng):
     for count, dim in [(4, 2), (6, 3), (9, 5)]:
         frame = random_frame(rng, count, dim)
-        cert = exact_bounds(frame)
-        lo, hi = cert.bounds.lower, cert.bounds.upper
+        bounds = exact_bounds(frame)
+        lo, hi = bounds.lower, bounds.upper
         for _ in range(100):
             f = random_unit_vector(rng, dim)
             energy = float(np.sum(np.abs(frame.vectors.conj() @ f) ** 2))
@@ -195,11 +225,11 @@ def test_sampling_consistency(rng):
 
 def test_bounds_attained_by_eigenvectors(rng):
     frame = random_frame(rng, 7, 4)
-    cert = exact_bounds(frame)
+    bounds = exact_bounds(frame)
     from framesum.linalg import hermitian_eig
 
     eig = hermitian_eig(frame_operator(frame))
-    for column, target in ((0, cert.bounds.lower), (-1, cert.bounds.upper)):
+    for column, target in ((0, bounds.lower), (-1, bounds.upper)):
         v = eig.eigenvectors[:, column]
         energy = float(np.sum(np.abs(frame.vectors.conj() @ v) ** 2))
         assert energy == pytest.approx(target, rel=1e-9)
@@ -210,14 +240,14 @@ def test_bounds_scaling_covariance(rng):
     base = exact_bounds(frame)
     for c in (2.0, 0.3, 1.5 - 2.5j, 1j):
         scaled = FiniteFrame(c * frame.vectors)
-        cert = exact_bounds(scaled)
+        bounds = exact_bounds(scaled)
         factor = abs(c) ** 2
-        assert cert.bounds.lower == pytest.approx(factor * base.bounds.lower, rel=1e-10)
-        assert cert.bounds.upper == pytest.approx(factor * base.bounds.upper, rel=1e-10)
+        assert bounds.lower == pytest.approx(factor * base.lower, rel=1e-10)
+        assert bounds.upper == pytest.approx(factor * base.upper, rel=1e-10)
 
 
 def test_zero_vectors_inside_family_are_allowed():
     frame = FiniteFrame([[0, 3], [3, 0], [0, 0]])
-    cert = exact_bounds(frame)
-    assert cert.is_tight
-    assert cert.bounds.lower == pytest.approx(9, rel=1e-12)
+    bounds = exact_bounds(frame)
+    assert bounds.is_tight
+    assert bounds.lower == pytest.approx(9, rel=1e-12)

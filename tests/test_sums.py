@@ -128,7 +128,7 @@ def test_pivot_freedom_all_holding_pivots_certify(rng):
     # pivots and each one's lower bound is certifiable
     f1 = FiniteFrame(np.eye(2))
     f2 = FiniteFrame([[0, 1.1], [1.1, 0]])
-    bounds = [exact_bounds(f).bounds for f in (f1, f2)]
+    bounds = [exact_bounds(f) for f in (f1, f2)]
     coefficients = np.array([1.0, 0.2])
     built = build_sum_frame((f1, f2), coefficients)
     held = 0
@@ -312,7 +312,7 @@ def test_build_perturbed_rejects_misaligned_sequences():
 
 
 def test_certify_trivial_sum_has_zero_slack():
-    bounds = exact_bounds(BASE_C2).bounds
+    bounds = exact_bounds(BASE_C2)
     predicted = finite_sum_predict([bounds], [1], 0)
     report = certify(predicted, BASE_C2)
     assert report.certified
@@ -344,7 +344,7 @@ def test_random_soundness_smoke(rng):
         dim = int(rng.integers(2, 5))
         count = int(rng.integers(dim, dim + 3))
         frames = [random_frame(rng, count, dim) for _ in range(2)]
-        bounds = [exact_bounds(f).bounds for f in frames]
+        bounds = [exact_bounds(f) for f in frames]
         coefficients = np.array([1.0 + 0.5 * rng.standard_normal(), 0.01 * rng.standard_normal()])
         if np.any(coefficients == 0):
             continue
@@ -384,7 +384,7 @@ def test_dual_rule_certifies_whenever_the_pair_is_dual(seed, dim, extra):
     _, (frame, _) = _draw_frames(seed, dim, extra)
     dual = canonical_dual(frame)
     assume(verify_dual(frame, dual).is_dual)
-    predicted = dual_sum_predict(exact_bounds(frame).bounds, exact_bounds(dual).bounds)
+    predicted = dual_sum_predict(exact_bounds(frame), exact_bounds(dual))
     assert predicted.condition_holds
     assert certify(predicted, build_sum_frame((frame, dual), [1, 1])).certified
 
@@ -397,8 +397,8 @@ def test_operator_sum_certifies_whenever_the_condition_holds(seed, dim, extra, s
     predicted = operator_sum_predict(
         extreme_singular_values(theta1),
         extreme_singular_values(theta2),
-        exact_bounds(f1).bounds,
-        exact_bounds(f2).bounds,
+        exact_bounds(f1),
+        exact_bounds(f2),
     )
     assume(predicted.condition_holds)
     assert certify(predicted, build_operator_sum_frame(f1, f2, theta1, theta2)).certified
@@ -411,7 +411,7 @@ def test_perturbed_sum_certifies_whenever_the_condition_holds(seed, dim, extra, 
     alpha = rng.uniform(0.5, 1.0, count) * _unit_phases(rng, count)
     beta = scale * rng.uniform(0.0, 1.0, count) * _unit_phases(rng, count)
     predicted = perturbed_sum_predict(
-        modulus_range(alpha), modulus_range(beta), exact_bounds(f1).bounds, exact_bounds(f2).bounds
+        modulus_range(alpha), modulus_range(beta), exact_bounds(f1), exact_bounds(f2)
     )
     assume(predicted.condition_holds)
     assert certify(predicted, build_perturbed_sum_frame(f1, f2, alpha, beta)).certified
@@ -423,7 +423,7 @@ def test_finite_sum_of_two_certifies_whenever_the_condition_holds(seed, dim, ext
     # (ROADMAP item 3), which a property over k >= 3 would report
     rng, frames = _draw_frames(seed, dim, extra)
     coefficients = np.array([1.0, scale]) * rng.uniform(0.5, 1.0, 2) * _unit_phases(rng, 2)
-    bounds = [exact_bounds(f).bounds for f in frames]
+    bounds = [exact_bounds(f) for f in frames]
     holding = [p for p in (finite_sum_predict(bounds, coefficients, j) for j in range(2)) if p.condition_holds]
     assume(holding)
     built = build_sum_frame(frames, coefficients)
