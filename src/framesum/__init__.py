@@ -44,7 +44,6 @@ from .frames import (
     verify_dual,
 )
 from .sums import (
-    CertificationReport,
     PredictedBounds,
     build_operator_sum_frame,
     build_perturbed_sum_frame,

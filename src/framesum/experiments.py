@@ -27,8 +27,9 @@ returns one prediction per list of bound pairs, and where a failing condition
 was taken; a builder builds the summed family.  The runner predicts once, over
 the given pairs, or over the oracle bounds and then any ``stated_bounds``, which
 change only the reported prediction.  It builds the sum only once the
-oracle-basis condition holds and certifies that prediction against the sum's
-oracle bounds; a stated-basis prediction that does not bracket them is flagged.
+oracle-basis condition holds, and asks :func:`~framesum.sums.certify` about
+both predictions: the oracle-basis one must bracket the sum's oracle bounds,
+and a stated-basis one whose condition holds and that does not is flagged.
 
 Every kind is deterministic except ``algo``: the random generator handed to
 :func:`run_experiment` (the CLI's ``--seed``) draws only its runs' targets.
@@ -65,7 +66,7 @@ from .errors import (
     SpecParseError,
     SpecSchemaError,
 )
-from .frames import FiniteFrame, FrameBounds, brackets, exact_bounds, random_unit_vector, verify_dual
+from .frames import FiniteFrame, FrameBounds, exact_bounds, random_unit_vector, verify_dual
 from .gabor import LatticeParams, PiecewiseGenerator, WHParams, estimate_bounds, wh_to_gabor
 from .linalg import extreme_singular_values
 from .sums import (
@@ -189,9 +190,11 @@ def _as_string(value, path: str) -> str:
 
 
 def _as_name(value, path: str) -> str:
-    """A label or a name: a nonempty string."""
+    """A label or a name: a nonempty string with no line break, as a report prints it in one line."""
     if not isinstance(value, str) or not value:
         raise _schema_error(path, "must be a nonempty string")
+    if "\n" in value or "\r" in value:
+        raise _schema_error(path, "must not contain a line break")
     return value
 
 
@@ -534,6 +537,8 @@ def _payload_algo(doc: dict):
         path = f"runs[{i}]"
         obj = _as_record(entry, path, {"label", "frame", "bounds"})
         label = _as_name(obj.get("label", f"run{i + 1}"), path + ".label")
+        if "," in label:  # the label names CSV columns
+            raise _schema_error(path + ".label", "must not contain a comma")
         frame = _as_frame(obj.get("frame"), path + ".frame", label)
         vectors = frame.frame.vectors
         frame = replace(frame, frame=shared.setdefault((vectors.shape, vectors.tobytes()), frame.frame))
@@ -724,42 +729,35 @@ def _report_prediction(rep: ExperimentResult, tag: str, predicted) -> dict:
     }
 
 
-def _report_certification(rep: ExperimentResult, predicted, report) -> dict:
-    rep.line(
-        f"built sum oracle bounds: {_interval(report.exact.lower, report.exact.upper)}, "
-        f"width {format_width(report.exact.width)}"
-    )
-    rep.line(
-        f"certified: {'yes' if report.certified else 'NO'} "
-        f"(slacks {_fmt(report.lower_slack)}, {_fmt(report.upper_slack)})"
-    )
-    return {
-        "exact": _bounds_json(report.exact),
-        "certified": report.certified,
-        "slacks": [report.lower_slack, report.upper_slack],
-        "widths": {"predicted": predicted.width, "exact": report.exact.width},
-    }
-
-
 def _certify_and_report(rep: ExperimentResult, predicted, build, inputs, frames) -> None:
     """Certify the oracle-basis ``predicted[0]``, whose condition holds, on the sum
-    ``build(inputs, frames)``; bracket-check a stated-basis ``predicted[1]``."""
+    ``build(inputs, frames)``, and any stated-basis ``predicted[1]`` whose condition holds."""
     oracle_pred, *stated_pred = predicted
     try:
-        report = certify(oracle_pred, build(inputs, frames))
+        built = build(inputs, frames)
+        certified = certify(oracle_pred, built)
     except NotAFrameError as exc:
         rep.fail(f"built sum is not a frame: {exc}")
         return
-    rep.payload["certification"] = _report_certification(rep, oracle_pred, report)
-    rep.observe(certified=report.certified, sum_bounds=report.exact)
-    if not report.certified:
+    exact = exact_bounds(built)
+    slacks = [exact.lower - oracle_pred.lower, oracle_pred.upper - exact.upper]
+    rep.line(f"built sum oracle bounds: {_interval(exact.lower, exact.upper)}, width {format_width(exact.width)}")
+    rep.line(f"certified: {'yes' if certified else 'NO'} (slacks {_fmt(slacks[0])}, {_fmt(slacks[1])})")
+    rep.payload["certification"] = {
+        "exact": _bounds_json(exact),
+        "certified": certified,
+        "slacks": slacks,
+        "widths": {"predicted": oracle_pred.width, "exact": exact.width},
+    }
+    rep.observe(certified=certified, sum_bounds=exact)
+    if not certified:
         rep.fail("certification failed: prediction does not bracket the oracle bounds")
     for stated in stated_pred:
-        if stated.condition_holds and not brackets(stated, report.exact):
+        if stated.condition_holds and not certify(stated, built):
             rep.flag(
                 f"prediction from stated bounds {_interval(stated.lower, stated.upper)} "
                 f"does not bracket the built sum's oracle bounds "
-                f"{_interval(report.exact.lower, report.exact.upper)}; "
+                f"{_interval(exact.lower, exact.upper)}; "
                 "stated input bounds are not valid for their frame"
             )
 

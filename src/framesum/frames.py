@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatchError, InvalidBoundsError, NotAFrameError
+from .errors import DimensionMismatchError, InvalidBoundsError, NotAFrameError, NumericRangeError
 
 #: width at or below which a frame is certified tight.
 TIGHTNESS_TOLERANCE = 1e-10
@@ -98,8 +98,6 @@ class FiniteFrame:
 
     def __init__(self, vectors):
         arr = np.asarray(vectors, dtype=complex)
-        if arr.ndim == 1:
-            arr = arr[np.newaxis, :]
         if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
             raise DimensionMismatchError(
                 f"expected a nonempty family of equal-length vectors, got shape {arr.shape}"
@@ -125,12 +123,6 @@ class FiniteFrame:
     def count(self) -> int:
         return self._vectors.shape[0]
 
-    def __len__(self) -> int:
-        return self.count
-
-    def __getitem__(self, k) -> np.ndarray:
-        return self._vectors[k]
-
     def __repr__(self) -> str:
         return f"FiniteFrame(count={self.count}, dim={self.dim})"
 
@@ -150,13 +142,26 @@ def exact_bounds(frame: FiniteFrame) -> FrameBounds:
 
     Raises :class:`NotAFrameError` when the family fails to span (smallest
     eigenvalue at or below ``SPAN_TOLERANCE`` times the largest); that
-    outcome is not saved, so every call raises it again.
+    outcome is not saved, so every call raises it again.  Underflow in ``S``
+    can decide that only when the smallest eigenvalue and the span threshold
+    both lie below the normal range.  The frame is then scaled by the power
+    of two that brings its largest entry into ``[0.5, 1)``, which is exact for
+    every entry that stays normal, and solved again: the scaled frame raises
+    :class:`NotAFrameError` when it does not span, and
+    :class:`NumericRangeError` is raised when it does.
     """
     if frame._bounds is not None:
         return frame._bounds
     eig = linalg.hermitian_eig(frame_operator(frame))
     lo = float(eig.eigenvalues[0])
     hi = float(eig.eigenvalues[-1])
+    if max(lo, SPAN_TOLERANCE * hi) < np.finfo(float).tiny:
+        exponent = -math.frexp(float(np.abs(frame.vectors).max()))[1]
+        # B >= 0.25 / dim for the scaled frame, so this call solves it and does not recur
+        exact_bounds(FiniteFrame(np.ldexp(frame.vectors.view(float), exponent).view(complex)))
+        raise NumericRangeError(
+            f"frame operator underflowed: smallest eigenvalue {lo:.3e}; the frame times 2^{exponent} spans"
+        )
     if hi <= 0.0 or lo <= SPAN_TOLERANCE * hi:
         raise NotAFrameError(
             f"vectors do not span: extreme eigenvalues ({lo:.3e}, {hi:.3e})"

@@ -12,14 +12,14 @@ The operator-sum and perturbed-sum predictors take ranges ``(inf, sup)``: of
 the operators' singular values, from
 :func:`~framesum.linalg.extreme_singular_values`, and of the scalar
 sequences' moduli, from :func:`modulus_range`.  A ``build_*`` function builds
-the summed family itself, and :func:`certify` compares a prediction against
-the spectral oracle bounds of that family.  Strict inequalities are evaluated
-as ``margin > 0`` in plain double arithmetic, and
-``PredictedBounds.condition_holds`` is that test.  So a tie fails the condition
-only when its margin comes out exactly 0; an exact tie whose margin rounds to a
-small positive number reports the condition as holding (the strict xfails
-``finite-sum-tie`` and ``operator-sum-tie`` in ``tests/test_cli.py``, and
-ROADMAP item 13).
+the summed family itself, and :func:`certify` answers one yes/no question:
+does a prediction whose condition holds bracket the spectral oracle bounds of
+that family?  Strict inequalities are evaluated as ``margin > 0`` in plain
+double arithmetic, and ``PredictedBounds.condition_holds`` is that test.  So a
+tie fails the condition only when its margin comes out exactly 0; an exact tie
+whose margin rounds to a small positive number reports the condition as
+holding (the strict xfails ``finite-sum-tie`` and ``operator-sum-tie`` in
+``tests/test_cli.py``, and ROADMAP item 13).
 """
 
 from __future__ import annotations
@@ -232,24 +232,13 @@ def build_perturbed_sum_frame(frame1: FiniteFrame, frame2: FiniteFrame, alpha, b
     return FiniteFrame(alpha[:, None] * frame1.vectors + beta[:, None] * frame2.vectors)
 
 
-@dataclass(frozen=True)
-class CertificationReport:
-    """Outcome of checking a prediction against the spectral oracle.
+def certify(predicted: PredictedBounds, actual: FiniteFrame) -> bool:
+    """Whether ``predicted`` brackets the oracle bounds of ``actual``.
 
-    ``certified`` means the predicted pair brackets the oracle pair, as
-    :func:`~framesum.frames.brackets` decides: ``lower <= A*`` and
-    ``upper >= B*`` within a relative ``CERTIFY_TOLERANCE``.
-    Slacks are ``A* - lower`` and ``upper - B*``.
-    """
-
-    exact: FrameBounds
-    certified: bool
-    lower_slack: float
-    upper_slack: float
-
-
-def certify(predicted: PredictedBounds, actual: FiniteFrame) -> CertificationReport:
-    """Check that ``predicted`` brackets the oracle bounds of ``actual``.
+    That is ``lower <= A*`` and ``upper >= B*`` within a relative
+    ``CERTIFY_TOLERANCE``, as :func:`~framesum.frames.brackets` decides for
+    the pair :func:`~framesum.frames.exact_bounds` returns; the oracle pair
+    is saved on ``actual``, so a caller that reports it solves nothing again.
 
     Requires a holding condition.  Propagates :class:`NotAFrameError` when the
     built family fails to span, which callers should surface as a finding
@@ -258,10 +247,4 @@ def certify(predicted: PredictedBounds, actual: FiniteFrame) -> CertificationRep
     """
     if not predicted.condition_holds:
         raise InvalidBoundsError("cannot certify a prediction whose condition failed")
-    exact = exact_bounds(actual)
-    return CertificationReport(
-        exact=exact,
-        certified=brackets(predicted, exact),
-        lower_slack=exact.lower - predicted.lower,
-        upper_slack=predicted.upper - exact.upper,
-    )
+    return brackets(predicted, exact_bounds(actual))

@@ -206,6 +206,30 @@ def test_cli_finite_sum_report(tmp_path, capsys):
     assert "certified: yes" in out
 
 
+def test_cli_finite_sum_with_valid_stated_bounds_passes(tmp_path, capsys):
+    # each stated pair is the oracle pair loosened by 1e-10, inside the stated
+    # match tolerance, so the stated-basis prediction brackets the built sum
+    loosen = [1 - 1e-10, 1 + 1e-10]
+    doc = {
+        "kind": "finite-sum",
+        "frames": [
+            {"vectors": [[2, 0], [0, 1]], "stated_bounds": [1 * loosen[0], 4 * loosen[1]]},
+            {"vectors": [[0.1, 0], [0, 0.1]], "stated_bounds": [0.01 * loosen[0], 0.01 * loosen[1]]},
+        ],
+        "coefficients": [1, 1],
+    }
+    path = tmp_path / "stated.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["sum", "--spec", str(path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "predicted bounds (stated inputs): [0.609999999" in out
+    assert "built sum oracle bounds: [1.21, 4.41]" in out
+    assert "certified: yes" in out
+    assert "does not bracket" not in out and "flags:" not in out
+    assert out.endswith("status: pass\n")
+
+
 def test_cli_kind_mismatch(tmp_path, capsys):
     path = _fixture_path(tmp_path, "finite_sum_c2.json")
     code = main(["dual", "--spec", str(path)])
@@ -347,30 +371,53 @@ def test_cli_rejects_misaligned_summands_at_parse_time(tmp_path, capsys, command
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("value", ["", 5], ids=["empty", "number"])
-@pytest.mark.parametrize(
-    "command,doc,field",
-    [
-        ("width", {"kind": "width", "label": None, "entries": [{"bounds": [1, 2]}]}, "label"),
-        ("width", {"kind": "width", "entries": [{"label": None, "bounds": [1, 2]}]}, "entries[0].label"),
-        ("bounds", {"kind": "bounds", "frame": {"name": None, "vectors": E2}}, "frame.name"),
-        (
-            "sum",
-            {"kind": "finite-sum", "frame_bounds": [[1, 2], {"name": None, "bounds": [1, 2]}], "coefficients": [1, 1]},
-            "frame_bounds[1].name",
-        ),
-        ("algo", {"kind": "algo", "runs": [{"label": None, "frame": {"vectors": E2}}]}, "runs[0].label"),
-    ],
-    ids=["label", "entry-label", "frame-name", "frame-bounds-name", "run-label"],
-)
-def test_cli_rejects_a_name_that_is_not_a_nonempty_string(tmp_path, capsys, command, doc, field, value):
+# Documents with one name or label, null here, and the field path of that name.
+NAMED = {
+    "label": ("width", {"kind": "width", "label": None, "entries": [{"bounds": [1, 2]}]}, "label"),
+    "entry-label": ("width", {"kind": "width", "entries": [{"label": None, "bounds": [1, 2]}]}, "entries[0].label"),
+    "frame-name": ("bounds", {"kind": "bounds", "frame": {"name": None, "vectors": E2}}, "frame.name"),
+    "frame-bounds-name": (
+        "sum",
+        {"kind": "finite-sum", "frame_bounds": [[1, 2], {"name": None, "bounds": [1, 2]}], "coefficients": [1, 1]},
+        "frame_bounds[1].name",
+    ),
+    "run-label": ("algo", {"kind": "algo", "runs": [{"label": None, "frame": {"vectors": E2}}]}, "runs[0].label"),
+}
+
+
+def _run_named(tmp_path, capsys, command, doc, value):
+    """Exit code and captured output of ``doc`` with its null name set to ``value``."""
     text = json.dumps(doc).replace("null", json.dumps(value))
     path = tmp_path / "named.json"
     path.write_text(text, encoding="utf-8")
-    code = main([command, "--spec", str(path)])
-    captured = capsys.readouterr()
+    return main([command, "--spec", str(path)]), capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["", 5], ids=["empty", "number"])
+@pytest.mark.parametrize("command,doc,field", NAMED.values(), ids=NAMED.keys())
+def test_cli_rejects_a_name_that_is_not_a_nonempty_string(tmp_path, capsys, command, doc, field, value):
+    code, captured = _run_named(tmp_path, capsys, command, doc, value)
     assert code == 1 and captured.out == ""
     assert captured.err == f"error: {field}: must be a nonempty string\n"
+
+
+# A line break in a name would split the report line that prints it, and a
+# comma in a run label would add cells to the CSV header (k,err_a,b,env_a,b).
+@pytest.mark.parametrize(
+    "command,doc,field,value,message",
+    [
+        *(
+            pytest.param(*named, value, "must not contain a line break", id=f"{key}-{end}")
+            for key, named in NAMED.items()
+            for end, value in (("lf", "a\nb"), ("cr", "a\rb"))
+        ),
+        pytest.param(*NAMED["run-label"], "a,b", "must not contain a comma", id="run-label-comma"),
+    ],
+)
+def test_cli_rejects_a_name_that_would_break_its_output(tmp_path, capsys, command, doc, field, value, message):
+    code, captured = _run_named(tmp_path, capsys, command, doc, value)
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {field}: {message}\n"
 
 
 # The margin is exactly 0 for each rule: a tie fails the condition.
@@ -698,9 +745,13 @@ def test_cli_finite_sum_near_tie_writes_a_report(tmp_path, capsys, pivot):
 
 
 @pytest.mark.parametrize(
-    "command,doc",
+    "command,doc,word",
     [
-        ("bounds", {"kind": "bounds", "frame": {"vectors": [[1e200, 0], [0, 1]]}}),
+        ("bounds", {"kind": "bounds", "frame": {"vectors": [[1e200, 0], [0, 1]]}}, "overflowed"),
+        # a scaled basis: its frame operator underflows to 0, or to a subnormal
+        # value whose bounds would come out 1.1e-5 too low
+        ("bounds", {"kind": "bounds", "frame": {"vectors": [[1e-170, 0], [0, 1e-170]]}}, "underflowed"),
+        ("bounds", {"kind": "bounds", "frame": {"vectors": [[1e-160, 0], [0, 1e-160]]}}, "underflowed"),
         (
             "gabor",
             {
@@ -708,6 +759,7 @@ def test_cli_finite_sum_near_tie_writes_a_report(tmp_path, capsys, pivot):
                 "generator": {"pieces": [{"lo": 0, "hi": 1, "kind": "affine", "alpha": 1e200, "beta": 1}]},
                 "lattice": {"a": 0.5, "b": 1},
             },
+            "overflowed",
         ),
         (
             # finite energy, but divided by b it passes the largest float
@@ -717,6 +769,7 @@ def test_cli_finite_sum_near_tie_writes_a_report(tmp_path, capsys, pivot):
                 "generator": {"pieces": [{"lo": 0, "hi": 1, "kind": "affine", "alpha": 0, "beta": 1}]},
                 "lattice": {"a": 0.5, "b": 1e-310},
             },
+            "overflowed",
         ),
         (
             "perturbed-sum",
@@ -727,17 +780,25 @@ def test_cli_finite_sum_near_tie_writes_a_report(tmp_path, capsys, pivot):
                 "alpha": [1, 1],
                 "beta": [1e200, 1],
             },
+            "overflowed",
         ),
     ],
-    ids=["bounds-frame", "gabor-alpha", "gabor-b", "perturbed-beta"],
+    ids=[
+        "bounds-frame",
+        "bounds-frame-underflow-to-zero",
+        "bounds-frame-underflow-to-subnormal",
+        "gabor-alpha",
+        "gabor-b",
+        "perturbed-beta",
+    ],
 )
-def test_cli_extreme_magnitudes_exit_two_with_a_clear_error(tmp_path, capsys, command, doc):
+def test_cli_extreme_magnitudes_exit_two_with_a_clear_error(tmp_path, capsys, command, doc, word):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     code = main([command, "--spec", str(path)])
     err = capsys.readouterr().err
     assert code == 2
-    assert "NumericRangeError" in err and "overflowed" in err
+    assert "NumericRangeError" in err and word in err
     assert "Traceback" not in err and "RuntimeWarning" not in err
 
 

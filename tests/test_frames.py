@@ -11,6 +11,7 @@ from framesum import (
     FrameBounds,
     InvalidBoundsError,
     NotAFrameError,
+    NumericRangeError,
     exact_bounds,
     verify_dual,
 )
@@ -51,6 +52,8 @@ def test_construction_rejects_ragged_and_nonfinite():
         FiniteFrame(np.zeros((0, 2)))
     with pytest.raises(DimensionMismatchError):
         FiniteFrame([[np.inf, 0]])
+    with pytest.raises(DimensionMismatchError):  # one vector is not a family
+        FiniteFrame([1, 0])
 
 
 def test_exact_bounds_base_frame():
@@ -110,6 +113,24 @@ def test_exact_bounds_rejects_rank_deficient():
         exact_bounds(FiniteFrame([[1, 0], [2, 0]]))
 
 
+@pytest.mark.parametrize(
+    "vectors,error",
+    [
+        ([[1e-170, 0], [0, 1e-170]], NumericRangeError),  # S underflows to 0
+        ([[1e-160, 0], [0, 1e-160]], NumericRangeError),  # S is subnormal, its bounds inexact
+        ([[1e-170, 0], [2e-170, 0]], NotAFrameError),
+        ([[3e-170, 0], [0, 1e-300]], NotAFrameError),  # spans, but not within SPAN_TOLERANCE
+    ],
+    ids=["basis-zero", "basis-subnormal", "rank-deficient", "ill-conditioned"],
+)
+def test_exact_bounds_on_an_underflowing_operator(vectors, error):
+    frame = FiniteFrame(vectors)
+    with pytest.raises(error):
+        exact_bounds(frame)
+    with pytest.raises(error):  # not saved: a second call decides again
+        exact_bounds(frame)
+
+
 def test_exact_bounds_solves_each_frame_once(eig_calls):
     frame = FiniteFrame([[RT6, RT6], [0, 2], [2, 0]])
     first = exact_bounds(frame)
@@ -122,7 +143,7 @@ def test_frame_vectors_are_read_only():
     with pytest.raises(ValueError):
         frame.vectors[0, 0] = 1.0
     with pytest.raises(ValueError):
-        frame[1][:] = 0.0
+        frame.vectors[1][:] = 0.0
 
 
 @pytest.mark.parametrize("solve_first", [False, True], ids=["before-solve", "after-solve"])

@@ -136,7 +136,7 @@ def test_pivot_freedom_all_holding_pivots_certify(rng):
         predicted = finite_sum_predict(bounds, coefficients, pivot)
         if predicted.condition_holds:
             held += 1
-            assert certify(predicted, built).certified
+            assert certify(predicted, built)
     assert held == 2
     best_pivot, best = finite_sum_best_pivot(bounds, coefficients)
     assert best.lower == max(
@@ -168,23 +168,23 @@ def test_dual_sum_reindexed_construction_bounds():
 def test_dual_sum_certification_slacks_two():
     predicted = dual_sum_predict((1 / 3, 7 / 3), (7 / 8, 3))
     summed = FiniteFrame(DUAL_F_C3.vectors + DUAL_G_C3.vectors)
-    report = certify(predicted, summed)
-    assert report.certified
+    assert certify(predicted, summed)
+    exact = exact_bounds(summed)
     # frame operator of the sum is diag(125/24, 16/3, 125/24), worked by hand
-    assert report.exact.lower == pytest.approx(125 / 24, rel=1e-12)
-    assert report.exact.upper == pytest.approx(16 / 3, rel=1e-12)
-    assert report.lower_slack == pytest.approx(2, rel=1e-9)
-    assert report.upper_slack == pytest.approx(2, rel=1e-9)
+    assert exact.lower == pytest.approx(125 / 24, rel=1e-12)
+    assert exact.upper == pytest.approx(16 / 3, rel=1e-12)
+    assert exact.lower - predicted.lower == pytest.approx(2, rel=1e-9)
+    assert predicted.upper - exact.upper == pytest.approx(2, rel=1e-9)
 
 
 def test_dual_sum_exact_on_parseval_self_dual():
     frame = FiniteFrame(np.eye(2))
     predicted = dual_sum_predict((1, 1), (1, 1))
     doubled = FiniteFrame(2 * frame.vectors)
-    report = certify(predicted, doubled)
-    assert report.certified
-    assert report.lower_slack == pytest.approx(0, abs=1e-12)
-    assert report.upper_slack == pytest.approx(0, abs=1e-12)
+    assert certify(predicted, doubled)
+    exact = exact_bounds(doubled)
+    assert exact.lower - predicted.lower == pytest.approx(0, abs=1e-12)
+    assert predicted.upper - exact.upper == pytest.approx(0, abs=1e-12)
 
 
 # --- operator sums -----------------------------------------------------------
@@ -205,8 +205,7 @@ def test_operator_sum_small_contraction():
     predicted = operator_sum_predict(sigma1, sigma2, (4, 16), (4, 4))
     assert predicted.lower == pytest.approx(24961 / 6400, rel=1e-12)
     assert predicted.upper == pytest.approx(6561 / 1600, rel=1e-12)
-    report = certify(predicted, build_operator_sum_frame(BASE_C2, TIGHT_C2, theta1, theta2))
-    assert report.certified
+    assert certify(predicted, build_operator_sum_frame(BASE_C2, TIGHT_C2, theta1, theta2))
 
 
 def test_operator_sum_zero_first_operator():
@@ -252,7 +251,7 @@ def test_perturbed_sum_quarter_four_envelopes():
     assert predicted.lower == pytest.approx(193 / 4, rel=1e-12)
     assert predicted.upper == pytest.approx(81, rel=1e-12)
     built = build_perturbed_sum_frame(BASE_C2, TIGHT_C2, alpha, beta)
-    assert certify(predicted, built).certified
+    assert certify(predicted, built)
 
 
 def test_perturbed_sum_degenerate_second_sequence():
@@ -314,10 +313,9 @@ def test_build_perturbed_rejects_misaligned_sequences():
 def test_certify_trivial_sum_has_zero_slack():
     bounds = exact_bounds(BASE_C2)
     predicted = finite_sum_predict([bounds], [1], 0)
-    report = certify(predicted, BASE_C2)
-    assert report.certified
-    assert report.lower_slack == pytest.approx(0, abs=1e-12)
-    assert report.upper_slack == pytest.approx(0, abs=1e-12)
+    assert certify(predicted, BASE_C2) is True
+    assert bounds.lower - predicted.lower == pytest.approx(0, abs=1e-12)
+    assert predicted.upper - bounds.upper == pytest.approx(0, abs=1e-12)
 
 
 def test_certify_requires_holding_condition():
@@ -330,9 +328,9 @@ def test_certify_requires_holding_condition():
 def test_certify_flags_non_bracketing_prediction():
     # a deliberately false input bound produces a non-bracketing prediction
     predicted = finite_sum_predict([(4, 16), (9, 9)], [1, 100], 0)
-    report = certify(predicted, build_sum_frame((BASE_C2, DIAG_C2), np.array([1.0, 100.0])))
-    assert not report.certified
-    assert report.lower_slack < 0
+    built = build_sum_frame((BASE_C2, DIAG_C2), np.array([1.0, 100.0]))
+    assert certify(predicted, built) is False
+    assert exact_bounds(built).lower - predicted.lower < 0
 
 
 # --- randomized soundness (small smoke; the acceptance suite runs 100 each) --
@@ -352,7 +350,7 @@ def test_random_soundness_smoke(rng):
         if not predicted.condition_holds:
             continue
         built = build_sum_frame(frames, coefficients)
-        assert certify(predicted, built).certified
+        assert certify(predicted, built)
         checked += 1
 
 
@@ -386,7 +384,7 @@ def test_dual_rule_certifies_whenever_the_pair_is_dual(seed, dim, extra):
     assume(verify_dual(frame, dual).is_dual)
     predicted = dual_sum_predict(exact_bounds(frame), exact_bounds(dual))
     assert predicted.condition_holds
-    assert certify(predicted, build_sum_frame((frame, dual), [1, 1])).certified
+    assert certify(predicted, build_sum_frame((frame, dual), [1, 1]))
 
 
 @given(**SMALL_FRAMES, scale=SCALE)
@@ -401,7 +399,7 @@ def test_operator_sum_certifies_whenever_the_condition_holds(seed, dim, extra, s
         exact_bounds(f2),
     )
     assume(predicted.condition_holds)
-    assert certify(predicted, build_operator_sum_frame(f1, f2, theta1, theta2)).certified
+    assert certify(predicted, build_operator_sum_frame(f1, f2, theta1, theta2))
 
 
 @given(**SMALL_FRAMES, scale=SCALE)
@@ -414,7 +412,7 @@ def test_perturbed_sum_certifies_whenever_the_condition_holds(seed, dim, extra, 
         modulus_range(alpha), modulus_range(beta), exact_bounds(f1), exact_bounds(f2)
     )
     assume(predicted.condition_holds)
-    assert certify(predicted, build_perturbed_sum_frame(f1, f2, alpha, beta)).certified
+    assert certify(predicted, build_perturbed_sum_frame(f1, f2, alpha, beta))
 
 
 @given(**SMALL_FRAMES, scale=SCALE)
@@ -428,4 +426,4 @@ def test_finite_sum_of_two_certifies_whenever_the_condition_holds(seed, dim, ext
     assume(holding)
     built = build_sum_frame(frames, coefficients)
     for predicted in holding:
-        assert certify(predicted, built).certified
+        assert certify(predicted, built)
