@@ -70,5 +70,5 @@ class SpecSchemaError(FrameToolkitError):
     """Experiment file parsed but violates the experiment schema."""
 
     def __init__(self, message, field=None):
-        super().__init__(message if field is None else f"{field}: {message}")
+        super().__init__(f"{field}: {message}" if field else message)
         self.field = field

@@ -3,7 +3,10 @@
 One experiment is one JSON document.  Complex scalars are two-element
 ``[re, im]`` arrays (a bare real is accepted where the imaginary part is
 zero), frames are arrays of vectors, matrices are arrays of rows, and
-piecewise windows are arrays of ``{lo, hi, kind, alpha, beta}`` objects.
+piecewise windows are arrays of ``{lo, hi, kind, alpha, beta}`` objects, each
+built by :class:`~framesum.gabor.Piece`, whose error names the piece's path.
+Every string in a document must be a single line that ``str.splitlines``
+leaves whole, since a report prints each in one line.
 
 Frame vectors, ``theta1``/``theta2``, ``alpha``/``beta`` and ``coefficients``
 are read by :func:`_as_complex_array` in one flat pass when they hold only
@@ -67,7 +70,7 @@ from .errors import (
     SpecSchemaError,
 )
 from .frames import FiniteFrame, FrameBounds, exact_bounds, random_unit_vector, verify_dual
-from .gabor import LatticeParams, PiecewiseGenerator, WHParams, estimate_bounds, wh_to_gabor
+from .gabor import LatticeParams, Piece, PiecewiseGenerator, WHParams, estimate_bounds, wh_to_gabor
 from .linalg import extreme_singular_values
 from .sums import (
     build_operator_sum_frame,
@@ -184,18 +187,19 @@ def _as_bool(value, path: str) -> bool:
 
 
 def _as_string(value, path: str) -> str:
+    """A string that a report prints in one line: ``str.splitlines`` leaves it whole."""
     if not isinstance(value, str):
         raise _schema_error(path, f"expected a string, got {value!r}")
+    if value and value.splitlines() != [value]:
+        raise _schema_error(path, "must not contain a line break")
     return value
 
 
 def _as_name(value, path: str) -> str:
-    """A label or a name: a nonempty string with no line break, as a report prints it in one line."""
+    """A label or a name: a nonempty string in one line."""
     if not isinstance(value, str) or not value:
         raise _schema_error(path, "must be a nonempty string")
-    if "\n" in value or "\r" in value:
-        raise _schema_error(path, "must not contain a line break")
-    return value
+    return _as_string(value, path)
 
 
 def _as_strings(value, path: str) -> list[str]:
@@ -338,36 +342,20 @@ def parse_spec_text(text: str, origin="<string>") -> ExperimentSpec:
     entry = _KINDS[kind]
     _as_record(document, "", _COMMON_KEYS | entry.fields)
 
-    label = _as_name(document["label"] if "label" in document else Path(origin).stem, "label")
-    title = document.get("title", "")
-    if not isinstance(title, str):
-        raise _schema_error("title", "must be a string")
-
-    for key in ("notes", "discrepancies"):
-        entries = document.get(key, [])
-        if not isinstance(entries, list) or not all(isinstance(e, str) for e in entries):
-            raise _schema_error(key, "must be an array of strings")
-
     parsers = {"rtol": _as_tolerance, **entry.expect}
-    expect = {
-        key: parsers[key](value, f"expect.{key}")
-        for key, value in _as_record(document.get("expect", {}), "expect", parsers).items()
-    }
-
-    csv_name = document.get("csv")
-    if csv_name is not None and (not isinstance(csv_name, str) or not csv_name):
-        raise _schema_error("csv", "must be a nonempty string")
-
-    return ExperimentSpec(
+    return ExperimentSpec(  # the keywords in the order their fields are checked
         kind=kind,
-        label=label,
-        title=title,
         document=document,
+        label=_as_name(document["label"] if "label" in document else Path(origin).stem, "label"),
+        title=_as_string(document.get("title", ""), "title"),
+        notes=tuple(_as_strings(document.get("notes", []), "notes")),
+        discrepancies=tuple(_as_strings(document.get("discrepancies", []), "discrepancies")),
+        expect={
+            key: parsers[key](value, f"expect.{key}")
+            for key, value in _as_record(document.get("expect", {}), "expect", parsers).items()
+        },
+        csv_name=None if document.get("csv") is None else _as_name(document["csv"], "csv"),
         payload=entry.parse(document),
-        notes=tuple(document.get("notes", [])),
-        discrepancies=tuple(document.get("discrepancies", [])),
-        expect=expect,
-        csv_name=csv_name,
     )
 
 
@@ -475,18 +463,11 @@ def _payload_gabor(doc: dict):
     for i, piece in enumerate(_as_array(gen_obj.get("pieces"), "generator.pieces")):
         path = f"generator.pieces[{i}]"
         obj = _as_record(piece, path, {"lo", "hi", "kind", "alpha", "beta"})
-        kind = obj.get("kind")
-        if kind not in ("affine", "sqrt-affine"):
-            raise _schema_error(path + ".kind", f"must be affine or sqrt-affine, got {kind!r}")
-        pieces.append(
-            dict(
-                lo=_as_real(obj.get("lo"), path + ".lo"),
-                hi=_as_real(obj.get("hi"), path + ".hi"),
-                kind=kind,
-                alpha=_as_real(obj.get("alpha"), path + ".alpha"),
-                beta=_as_real(obj.get("beta"), path + ".beta"),
-            )
-        )
+        lo, hi, alpha, beta = (_as_real(obj.get(key), f"{path}.{key}") for key in ("lo", "hi", "alpha", "beta"))
+        try:
+            pieces.append(Piece(lo, hi, obj.get("kind"), alpha, beta))
+        except ValueError as exc:
+            raise _schema_error(path, str(exc)) from None
     try:
         generator = PiecewiseGenerator(pieces)
     except (FrameToolkitError, ValueError) as exc:

@@ -144,14 +144,7 @@ class PiecewiseGenerator:
     __slots__ = ("_pieces", "_ends")
 
     def __init__(self, pieces):
-        coerced = []
-        for piece in pieces:
-            if isinstance(piece, Piece):
-                coerced.append(piece)
-            elif isinstance(piece, dict):
-                coerced.append(Piece(**piece))
-            else:
-                coerced.append(Piece(*piece))
+        coerced = [piece if isinstance(piece, Piece) else Piece(*piece) for piece in pieces]
         if not coerced:
             raise EmptySupportError("generator needs at least one piece")
         coerced.sort(key=lambda p: p.lo)

@@ -67,11 +67,7 @@ class PredictedBounds:
 
 
 def _coerce_coefficients(coefficients) -> np.ndarray:
-    c = np.asarray(coefficients, dtype=complex)
-    if c.ndim != 1 or c.size == 0:
-        raise ZeroCoefficientError("coefficient list must be a nonempty vector")
-    if not np.isfinite(c).all():
-        raise ZeroCoefficientError("coefficients must be finite")
+    c = linalg.as_cvector(coefficients)
     if np.any(c == 0):
         raise ZeroCoefficientError("all coefficients must be nonzero")
     return c
@@ -94,9 +90,9 @@ def finite_sum_predict(bounds, coefficients, pivot: int) -> PredictedBounds:
     c = _coerce_coefficients(coefficients)
     k = len(blist)
     if c.shape[0] != k:
-        raise ZeroCoefficientError(f"{k} bound pairs but {c.shape[0]} coefficients")
+        raise DimensionMismatchError(f"{k} bound pairs but {c.shape[0]} coefficients")
     if not (0 <= pivot < k):
-        raise IndexError(f"pivot {pivot} out of range for {k} frames")
+        raise DimensionMismatchError(f"pivot {pivot} out of range for {k} frames")
 
     mags = np.abs(c)
     a = np.array([b.lower for b in blist])

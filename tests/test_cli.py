@@ -289,23 +289,32 @@ E2 = [[1, 0], [0, 1]]
 E3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
+def _error_line(field: str | None, message: str) -> str:
+    """The stderr line of a spec error; a syntax error, or a schema error about the
+    whole document, names no field."""
+    return f"error: {field}: {message}\n" if field else f"error: {message}\n"
+
+
 @pytest.mark.parametrize(
-    "command,doc,field",
+    "command,doc,field,message",
     [
         (
             "sum",
             {"kind": "finite-sum", "frames": [{"vectors": E2}, {"vectors": E3}], "coefficients": [1, 1]},
             "frames[1].vectors",
+            "3 vectors in dimension 3 do not align with the 2 vectors in dimension 2 of frames[0]",
         ),
         (
             "sum",
             {"kind": "finite-sum", "frames": [{"vectors": E2}, {"vectors": E2 + [[1, 1]]}], "coefficients": [1, 1]},
             "frames[1].vectors",
+            "3 vectors in dimension 2 do not align with the 2 vectors in dimension 2 of frames[0]",
         ),
         (
             "op-sum",
             {"kind": "operator-sum", "frame1": {"vectors": E2}, "frame2": {"vectors": E2}, "theta1": E3, "theta2": E3},
             "theta1",
+            "must be 2x2 like the frames, got (3, 3)",
         ),
         (
             "op-sum",
@@ -317,6 +326,7 @@ E3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
                 "theta2": E2,
             },
             "frame2.vectors",
+            "3 vectors in dimension 2 do not align with the 2 vectors in dimension 2 of frame1",
         ),
         (
             "perturbed-sum",
@@ -328,22 +338,44 @@ E3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
                 "beta": [1, 1],
             },
             "frame2.vectors",
+            "2 vectors in dimension 3 do not align with the 2 vectors in dimension 2 of frame1",
         ),
-        ("dual", {"kind": "dual", "frame": {"vectors": E2}, "dual": {"vectors": E2 + [[1, 1]]}}, "dual.vectors"),
-        ("dual", {"kind": "dual", "frame": {"vectors": E2}, "dual": {"vectors": E3[:2]}}, "dual.vectors"),
-        ("sum", {"kind": "finite-sum", "frame_bounds": [], "coefficients": []}, "frame_bounds"),
-        ("sum", {"kind": "finite-sum", "frames": [], "coefficients": []}, "frames"),
+        (
+            "dual",
+            {"kind": "dual", "frame": {"vectors": E2}, "dual": {"vectors": E2 + [[1, 1]]}},
+            "dual.vectors",
+            "3 vectors in dimension 2 do not align with the 2 vectors in dimension 2 of frame",
+        ),
+        (
+            "dual",
+            {"kind": "dual", "frame": {"vectors": E2}, "dual": {"vectors": E3[:2]}},
+            "dual.vectors",
+            "2 vectors in dimension 3 do not align with the 2 vectors in dimension 2 of frame",
+        ),
+        ("sum", {"kind": "finite-sum", "frame_bounds": [], "coefficients": []}, "frame_bounds", "must be nonempty"),
+        ("sum", {"kind": "finite-sum", "frames": [], "coefficients": []}, "frames", "must be nonempty"),
         # given bounds only: T1 and T2 act on one space, alpha_k and beta_k index one vector
         (
             "op-sum",
             {"kind": "operator-sum", "bounds1": [1, 2], "bounds2": [1, 2], "theta1": E2, "theta2": E3},
             "theta2",
+            "must be 2x2 like theta1, got (3, 3)",
         ),
         (
             "perturbed-sum",
             {"kind": "perturbed-sum", "bounds1": [1, 2], "bounds2": [1, 2], "alpha": [1, 1], "beta": [1, 1, 1]},
             "beta",
+            "must have as many entries as alpha (2), got 3",
         ),
+        # a document with its summands missing, doubled or halved has no field to name
+        ("dual", {"kind": "dual"}, "", "dual needs either frame+dual or bounds1+bounds2"),
+        (
+            "dual",
+            {"kind": "dual", "frame": {"vectors": E2}, "dual": {"vectors": E2}, "bounds1": [1, 2], "bounds2": [1, 2]},
+            "",
+            "dual needs either frame+dual or bounds1+bounds2",
+        ),
+        ("dual", {"kind": "dual", "frame": {"vectors": E2}}, "", "dual needs both frame and dual"),
     ],
     ids=[
         "sum-dimensions",
@@ -357,18 +389,21 @@ E3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         "sum-no-frames",
         "op-sum-bounds-only-theta-sizes",
         "perturbed-sum-bounds-only-lengths",
+        "dual-no-summands",
+        "dual-frames-and-bounds",
+        "dual-frame-only",
     ],
 )
-def test_cli_rejects_misaligned_summands_at_parse_time(tmp_path, capsys, command, doc, field):
+def test_cli_rejects_misaligned_summands_at_parse_time(tmp_path, capsys, command, doc, field, message):
     path = tmp_path / "misaligned.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    with pytest.raises(SpecSchemaError):
+    with pytest.raises(SpecSchemaError) as excinfo:
         parse_spec(path)
+    assert excinfo.value.field == field
     code = main([command, "--spec", str(path)])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert f"{field}:" in err
-    assert "Traceback" not in err
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == _error_line(field, message)
 
 
 # Documents with one name or label, null here, and the field path of that name.
@@ -418,6 +453,145 @@ def test_cli_rejects_a_name_that_would_break_its_output(tmp_path, capsys, comman
     code, captured = _run_named(tmp_path, capsys, command, doc, value)
     assert code == 1 and captured.out == ""
     assert captured.err == f"error: {field}: {message}\n"
+
+
+WIDTH = {"kind": "width", "entries": [{"bounds": [1, 2]}]}
+PIECE = {"lo": 0, "hi": 1, "kind": "affine", "alpha": 0, "beta": 1}
+GABOR = {"kind": "gabor", "generator": {"pieces": [PIECE]}, "lattice": {"a": 1, "b": 0.5}}
+ALGO = {"kind": "algo", "runs": [{"frame": {"vectors": E2}}]}
+
+
+# Each document fails one check at parse time; the line-break cases would
+# split the report line that prints the string.
+@pytest.mark.parametrize(
+    "command,doc,field,message",
+    [
+        *(
+            pytest.param("width", {**WIDTH, **fields}, field, "must not contain a line break", id=name)
+            for name, fields, field in [
+                ("title-lf", {"title": "a\nb", "notes": ["x\ny"]}, "title"),
+                ("title-u2028", {"title": "a\u2028b"}, "title"),
+                ("notes-lf", {"notes": ["x\ny"]}, "notes[0]"),
+                ("discrepancies-lf", {"discrepancies": ["x\ny"]}, "discrepancies[0]"),
+                ("expect-cr", {"expect": {"widths_4dp": ["a\rb"]}}, "expect.widths_4dp[0]"),
+            ]
+        ),
+        pytest.param("width", {**WIDTH, "title": 5}, "title", "expected a string, got 5", id="title-number"),
+        pytest.param("width", {**WIDTH, "notes": ["x", 3]}, "notes[1]", "expected a string, got 3", id="notes-number"),
+        pytest.param("width", {**WIDTH, "entries": []}, "entries", "must be nonempty", id="width-no-entries"),
+        pytest.param(
+            "gabor",
+            {**GABOR, "generator": {"pieces": [{**PIECE, "kind": "cubic"}]}},
+            "generator.pieces[0]",
+            "piece kind must be one of ('affine', 'sqrt-affine'), got 'cubic'",
+            id="piece-kind",
+        ),
+        pytest.param(
+            "gabor",
+            {**GABOR, "generator": {"pieces": [{**PIECE, "lo": 1}]}},
+            "generator.pieces[0]",
+            "piece needs lo < hi, got [1.0, 1.0)",
+            id="piece-empty",
+        ),
+        pytest.param(
+            "gabor",
+            {**GABOR, "wh": {"P": 1, "Q": 1, "p0": 1, "q0": 1}},
+            "",
+            "gabor needs exactly one of lattice or wh",
+            id="gabor-lattice-and-wh",
+        ),
+        pytest.param(
+            "gabor",
+            {**GABOR, "lattice": {"a": 0, "b": 1}},
+            "lattice",
+            "a must be a finite positive real, got 0.0",
+            id="lattice-zero-step",
+        ),
+        pytest.param(
+            "bounds",
+            {"kind": "bounds", "frame": {"vectors": [[0, 0], [0, 0]]}},
+            "frame.vectors",
+            "all vectors are zero",
+            id="zero-vectors",
+        ),
+        pytest.param("algo", {**ALGO, "csv": ""}, "csv", "must be a nonempty string", id="csv-empty"),
+        pytest.param("algo", {**ALGO, "runs": []}, "runs", "must be nonempty", id="algo-no-runs"),
+        pytest.param(
+            "algo",
+            {**ALGO, "runs": [{"label": "r", "frame": {"vectors": E2}}] * 2},
+            "runs",
+            "duplicate run labels in ['r', 'r']",
+            id="algo-duplicate-labels",
+        ),
+        pytest.param(
+            "sum",
+            {"kind": "finite-sum", "frame_bounds": [[1, 2], [1, 2]], "coefficients": [1, 1], "pivot": "first"},
+            "pivot",
+            'must be a 1-based index or "best", got \'first\'',
+            id="pivot-word",
+        ),
+        pytest.param(
+            "op-sum",
+            {"kind": "operator-sum", "bounds1": [1, 2], "bounds2": [1, 2], "theta1": E3[:2], "theta2": E2},
+            "theta1",
+            "must be square, got (2, 3)",
+            id="theta-not-square",
+        ),
+        pytest.param(
+            "perturbed-sum",
+            {
+                "kind": "perturbed-sum",
+                "frame1": {"vectors": E2},
+                "frame2": {"vectors": E2},
+                "alpha": [1],
+                "beta": [1, 1],
+            },
+            "alpha",
+            "scalar sequences must have one entry per frame vector",
+            id="alpha-short",
+        ),
+        pytest.param(
+            "width",
+            b"\xff",
+            None,
+            "<path> is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+            id="not-utf8",
+        ),
+    ],
+)
+def test_cli_rejects_a_malformed_document_at_parse_time(tmp_path, capsys, command, doc, field, message):
+    path = tmp_path / "malformed.json"
+    path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
+    with pytest.raises((SpecParseError, SpecSchemaError)) as excinfo:
+        parse_spec(path)
+    assert getattr(excinfo.value, "field", None) == field  # a SpecParseError has none
+    code = main([command, "--spec", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == _error_line(field, message.replace("<path>", str(path)))
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_cli_frames_that_are_not_a_dual_pair_fail_without_a_prediction(tmp_path, capsys, flags):
+    path = tmp_path / "not-dual.json"
+    doc = {"kind": "dual", "frame": {"vectors": E2}, "dual": {"vectors": [[2, 0], [0, 2]]}}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["dual", "--spec", str(path), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if flags:
+        payload = json.loads(captured.out)
+        assert payload["verify_dual"] == {"is_dual": False, "max_residual": 1.0}
+        assert "prediction" not in payload
+        assert payload["status"] == "fail"
+    else:
+        assert captured.out == (
+            "experiment: not-dual (dual)\n"
+            "dual identity over all unit vectors: max residual 1 -> NOT a dual pair\n"
+            "failures:\n"
+            "  - dual identity does not hold; the dual-sum rule does not apply\n"
+            "status: fail\n"
+        )
 
 
 # The margin is exactly 0 for each rule: a tie fails the condition.
@@ -1070,7 +1244,7 @@ def test_cli_rejects_a_radicand_below_its_rounding_slack(tmp_path, capsys):
     code = main(["gabor", "--spec", str(path), "--json"])
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
-    assert err.startswith("error: ") and "generator.pieces: sqrt-affine radicand is negative" in err
+    assert err.startswith("error: ") and "generator.pieces[0]: sqrt-affine radicand is negative" in err
 
 
 def test_gabor_shift_cap_admits_windows_up_to_it():

@@ -82,12 +82,12 @@ def test_finite_sum_rejects_zero_coefficient():
 
 
 def test_finite_sum_rejects_count_mismatch():
-    with pytest.raises(ZeroCoefficientError):
+    with pytest.raises(DimensionMismatchError):
         finite_sum_predict([(1, 2)], [1, 1], 0)
 
 
 def test_finite_sum_rejects_bad_pivot():
-    with pytest.raises(IndexError):
+    with pytest.raises(DimensionMismatchError):
         finite_sum_predict([(1, 2)], [1], 3)
 
 
