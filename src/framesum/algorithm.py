@@ -14,15 +14,23 @@ coming from sums of frames.
 The bound pair is validated against the spectral oracle before a single
 iteration runs; a silently invalid pair would void the convergence guarantee.
 
-Each iteration writes its residual into the next row of a preallocated block
-of ``NORM_BLOCK + 1`` rows, and the errors of a whole block are evaluated at
-once after it: ``sqrt(vecdot(re, re) + vecdot(im, im))`` on the real and
-imaginary views of the block's rows.  ``numpy.vecdot`` makes, row by row, the
-same BLAS ``ddot`` call on the same strided view that ``re.dot(re)`` makes on
-one vector, and the square root is correctly rounded in numpy as in
-:mod:`math`, so every error is bitwise the norm of the single residual.  A
-block can run past the stopping tolerance; the series is cut at the first
-error that reaches it, and the iterations after it are discarded.
+Each iteration writes its residual into the next row of a block buffer, and
+the errors of a whole block are evaluated at once after it:
+``sqrt(vecdot(re, re) + vecdot(im, im))`` on the real and imaginary views of
+the block's rows.  ``numpy.vecdot`` makes, row by row, the same BLAS ``ddot``
+call on the same strided view that ``re.dot(re)`` makes on one vector, and the
+square root is correctly rounded in numpy as in :mod:`math`, so every error is
+bitwise the norm of the single residual.  The first block is ``NORM_BLOCK``
+iterations long.  Each later block is sized from the contraction its
+predecessor measured: from the errors ``e0`` entering and ``e1`` leaving a
+block of ``count`` iterations, the tolerance lies about
+``count * log(stop_tol / e1) / log(e1 / e0)`` iterations further, and the next
+block is that many plus ``NORM_MARGIN``, at most ``NORM_BLOCK_CAP``.  So a
+long run takes its norms in a few long blocks, and the block that reaches the
+tolerance ends close to it.  The schedule only decides how many iterations run
+before their norms are taken, never what an iteration or a norm computes.  A
+block can still run past the stopping tolerance; the series is cut at the
+first error that reaches it, and the iterations after it are discarded.
 
 A run's trajectory is kept as columns, unnamed: a list of errors and a list
 of envelopes, indexed by the iteration count.  :class:`ComparisonTable` aligns
@@ -41,8 +49,16 @@ from . import linalg
 from .errors import DimensionMismatchError, InvalidBoundsError, InvalidBoundsForFrameError
 from .frames import FiniteFrame, FrameBounds, as_frame_bounds, brackets, exact_bounds, frame_operator
 
-#: iterations per block of residuals whose norms are evaluated together.
+#: iterations in the first block of residuals whose norms are evaluated together.
 NORM_BLOCK = 32
+
+#: most iterations in one block, taken when a block measured no contraction
+#: or when the tolerance is 0 and the run ends only at ``max_iters``.
+NORM_BLOCK_CAP = 256
+
+#: iterations added to a block's predicted distance to the tolerance, and so
+#: the fewest a later block runs: a prediction a few short costs a whole block.
+NORM_MARGIN = 2
 
 #: default stopping tolerance as a fraction of the target norm.
 STOP_TOL_FACTOR = 1e-12
@@ -83,16 +99,18 @@ def run(frame: FiniteFrame, bounds, target, max_iters: int, stop_tol: float | No
     times the target norm.  The series has no name; a
     :class:`ComparisonTable` takes its label beside it.
 
-    Norms are evaluated ``NORM_BLOCK`` iterations at a time (at most
-    ``max_iters`` in all), with the same BLAS dot products and the same
-    correctly rounded square root as ``numpy.linalg.norm`` of each residual, so
-    every error is bitwise the one-at-a-time value.  Iterations a block
-    computes past the first error at or below the tolerance are discarded.
+    Norms are evaluated a block of iterations at a time, at most
+    ``max_iters`` in all: a first block of ``NORM_BLOCK``, then blocks sized
+    from the contraction each block measured (see the module docstring).  They
+    use the same BLAS dot products and the same correctly rounded square root
+    as ``numpy.linalg.norm`` of each residual, so every error is bitwise the
+    one-at-a-time value.  Iterations a block computes past the first error at
+    or below the tolerance are discarded.
     """
     bounds = as_frame_bounds(bounds)
     if max_iters < 1:
         raise ValueError("max_iters must be positive")
-    if stop_tol is not None and stop_tol < 0.0:
+    if stop_tol is not None and not stop_tol >= 0.0:  # NaN too
         raise ValueError("stop_tol must be nonnegative")
     phi = linalg.as_cvector(target)
     if phi.shape[0] != frame.dim:
@@ -110,41 +128,64 @@ def run(frame: FiniteFrame, bounds, target, max_iters: int, stop_tol: float | No
     # but round-off stays proportional to the shrinking residual instead of
     # to ||target||, so measured errors do not lift off the envelope once
     # they approach machine precision.  Each step runs, in the order and with
-    # the operations of ``r - relaxation * (S @ r)``, three numpy calls:
-    # ``s.dot`` makes the one BLAS matrix-vector call that ``S @ r`` makes,
-    # the relaxation is the complex 0-d array ``omega+0j`` that numpy would
-    # otherwise build from the float on every multiply, and the subtraction
-    # writes r_k into the row after r_{k-1} of a block buffer.  The norms of a
-    # block's rows are taken after it, in one call per dot product (see the
-    # module docstring for why they are bitwise those of the single vectors).
+    # the operations of ``r - relaxation * (S @ r)``, three numpy calls, each
+    # given its output positionally: ``s.dot`` makes the one BLAS
+    # matrix-vector call that ``S @ r`` makes, the relaxation is the complex
+    # 0-d array ``omega+0j`` that numpy would otherwise build from the float on
+    # every multiply, and the subtraction writes r_k into the row after
+    # r_{k-1} of a block buffer.  The norms of a block's rows are taken after
+    # it, in one call per dot product (see the module docstring for why they
+    # are bitwise those of the single vectors).
     relaxation = np.array(2.0 / (bounds.lower + bounds.upper), dtype=complex)
     multiply, subtract, vecdot = np.multiply, np.subtract, np.vecdot
-    block = np.empty((NORM_BLOCK + 1, phi.shape[0]), dtype=complex)
-    rows = list(block)
-    steps = list(zip(rows, rows[1:]))
     step = np.empty_like(phi)
-    re, im = block.real, block.imag
-    block[0] = phi
+    block = phi[np.newaxis]  # read only: the first block's buffer starts from it
     errors = [norm_phi]
     left = max_iters
-    while left:
-        count = min(left, NORM_BLOCK)
+    count = min(left, NORM_BLOCK)
+    while True:
+        if count >= len(block):
+            # a longer block than any before: a buffer of count + 1 rows that
+            # starts from the current residual, and its row views, made once
+            grown = np.empty((count + 1, phi.shape[0]), dtype=complex)
+            grown[0] = block[0]
+            block = grown
+            steps = list(zip(block, block[1:]))
+            re, im = block.real, block.imag
         for residual, update in steps[:count]:
-            s.dot(residual, out=step)
-            multiply(relaxation, step, out=step)
-            subtract(residual, step, out=update)
+            s.dot(residual, step)
+            multiply(relaxation, step, step)
+            subtract(residual, step, update)
         new_re, new_im = re[1:count + 1], im[1:count + 1]
         norms = np.sqrt(vecdot(new_re, new_re) + vecdot(new_im, new_im))
-        stops = np.flatnonzero(norms <= stop_tol)
-        if stops.size:
+        hits = norms <= stop_tol
+        if hits.any():
             # iterations computed past the first stop are discarded
-            errors += norms[:stops[0] + 1].tolist()
+            errors += norms[:hits.argmax() + 1].tolist()
             break
+        entering = errors[-1]
         errors += norms.tolist()
         left -= count
+        if not left:
+            break
         block[0] = block[count]
-    envelopes = [delta**k * norm_phi for k in range(len(errors))]
+        count = min(left, _next_block(count, entering, errors[-1], stop_tol))
+    envelopes = list(map(norm_phi.__rmul__, map(delta.__pow__, range(len(errors)))))
     return RunSeries(width=delta, errors=errors, envelopes=envelopes)
+
+
+def _next_block(count: int, entering: float, leaving: float, stop_tol: float) -> int:
+    """Iterations of the block after one of ``count`` iterations whose errors
+    went from ``entering`` to ``leaving``, none of them at or below
+    ``stop_tol``: the predicted distance to the tolerance at the contraction
+    measured, plus ``NORM_MARGIN``, at most ``NORM_BLOCK_CAP``.  The cap when
+    the block measured no contraction or the tolerance is 0, which never
+    stops a run early."""
+    if stop_tol > 0.0 and leaving < entering:  # so stop_tol < leaving < entering, logs of positives
+        gain = math.log(leaving) - math.log(entering)
+        if gain < 0.0:
+            return min(NORM_BLOCK_CAP, int(count * (math.log(stop_tol) - math.log(leaving)) / gain) + NORM_MARGIN)
+    return NORM_BLOCK_CAP
 
 
 @dataclass(frozen=True)

@@ -120,6 +120,19 @@ def _schema_error(path: str, message: str) -> SpecSchemaError:
     return SpecSchemaError(message, field=path)
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's members as a dict.  A key given twice is a schema error:
+    the reader would otherwise keep the last value and drop the first unseen."""
+    document = dict(pairs)
+    if len(document) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise _schema_error("", f"repeated key {key!r}")
+            seen.add(key)
+    return document
+
+
 def _as_object(value, path: str) -> dict:
     if not isinstance(value, dict):
         raise _schema_error(path, f"expected an object, got {type(value).__name__}")
@@ -324,10 +337,11 @@ class ExperimentSpec:
 
 def parse_spec_text(text: str, origin="<string>") -> ExperimentSpec:
     """Parse and validate one experiment document from JSON text.  A syntax
-    error names ``origin`` as ``pathlib.Path`` renders it, and a document
-    with no ``label`` takes the stem of ``origin``."""
+    error names ``origin`` as ``pathlib.Path`` renders it, a key repeated in
+    any object is a schema error, and a document with no ``label`` takes the
+    stem of ``origin``."""
     try:
-        document = json.loads(text)
+        document = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise SpecParseError(
             f"{Path(origin)}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",

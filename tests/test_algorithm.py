@@ -16,7 +16,7 @@ from framesum import (
     format_width,
     run,
 )
-from framesum.algorithm import NORM_BLOCK, STOP_TOL_FACTOR
+from framesum.algorithm import NORM_BLOCK, NORM_BLOCK_CAP, STOP_TOL_FACTOR
 from framesum.frames import frame_operator, random_unit_vector
 
 RT2, RT3, RT6 = math.sqrt(2), math.sqrt(3), math.sqrt(6)
@@ -35,8 +35,9 @@ def test_rejects_invalid_bound_pairs():
 def test_rejects_an_empty_iteration_cap_and_a_negative_tolerance():
     with pytest.raises(ValueError, match="max_iters must be positive"):
         run(BASE_C2, FrameBounds(4, 16), [1, 0], 0)
-    with pytest.raises(ValueError, match="stop_tol must be nonnegative"):
-        run(BASE_C2, FrameBounds(4, 16), [1, 0], 10, stop_tol=-1.0)
+    for stop_tol in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="stop_tol must be nonnegative"):
+            run(BASE_C2, FrameBounds(4, 16), [1, 0], 10, stop_tol=stop_tol)
     assert len(run(BASE_C2, FrameBounds(4, 16), [1, 0], 1, stop_tol=0.0)) == 2
 
 
@@ -135,7 +136,7 @@ def _allocating_run(frame, bounds, target, max_iters, stop_tol):
     return errors, envelopes
 
 
-B = NORM_BLOCK
+B, CAP = NORM_BLOCK, NORM_BLOCK_CAP
 # a slowly converging run: loosened bounds on a non-tight frame, so the cap or
 # a chosen tolerance ends it, not a stop forced by the frame
 _SLOW = dict(seed=5, dim=6, extra=3, log_scale=0.0, loosen=(1e3, 7.0), tight=False, zero_target=False)
@@ -165,9 +166,22 @@ _SLOW = dict(seed=5, dim=6, extra=3, log_scale=0.0, loosen=(1e3, 7.0), tight=Fal
 @example(**_SLOW, max_iters=300, stop=B)
 @example(**_SLOW, max_iters=300, stop=2 * B)
 @example(**_SLOW, max_iters=300, stop=B - 1)
+# a zero tolerance: after the first block every block is the cap, and the
+# iteration cap ends the run one row into the last block
+@example(**_SLOW, max_iters=B + 4 * CAP + 1, stop=0.0)
+# blocks sized from the measured contraction: this tolerance is first reached
+# on the last row of the third block of CAP rows, and the next one is first
+# reached on the first row of the short block after it
+@example(**_SLOW, max_iters=1500, stop=B + 3 * CAP)
+@example(**_SLOW, max_iters=1500, stop=B + 3 * CAP + 1)
+# bounds so loose that the relaxed step is below round-off: every residual
+# equals the target, the first block measures no contraction, and the next is the cap
+@example(**{**_SLOW, "loosen": (1.0, 1e30)}, max_iters=300, stop=None)
 # a zero target: error 0 after one step, also with a zero tolerance
 @example(**{**_SLOW, "zero_target": True}, max_iters=300, stop=0.0)
 @example(**{**_SLOW, "zero_target": True}, max_iters=300, stop=None)
+@example(**{**_SLOW, "zero_target": True}, max_iters=1500, stop=0.0)
+@example(**{**_SLOW, "zero_target": True}, max_iters=1500, stop=None)
 def test_in_place_run_matches_the_allocating_loop_bit_for_bit(
     seed, dim, extra, log_scale, loosen, tight, zero_target, max_iters, stop
 ):

@@ -557,6 +557,21 @@ ALGO = {"kind": "algo", "runs": [{"frame": {"vectors": E2}}]}
             "<path> is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
             id="not-utf8",
         ),
+        # a key given twice, where the reader would keep the last value
+        pytest.param(
+            "width",
+            b'{"kind": "width", "entries": [{"bounds": [1, 2]}], "entries": [{"bounds": [1, 3]}]}',
+            "",
+            "repeated key 'entries'",
+            id="repeated-key",
+        ),
+        pytest.param(
+            "algo",
+            b'{"kind": "algo", "runs": [{"frame": {"vectors": [[1, 0], [0, 1]]}, "bounds": [1, 2], "bounds": [1, 3]}]}',
+            "",
+            "repeated key 'bounds'",
+            id="repeated-key-in-a-run",
+        ),
     ],
 )
 def test_cli_rejects_a_malformed_document_at_parse_time(tmp_path, capsys, command, doc, field, message):
@@ -1401,6 +1416,8 @@ def csv_tables(draw):
 @example(table=(["k", "err"], []))
 @example(table=(["k", "err_a", "env_a"], [[0, 1.0, 1.0], [1, 0.5, np.float64(0.25)], [2, None, None]]))
 @example(table=(["k", "x"], [[k, v] for k, v in enumerate(EDGE_FLOATS + [-5e-324, np.float32(0.1)])]))
+# a run-length table whose second column stops 100 rows before the third
+@example(table=(["k", "err", "env"], [[k, 0.9**k if k < 200 else None, 0.95**k] for k in range(300)]))
 def test_emit_csv_matches_the_per_cell_writer_byte_for_byte(tmp_path_factory, table):
     header, rows = table
     path = tmp_path_factory.mktemp("csv") / "table.csv"
