@@ -112,7 +112,7 @@ def run(frame: FiniteFrame, bounds, target, max_iters: int, stop_tol: float | No
         raise ValueError("max_iters must be positive")
     if stop_tol is not None and not stop_tol >= 0.0:  # NaN too
         raise ValueError("stop_tol must be nonnegative")
-    phi = linalg.as_cvector(target)
+    phi = linalg.as_carray(target, 1)
     if phi.shape[0] != frame.dim:
         raise DimensionMismatchError(f"target has length {phi.shape[0]}, frame dimension is {frame.dim}")
     validate_bounds_for_frame(frame, bounds)

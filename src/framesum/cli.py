@@ -30,26 +30,10 @@ import functools
 import gc
 import sys
 from importlib import resources
-from itertools import chain
 from pathlib import Path
 
 from .errors import FrameToolkitError, SpecParseError, SpecSchemaError
 from .experiments import COMMANDS, ExperimentResult, parse_spec, parse_spec_text, run_experiment
-
-
-class _CellSpecs(dict):
-    """The ``%`` conversion of a CSV cell by the cell's type, followed by
-    ``end``: empty for ``None``, ``%s`` for ``int`` and its subclasses
-    (``bool`` too), ``%.12g`` for any other type.  Each type's entry is made
-    the first time the type is looked up."""
-
-    def __init__(self, end: str):
-        super().__init__()
-        self.end = end
-
-    def __missing__(self, kind):
-        spec = self[kind] = ("" if kind is type(None) else "%s" if issubclass(kind, int) else "%.12g") + self.end
-        return spec
 
 
 def emit_csv(header, rows, path) -> None:
@@ -57,15 +41,14 @@ def emit_csv(header, rows, path) -> None:
 
     ``rows`` must all have the header's length.  A cell is empty for ``None``,
     ``str`` of an ``int``, else 12 significant digits (``%.12g``, the reports'
-    rendering).  Each column's conversions are looked up by the types of its
-    cells, one :class:`_CellSpecs` per column, the last one ending its specs in
-    a newline; the template interleaves the columns row by row, and the whole
+    rendering).  The conversions are chosen a column at a time, and the whole
     body is formatted by one ``%`` over its non-empty cells.
     """
-    columns = list(zip(*rows, strict=True))
-    ends = [","] * (len(columns) - 1) + ["\n"]
-    specs = [map(_CellSpecs(end).__getitem__, map(type, column)) for column, end in zip(columns, ends)]
-    template = "".join(chain.from_iterable(zip(*specs)))
+    specs = [
+        ["" if cell is None else "%s" if isinstance(cell, int) else "%.12g" for cell in column]
+        for column in zip(*rows, strict=True)
+    ]
+    template = "".join([",".join(row) + "\n" for row in zip(*specs)])
     cells = tuple([cell for row in rows for cell in row if cell is not None])
     text = ",".join(map(str, header)) + "\n" + template % cells
     with open(path, "w", encoding="utf-8", newline="\n") as file:

@@ -5,6 +5,14 @@ catch one base class at pipeline boundaries while tests assert on the
 specific subclass.  A subclass names a kind of fault, not the function that
 found it: every size that does not line up, whether of a vector, a matrix or
 a family of summed frames, is a :class:`DimensionMismatchError`.
+
+Malformed library input raises a subclass, not numpy's or ``float``'s bare
+``ValueError`` or ``TypeError``: an array that is not finite, nonempty and of
+the expected rank, ragged or non-numeric included, is a
+:class:`DimensionMismatchError`; a bound pair that is not two reals, an
+:class:`InvalidBoundsError`; lattice or group parameters that are not reals, a
+:class:`DegenerateLatticeError`.  ``ValueError`` stays where documented:
+``algorithm.run``'s iteration cap and tolerance, and ``gabor``'s window pieces.
 """
 
 

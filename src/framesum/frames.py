@@ -44,7 +44,10 @@ class FrameBounds:
     upper: float
 
     def __post_init__(self):
-        lo, hi = float(self.lower), float(self.upper)
+        try:
+            lo, hi = float(self.lower), float(self.upper)
+        except (TypeError, ValueError):
+            raise InvalidBoundsError(f"bounds must be real numbers, got ({self.lower!r}, {self.upper!r})") from None
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise InvalidBoundsError("bounds must be finite")
         if not (0.0 < lo <= hi):
@@ -69,8 +72,14 @@ class FrameBounds:
 
 
 def as_frame_bounds(pair) -> FrameBounds:
-    """``pair`` if it is a :class:`FrameBounds`, else ``FrameBounds(*pair)``."""
-    return pair if isinstance(pair, FrameBounds) else FrameBounds(*pair)
+    """``pair`` if it is a :class:`FrameBounds`, else the :class:`FrameBounds` of the pair ``(lower, upper)``."""
+    if isinstance(pair, FrameBounds):
+        return pair
+    try:
+        lower, upper = pair
+    except (TypeError, ValueError):
+        raise InvalidBoundsError(f"expected a bound pair (lower, upper), got {pair!r}") from None
+    return FrameBounds(lower, upper)
 
 
 def brackets(pair, optimal: FrameBounds) -> bool:
@@ -89,21 +98,16 @@ class FiniteFrame:
     """An indexed family of complex vectors in a common dimension.
 
     Vectors are stored as rows of an immutable ``(count, dim)`` array, a
-    copy of the caller's.  Individual zero vectors are allowed (they
-    contribute nothing); an all-zero family is rejected.  ``_bounds`` holds
-    the optimal bounds from :func:`exact_bounds` once they have been computed.
+    copy of the caller's read by :func:`~framesum.linalg.as_carray`.  Zero
+    vectors are allowed (they contribute nothing); an all-zero family is
+    rejected.  ``_bounds`` holds the optimal bounds from :func:`exact_bounds`
+    once they have been computed.
     """
 
     __slots__ = ("_vectors", "_bounds")
 
     def __init__(self, vectors):
-        arr = np.asarray(vectors, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
-            raise DimensionMismatchError(
-                f"expected a nonempty family of equal-length vectors, got shape {arr.shape}"
-            )
-        if not np.isfinite(arr).all():
-            raise DimensionMismatchError("frame vectors must be finite")
+        arr = linalg.as_carray(vectors, 2)
         if not np.any(arr):
             raise NotAFrameError("all vectors are zero")
         arr = arr.copy()
@@ -170,6 +174,14 @@ def exact_bounds(frame: FiniteFrame) -> FrameBounds:
     return frame._bounds
 
 
+def check_aligned(frames) -> None:
+    """Raise :class:`DimensionMismatchError` unless all frames share dim and count."""
+    first = frames[0]
+    for fr in frames[1:]:
+        if fr.dim != first.dim or fr.count != first.count:
+            raise DimensionMismatchError(f"frames must align: {first!r} vs {fr!r}")
+
+
 @dataclass(frozen=True)
 class DualCheck:
     is_dual: bool
@@ -182,16 +194,9 @@ def verify_dual(frame: FiniteFrame, dual: FiniteFrame) -> DualCheck:
     The left side is the mixed operator ``G* F`` applied to ``f``, so the worst
     residual over unit vectors ``f`` is the largest singular value of
     ``G* F - I``.  ``max_residual`` reports it, and the pair passes when it
-    stays at or below ``DUAL_RESIDUAL_TOLERANCE``.
+    stays at or below ``DUAL_RESIDUAL_TOLERANCE``.  The frames must align.
     """
-    if frame.dim != dual.dim:
-        raise DimensionMismatchError(
-            f"frame dimension {frame.dim} differs from candidate dual dimension {dual.dim}"
-        )
-    if frame.count != dual.count:
-        raise DimensionMismatchError(
-            f"frame has {frame.count} vectors, candidate dual has {dual.count}"
-        )
+    check_aligned((frame, dual))
     mixed = dual.vectors.T @ frame.vectors.conj()
     _, worst = linalg.extreme_singular_values(mixed - np.eye(frame.dim))
     return DualCheck(is_dual=worst <= DUAL_RESIDUAL_TOLERANCE, max_residual=worst)

@@ -227,7 +227,11 @@ class LatticeParams:
 
     def __post_init__(self):
         for name in ("a", "b"):
-            value = float(getattr(self, name))
+            raw = getattr(self, name)
+            try:
+                value = float(raw)
+            except (TypeError, ValueError):
+                raise DegenerateLatticeError(f"{name} must be a finite positive real, got {raw!r}") from None
             if not (math.isfinite(value) and value > 0.0):
                 raise DegenerateLatticeError(f"{name} must be a finite positive real, got {value}")
             object.__setattr__(self, name, value)
@@ -526,7 +530,11 @@ class WHParams:
 
     def __post_init__(self):
         for name in ("P", "Q", "p0", "q0"):
-            value = float(getattr(self, name))
+            raw = getattr(self, name)
+            try:
+                value = float(raw)
+            except (TypeError, ValueError):
+                raise DegenerateLatticeError(f"{name} must be a finite real, got {raw!r}") from None
             if not math.isfinite(value):
                 raise DegenerateLatticeError(f"{name} must be finite, got {value}")
             object.__setattr__(self, name, value)

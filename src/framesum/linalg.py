@@ -2,8 +2,9 @@
 
 Frame bounds reduce to the Hermitian eigenproblem solved here, by LAPACK
 through ``numpy.linalg.eigh``; operator norms and residuals take singular
-values from LAPACK's SVD.  This module adds what LAPACK does not check: finite
-entries and a square shape.  It does not check Hermitian symmetry: the
+values from LAPACK's SVD.  This module adds what LAPACK does not check: a
+square shape, and in :func:`as_carray`, the package's one coercion of a caller's
+array, finite entries.  It does not check Hermitian symmetry: the
 eigensolver reads one triangle, so its input must be exactly Hermitian, as
 ``frames.frame_operator`` builds it.  A LAPACK convergence failure surfaces as
 :class:`NoConvergenceError`, so it stays inside the package's error hierarchy.
@@ -31,23 +32,18 @@ from .errors import (
 RANK_TOLERANCE = 1e-12
 
 
-def as_cvector(values) -> np.ndarray:
-    """Coerce to a finite 1-d complex vector."""
-    arr = np.asarray(values, dtype=complex)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DimensionMismatchError(f"expected a nonempty vector, got shape {arr.shape}")
+def as_carray(values, ndim: int) -> np.ndarray:
+    """Coerce to a finite nonempty complex array of rank ``ndim`` (1 or 2), or raise
+    :class:`DimensionMismatchError`, for ragged and non-numeric input too."""
+    noun = "vector" if ndim == 1 else "matrix"
+    try:
+        arr = np.asarray(values, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatchError(f"expected a {noun} of numbers: {exc}") from None
+    if arr.ndim != ndim or arr.size == 0:
+        raise DimensionMismatchError(f"expected a nonempty {noun}, got shape {arr.shape}")
     if not np.isfinite(arr).all():
-        raise DimensionMismatchError("vector entries must be finite")
-    return arr
-
-
-def as_cmatrix(values) -> np.ndarray:
-    """Coerce to a finite 2-d complex matrix."""
-    arr = np.asarray(values, dtype=complex)
-    if arr.ndim != 2 or arr.size == 0:
-        raise DimensionMismatchError(f"expected a nonempty matrix, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise DimensionMismatchError("matrix entries must be finite")
+        raise DimensionMismatchError(f"{noun} entries must be finite")
     return arr
 
 
@@ -62,7 +58,7 @@ def hermitian_eig(matrix):
     checks it.  Raises :class:`NoConvergenceError` if LAPACK reports that it
     did not converge.
     """
-    a = as_cmatrix(matrix)
+    a = as_carray(matrix, 2)
     n, m = a.shape
     if n != m:
         raise DimensionMismatchError(f"matrix must be square, got {n}x{m}")
@@ -79,7 +75,7 @@ def extreme_singular_values(matrix) -> tuple[float, float]:
     error of about ``sqrt(eps) * sigma_max``: too high, unsafe for a lower bound.
     """
     try:
-        sigma = np.linalg.svd(as_cmatrix(matrix), compute_uv=False)
+        sigma = np.linalg.svd(as_carray(matrix, 2), compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"LAPACK SVD failed: {exc}") from None
     return float(sigma[-1]), float(sigma[0])
@@ -93,15 +89,7 @@ def solve_hpd(matrix, rhs) -> np.ndarray:
     Raises :class:`SingularOperatorError` when the smallest eigenvalue sits at
     or below ``RANK_TOLERANCE`` times the largest.
     """
-    m = as_cmatrix(matrix)
-    b = as_cvector(rhs)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"matrix must be square, got {m.shape}")
-    if m.shape[0] != b.shape[0]:
-        raise DimensionMismatchError(
-            f"matrix is {m.shape[0]}x{m.shape[1]} but right-hand side has length {b.shape[0]}"
-        )
-    return hpd_inverse_apply(m, b[np.newaxis, :])[0]
+    return hpd_inverse_apply(matrix, as_carray(rhs, 1)[np.newaxis])[0]
 
 
 def hpd_inverse_apply(matrix, vectors) -> np.ndarray:
@@ -111,8 +99,8 @@ def hpd_inverse_apply(matrix, vectors) -> np.ndarray:
     Raises :class:`SingularOperatorError` when the smallest eigenvalue sits at
     or below ``RANK_TOLERANCE`` times the largest.
     """
-    m = as_cmatrix(matrix)
-    rows = as_cmatrix(vectors)
+    m = as_carray(matrix, 2)
+    rows = as_carray(vectors, 2)
     if rows.shape[1] != m.shape[0]:
         raise DimensionMismatchError(
             f"rows have length {rows.shape[1]}, matrix is {m.shape[0]}x{m.shape[1]}"

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatchError, InvalidBoundsError, ZeroCoefficientError
-from .frames import FiniteFrame, FrameBounds, as_frame_bounds, brackets, exact_bounds
+from .frames import FiniteFrame, FrameBounds, as_frame_bounds, brackets, check_aligned, exact_bounds
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ class PredictedBounds:
 
 
 def _coerce_coefficients(coefficients) -> np.ndarray:
-    c = linalg.as_cvector(coefficients)
+    c = linalg.as_carray(coefficients, 1)
     if np.any(c == 0):
         raise ZeroCoefficientError("all coefficients must be nonzero")
     return c
@@ -167,13 +167,8 @@ def operator_sum_predict(sigma1, sigma2, bounds1, bounds2) -> PredictedBounds:
 def modulus_range(values) -> tuple[float, float]:
     """``(inf |v_k|, sup |v_k|)`` of a nonempty finite scalar sequence: for the
     perturbed-sum rule, what :func:`~framesum.linalg.extreme_singular_values`
-    is for the operator-sum rule."""
-    seq = np.asarray(values, dtype=complex)
-    if seq.ndim != 1 or seq.size == 0:
-        raise InvalidBoundsError("scalar sequence must be a nonempty vector")
-    if not np.isfinite(seq).all():
-        raise InvalidBoundsError("scalar sequence must be finite")
-    mags = np.abs(seq)
+    is for the operator-sum rule.  Checked by :func:`~framesum.linalg.as_carray`."""
+    mags = np.abs(linalg.as_carray(values, 1))
     return float(mags.min()), float(mags.max())
 
 
@@ -189,30 +184,22 @@ def perturbed_sum_predict(range1, range2, bounds1, bounds2) -> PredictedBounds:
     return operator_sum_predict(range1, range2, bounds1, bounds2)
 
 
-def _check_aligned(frames) -> None:
-    """Raise :class:`DimensionMismatchError` unless all frames share dim and count."""
-    first = frames[0]
-    for fr in frames[1:]:
-        if fr.dim != first.dim or fr.count != first.count:
-            raise DimensionMismatchError(f"frames must align: {first!r} vs {fr!r}")
-
-
 def build_sum_frame(frames, coefficients) -> FiniteFrame:
     """Vector-wise weighted sum ``sum_i c_i f_k^(i)`` of aligned frames."""
     frames = tuple(frames)
     c = _coerce_coefficients(coefficients)
     if c.shape[0] != len(frames):
         raise DimensionMismatchError(f"{len(frames)} frames but {c.shape[0]} coefficients")
-    _check_aligned(frames)
+    check_aligned(frames)
     stacked = np.stack([fr.vectors for fr in frames])
     return FiniteFrame(np.tensordot(c, stacked, axes=(0, 0)))
 
 
 def build_operator_sum_frame(frame1: FiniteFrame, frame2: FiniteFrame, theta1, theta2) -> FiniteFrame:
     """Vector-wise ``T1 f_k + T2 g_k`` for aligned frames and ``d x d`` matrices."""
-    _check_aligned((frame1, frame2))
+    check_aligned((frame1, frame2))
     d = frame1.dim
-    t1, t2 = linalg.as_cmatrix(theta1), linalg.as_cmatrix(theta2)
+    t1, t2 = linalg.as_carray(theta1, 2), linalg.as_carray(theta2, 2)
     for name, t in (("theta1", t1), ("theta2", t2)):
         if t.shape != (d, d):
             raise DimensionMismatchError(f"{name} must be {d}x{d}, got {t.shape}")
@@ -221,8 +208,8 @@ def build_operator_sum_frame(frame1: FiniteFrame, frame2: FiniteFrame, theta1, t
 
 def build_perturbed_sum_frame(frame1: FiniteFrame, frame2: FiniteFrame, alpha, beta) -> FiniteFrame:
     """Vector-wise ``alpha_k f_k + beta_k g_k`` for aligned frames."""
-    _check_aligned((frame1, frame2))
-    alpha, beta = np.asarray(alpha, dtype=complex), np.asarray(beta, dtype=complex)
+    check_aligned((frame1, frame2))
+    alpha, beta = linalg.as_carray(alpha, 1), linalg.as_carray(beta, 1)
     if alpha.shape != (frame1.count,) or beta.shape != (frame2.count,):
         raise DimensionMismatchError("scalar sequences must have one entry per frame vector")
     return FiniteFrame(alpha[:, None] * frame1.vectors + beta[:, None] * frame2.vectors)

@@ -7,6 +7,7 @@ from hypothesis import example, given, strategies as st
 from conftest import random_frame
 from framesum import (
     ComparisonTable,
+    DimensionMismatchError,
     FiniteFrame,
     FrameBounds,
     InvalidBoundsError,
@@ -39,6 +40,11 @@ def test_rejects_an_empty_iteration_cap_and_a_negative_tolerance():
         with pytest.raises(ValueError, match="stop_tol must be nonnegative"):
             run(BASE_C2, FrameBounds(4, 16), [1, 0], 10, stop_tol=stop_tol)
     assert len(run(BASE_C2, FrameBounds(4, 16), [1, 0], 1, stop_tol=0.0)) == 2
+
+
+def test_rejects_a_target_of_another_dimension():
+    with pytest.raises(DimensionMismatchError, match="target has length 3, frame dimension is 2"):
+        run(BASE_C2, FrameBounds(4, 16), [1, 0, 0], 10)
 
 
 def test_accepts_valid_loose_pair():

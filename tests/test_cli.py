@@ -495,6 +495,20 @@ ALGO = {"kind": "algo", "runs": [{"frame": {"vectors": E2}}]}
         ),
         pytest.param(
             "gabor",
+            {**GABOR, "generator": {"pieces": [{**PIECE, "hi": 1}, {**PIECE, "lo": 0.5, "hi": 2}]}},
+            "generator.pieces",
+            "pieces overlap: [0.0, 1.0) and [0.5, 2.0)",
+            id="pieces-overlap",
+        ),
+        pytest.param(
+            "gabor",
+            {**GABOR, "generator": {"pieces": []}},
+            "generator.pieces",
+            "generator needs at least one piece",
+            id="no-pieces",
+        ),
+        pytest.param(
+            "gabor",
             {**GABOR, "wh": {"P": 1, "Q": 1, "p0": 1, "q0": 1}},
             "",
             "gabor needs exactly one of lattice or wh",

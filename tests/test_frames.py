@@ -54,6 +54,8 @@ def test_construction_rejects_ragged_and_nonfinite():
         FiniteFrame([[np.inf, 0]])
     with pytest.raises(DimensionMismatchError):  # one vector is not a family
         FiniteFrame([1, 0])
+    with pytest.raises(DimensionMismatchError):  # vectors of unequal length
+        FiniteFrame([[1, 0], [1]])
 
 
 def test_exact_bounds_base_frame():

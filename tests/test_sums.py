@@ -86,6 +86,11 @@ def test_finite_sum_rejects_count_mismatch():
         finite_sum_predict([(1, 2)], [1, 1], 0)
 
 
+def test_build_sum_frame_rejects_count_mismatch():
+    with pytest.raises(DimensionMismatchError, match="2 frames but 3 coefficients"):
+        build_sum_frame((BASE_C2, DIAG_C2), [1, 1, 1])
+
+
 def test_finite_sum_rejects_bad_pivot():
     with pytest.raises(DimensionMismatchError):
         finite_sum_predict([(1, 2)], [1], 3)
