@@ -41,6 +41,8 @@ the columns of several runs, named by its ``labels``, for the CSV, and
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,10 +110,17 @@ def run(frame: FiniteFrame, bounds, target, max_iters: int, stop_tol: float | No
     or below the tolerance are discarded.
     """
     bounds = as_frame_bounds(bounds)
+    try:
+        max_iters = operator.index(max_iters)
+    except TypeError:
+        raise ValueError(f"max_iters must be an integer, got {max_iters!r}") from None
     if max_iters < 1:
         raise ValueError("max_iters must be positive")
-    if stop_tol is not None and not stop_tol >= 0.0:  # NaN too
-        raise ValueError("stop_tol must be nonnegative")
+    if stop_tol is not None:
+        if not isinstance(stop_tol, numbers.Real):
+            raise ValueError(f"stop_tol must be a real number, got {stop_tol!r}")
+        if not stop_tol >= 0.0:  # NaN too
+            raise ValueError("stop_tol must be nonnegative")
     phi = linalg.as_carray(target, 1)
     if phi.shape[0] != frame.dim:
         raise DimensionMismatchError(f"target has length {phi.shape[0]}, frame dimension is {frame.dim}")

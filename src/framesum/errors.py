@@ -8,8 +8,9 @@ a family of summed frames, is a :class:`DimensionMismatchError`.
 
 Malformed library input raises a subclass, not numpy's or ``float``'s bare
 ``ValueError`` or ``TypeError``: an array that is not finite, nonempty and of
-the expected rank, ragged or non-numeric included, is a
-:class:`DimensionMismatchError`; a bound pair that is not two reals, an
+the expected rank, ragged, text or non-numeric included, is a
+:class:`DimensionMismatchError`, and so is a pivot that is not an integer; a
+bound pair or a range ``(m, ||T||)`` that is not two reals, an
 :class:`InvalidBoundsError`; lattice or group parameters that are not reals, a
 :class:`DegenerateLatticeError`.  ``ValueError`` stays where documented:
 ``algorithm.run``'s iteration cap and tolerance, and ``gabor``'s window pieces.

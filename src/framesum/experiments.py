@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import chain
 from pathlib import Path
@@ -100,10 +100,11 @@ MAX_ITERS = 100_000
 #: lattice ``(a, b)``.  The estimate loops over these terms in Python, so the
 #: cap bounds its time; the piece count adds little on either path.  Affine
 #: windows on ``[0, 1)``, as one piece or as 10000 pieces at random breakpoints
-#: (a 1.3 MB document), on a 2-core x86-64 Xeon: on the grid path,
-#: ``a = 1/3330`` and ``b = 1.0001`` (9994 terms) took 1.6 s and 1.8 s, the
-#: slowest admitted documents measured; on the closed-form path,
-#: ``a = 1/9900`` and ``b = 0.0004`` (9909 terms) took 0.03 s and 1.1 s.
+#: (a 1 MB document), through ``framesum gabor`` on a 2-core x86-64 Xeon: on the
+#: grid path, ``a = 1/3330`` and ``b = 1.0001`` (9994 terms) took 1.0 s and
+#: 1.2 s (median of six runs), the slowest admitted documents measured; on the
+#: closed-form path, ``a = 1/9900`` and ``b = 0.0004`` (9909 terms) took 0.03 s
+#: and 1.1 s.
 MAX_SHIFT_TERMS = 10_000
 
 
@@ -976,7 +977,13 @@ def _run_gabor(spec: ExperimentSpec, rng) -> ExperimentResult:
         f"estimated bounds: {shown} "
         + ("(exact: no overlap term)" if estimate.exact else f"(grid, {estimate.grid_resolution} points)")
     )
-    rep.payload["estimate"] = asdict(estimate)  # lower, upper, g1_identically_zero, exact, grid_resolution
+    rep.payload["estimate"] = {
+        "lower": estimate.lower,
+        "upper": estimate.upper,
+        "g1_identically_zero": estimate.g1_identically_zero,
+        "exact": estimate.exact,
+        "grid_resolution": estimate.grid_resolution,
+    }
     if stated is not None:
         rep.line(f"stated bounds: {_interval(stated.lower, stated.upper)}")
         if _stated_disagrees(stated, estimate):

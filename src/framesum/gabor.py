@@ -26,6 +26,14 @@ same operations in the same ascending ``n`` and ``k`` order, and every skipped
 term is an exact zero added to a partial sum that starts at +0, so a point's
 sums are bitwise those of the full double sum, whatever points share its set.
 
+Evaluation is in place, into arrays each call allocates for itself: a piece's
+formula is computed in its slice of the window's output, and each square and
+each product is added into its slice of the partial sum.  Writing a ufunc's
+result into ``out=`` rounds the same IEEE operation on the same operands as
+the expression that would allocate it, and a product is the same in either
+order, so no bit of a result depends on this; it only saves the temporaries
+and the copies into place.  Nothing the caller passed is ever written.
+
 Group-generated families ``phase * exp(i P m p0 x) g(x + n q0)`` map onto the
 lattice system above (see :func:`wh_to_gabor`): the phases are unimodular, so
 coefficient magnitudes agree index by index once signs are absorbed into the
@@ -121,7 +129,7 @@ def _sorted_points(x):
     puts values computed on ``points`` back in the order and ``shape`` of ``x``.
     """
     xs = np.asarray(x, dtype=float)
-    if xs.ndim == 1 and bool(np.all(xs[1:] >= xs[:-1])):
+    if xs.ndim == 1 and (xs[1:] >= xs[:-1]).all():
         return xs, None, xs.shape
     flat = xs.ravel()
     order = np.argsort(flat, kind="stable")
@@ -178,27 +186,29 @@ class PiecewiseGenerator:
 
         On sorted points (see :func:`_sorted_points`) one ``searchsorted`` of
         the piece ends finds every piece's points ``lo <= x < hi`` as one
-        contiguous slice, and the piece's formula is written into that slice.
-        Only the pieces between the smallest and the largest point are looked
-        at, so a call costs the same for a window of one piece or of many.
-        Points in no piece, NaN and +-inf give 0.
+        contiguous slice, and the piece's formula is computed in place in that
+        slice of a fresh output.  Only the pieces between the smallest and the
+        largest point are looked at, so a call costs the same for a window of
+        one piece or of many.  Points in no piece, NaN and +-inf give 0.
         """
         points, order, shape = _sorted_points(x)
-        out = np.zeros_like(points)
+        out = np.zeros(points.shape)
         if points.size:
             # sorted disjoint pieces: those that can hold a point run from the
             # first with hi above the smallest point to the last with lo at or
             # below the largest (NaN sorts last and widens the range, harmlessly)
             lo_row, hi_row = self._ends
             first, last = bisect_right(hi_row, points[0]), bisect_right(lo_row, points[-1])
-            starts, stops = np.searchsorted(points, self._ends[:, first:last], side="left").tolist()
+            starts, stops = points.searchsorted(self._ends[:, first:last]).tolist()
             for piece, start, stop in zip(self._pieces[first:last], starts, stops):
                 if start == stop:
                     continue
-                values = piece.alpha * points[start:stop] + piece.beta
+                segment = out[start:stop]
+                np.multiply(piece.alpha, points[start:stop], out=segment)
+                segment += piece.beta
                 if piece.kind == "sqrt-affine":
-                    values = np.sqrt(np.maximum(values, 0.0))
-                out[start:stop] = values
+                    np.maximum(segment, 0.0, out=segment)
+                    np.sqrt(segment, out=segment)
         return _in_input_order(out, order, shape)
 
     def scaled(self, factor: float) -> "PiecewiseGenerator":
@@ -246,7 +256,7 @@ def _shift_range(gen: PiecewiseGenerator, a: float, x_min: float, x_max: float):
 
 def _support_slice(gen: PiecewiseGenerator, points) -> list[int]:
     """``[start, stop]`` of the sorted ``points`` inside ``[support_lo, support_hi)``."""
-    return np.searchsorted(points, (gen.support_lo, gen.support_hi), side="left").tolist()
+    return points.searchsorted((gen.support_lo, gen.support_hi)).tolist()
 
 
 class Translates(NamedTuple):
@@ -275,8 +285,14 @@ def evaluate_translates(gen: PiecewiseGenerator, a: float, x) -> Translates:
     if not a > 0.0:
         raise DegenerateLatticeError(f"translation step must be positive, got {a}")
     points, order, shape = _sorted_points(x)
+    # the sorted points' ends are their extremes, unless there is no point or a
+    # NaN (sorted last): min and max then raise, or give NaN, which the range rejects
+    if points.size and not math.isnan(points[-1]):
+        x_min, x_max = float(points[0]), float(points[-1])
+    else:
+        x_min, x_max = float(points.min()), float(points.max())
     terms = []
-    for n in _shift_range(gen, a, float(points.min()), float(points.max())):
+    for n in _shift_range(gen, a, x_min, x_max):
         shifted = points - n * a
         start, stop = _support_slice(gen, shifted)
         if start < stop:
@@ -292,9 +308,10 @@ def translate_energy(translates: Translates):
     Takes the translates from :func:`evaluate_translates` and evaluates
     nothing itself; the result is a float for scalar ``x``, else of ``x``'s shape.
     """
-    total = np.zeros_like(translates.points)
+    total = np.zeros(translates.points.shape)
     for start, _, values in translates.terms:
-        total[start:start + values.size] += values * values
+        part = total[start:start + values.size]
+        part += values * values
     return _in_input_order(total, translates.order, translates.shape)
 
 
@@ -341,20 +358,24 @@ def shift_overlap_sum(translates: Translates, b: float):
     if not b > 0.0:
         raise DegenerateLatticeError(f"modulation step must be positive, got {b}")
     gen = translates.gen
-    total = np.zeros_like(translates.points)
+    total = np.zeros(translates.points.shape)
     if overlap_vanishes(gen, b):
         return _in_input_order(total, translates.order, translates.shape)
     k_max = math.ceil(gen.support_length * b) + 1
     for k in range(-k_max, k_max + 1):
-        if k == 0 or not _shift_can_overlap(gen, k / b):
+        shift = k / b
+        if k == 0 or not _shift_can_overlap(gen, shift):
             continue
-        inner = np.zeros_like(total)
+        inner = np.zeros(total.shape)
         for start, segment, values in translates.terms:
-            moved = segment - k / b
+            moved = segment - shift
             lo, hi = _support_slice(gen, moved)
             if lo < hi:
-                inner[start + lo:start + hi] += values[lo:hi] * gen(moved[lo:hi])
-        total += np.abs(inner)
+                product = gen(moved[lo:hi])
+                np.multiply(values[lo:hi], product, out=product)
+                part = inner[start + lo:start + hi]
+                part += product
+        total += np.absolute(inner, out=inner)
     return _in_input_order(total, translates.order, translates.shape)
 
 
@@ -460,12 +481,12 @@ def _grid_extrema(gen: PiecewiseGenerator, params: LatticeParams):
     g0, g1 = g0_g1(np.arange(GRID_RESOLUTION) * step)
     low_values = g0 - g1
     high_values = g0 + g1
-    i_min = int(np.argmin(low_values))
-    i_max = int(np.argmax(high_values))
-    windows = [
-        np.linspace(max(0.0, (i - 1) * step), min(a, (i + 1) * step), REFINE_POINTS) for i in (i_min, i_max)
-    ]
-    g0, g1 = g0_g1(np.concatenate(windows))
+    i_min = int(low_values.argmin())
+    i_max = int(high_values.argmax())
+    starts = [max(0.0, (i - 1) * step) for i in (i_min, i_max)]
+    stops = [min(a, (i + 1) * step) for i in (i_min, i_max)]
+    # one row per window, rows end to end: the minimum's window, then the maximum's
+    g0, g1 = g0_g1(np.linspace(starts, stops, REFINE_POINTS, axis=1).ravel())
     lo = min(float(low_values[i_min]), float((g0 - g1)[:REFINE_POINTS].min()))
     hi = max(float(high_values[i_max]), float((g0 + g1)[REFINE_POINTS:].max()))
     return lo, hi

@@ -34,12 +34,20 @@ RANK_TOLERANCE = 1e-12
 
 def as_carray(values, ndim: int) -> np.ndarray:
     """Coerce to a finite nonempty complex array of rank ``ndim`` (1 or 2), or raise
-    :class:`DimensionMismatchError`, for ragged and non-numeric input too."""
+    :class:`DimensionMismatchError`, for ragged and non-numeric input too.
+
+    Numbers are what numpy builds a boolean, integer, float or complex array
+    from; text, bytes and other objects are not, even where ``complex`` would
+    parse them, as it parses ``"1"``.
+    """
     noun = "vector" if ndim == 1 else "matrix"
     try:
-        arr = np.asarray(values, dtype=complex)
+        arr = np.asarray(values)
     except (TypeError, ValueError) as exc:
         raise DimensionMismatchError(f"expected a {noun} of numbers: {exc}") from None
+    if arr.dtype.kind not in "biufc":
+        raise DimensionMismatchError(f"expected a {noun} of numbers, got entries of dtype {arr.dtype}")
+    arr = arr.astype(complex, copy=False)
     if arr.ndim != ndim or arr.size == 0:
         raise DimensionMismatchError(f"expected a nonempty {noun}, got shape {arr.shape}")
     if not np.isfinite(arr).all():

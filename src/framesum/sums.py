@@ -25,6 +25,8 @@ holding (the strict xfails ``finite-sum-tie`` and ``operator-sum-tie`` in
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +93,10 @@ def finite_sum_predict(bounds, coefficients, pivot: int) -> PredictedBounds:
     k = len(blist)
     if c.shape[0] != k:
         raise DimensionMismatchError(f"{k} bound pairs but {c.shape[0]} coefficients")
+    try:
+        pivot = operator.index(pivot)
+    except TypeError:
+        raise DimensionMismatchError(f"pivot must be an integer, got {pivot!r}") from None
     if not (0 <= pivot < k):
         raise DimensionMismatchError(f"pivot {pivot} out of range for {k} frames")
 
@@ -140,6 +146,20 @@ def dual_sum_predict(bounds1, bounds2) -> PredictedBounds:
     return PredictedBounds(lower, upper, lower)
 
 
+def _as_range(pair) -> tuple[float, float]:
+    """A range ``(low, high)`` of two finite reals, as floats, or
+    :class:`InvalidBoundsError`."""
+    try:
+        low, high = pair
+        if isinstance(low, numbers.Real) and isinstance(high, numbers.Real):
+            low, high = float(low), float(high)
+            if math.isfinite(low) and math.isfinite(high):
+                return low, high
+    except (TypeError, ValueError, OverflowError):  # not a pair, or an integer beyond the float range
+        pass
+    raise InvalidBoundsError(f"expected a range (low, high) of two finite reals, got {pair!r}")
+
+
 def operator_sum_predict(sigma1, sigma2, bounds1, bounds2) -> PredictedBounds:
     """Predicted bounds for ``{T1 f_k + T2 g_k}``.
 
@@ -153,7 +173,7 @@ def operator_sum_predict(sigma1, sigma2, bounds1, bounds2) -> PredictedBounds:
 
     the upper bound is ``(sqrt(B1) ||T1|| + sqrt(B2) ||T2||)^2``.
     """
-    (m1, norm1), (m2, norm2) = sigma1, sigma2
+    (m1, norm1), (m2, norm2) = _as_range(sigma1), _as_range(sigma2)
     b1, b2 = as_frame_bounds(bounds1), as_frame_bounds(bounds2)
     margin = (
         b1.lower * m1**2

@@ -1,5 +1,6 @@
 """Malformed input to a library entry point raises a toolkit error, never a
-bare ``ValueError`` or ``TypeError`` from numpy or ``float``."""
+bare ``ValueError`` or ``TypeError`` from numpy or ``float``; ``algorithm.run``
+raises its documented ``ValueError`` for a malformed cap or tolerance."""
 
 import numpy as np
 import pytest
@@ -18,9 +19,12 @@ from framesum import (
     extreme_singular_values,
     finite_sum_predict,
     modulus_range,
+    operator_sum_predict,
+    perturbed_sum_predict,
     run,
     verify_dual,
 )
+from framesum.linalg import as_carray
 
 E2 = FiniteFrame(np.eye(2))
 
@@ -37,15 +41,30 @@ ARRAY_ENTRY_POINTS = {
     "run": (lambda bad: run(E2, (1, 1), bad, 5), 1),
 }
 
-#: malformed arrays by rank: ragged, a non-numeric string, a non-numeric
-#: object, and the other rank
+#: malformed arrays by rank: ragged, a non-numeric string, numbers written as
+#: text and as bytes, which ``complex`` would parse, a non-numeric object, and
+#: the other rank
 BAD_ARRAYS = {
-    1: {"ragged": [1, [2]], "string": [1, "x"], "object": [1, {}], "rank": [[1, 1]]},
-    2: {"ragged": [[1, 2], [3]], "string": [[1, "x"], [0, 1]], "object": [[1, {}], [0, 1]], "rank": [1, 1]},
+    1: {
+        "ragged": [1, [2]],
+        "string": [1, "x"],
+        "numeric-text": ["1", "2"],
+        "numeric-bytes": [b"1", b"2"],
+        "object": [1, {}],
+        "rank": [[1, 1]],
+    },
+    2: {
+        "ragged": [[1, 2], [3]],
+        "string": [[1, "x"], [0, 1]],
+        "numeric-text": [["1", "0"], ["0", "1"]],
+        "numeric-bytes": [[b"1", b"0"], [b"0", b"1"]],
+        "object": [[1, {}], [0, 1]],
+        "rank": [1, 1],
+    },
 }
 
 
-@pytest.mark.parametrize("defect", ["ragged", "string", "object", "rank"])
+@pytest.mark.parametrize("defect", ["ragged", "string", "numeric-text", "numeric-bytes", "object", "rank"])
 @pytest.mark.parametrize("entry", ARRAY_ENTRY_POINTS)
 def test_a_malformed_array_is_a_dimension_mismatch(entry, defect):
     call, rank = ARRAY_ENTRY_POINTS[entry]
@@ -53,8 +72,22 @@ def test_a_malformed_array_is_a_dimension_mismatch(entry, defect):
         call(BAD_ARRAYS[rank][defect])
 
 
-#: (call, error, message) by id: input that ``float`` or unpacking refuses, and
-#: finite numbers out of range, whose messages stay as they were
+@pytest.mark.parametrize(
+    "values, ndim", [([True, False], 1), ([1, -2], 1), ([[1, 0], [0, True]], 2), (np.eye(2, dtype=int), 2)]
+)
+def test_bool_and_int_arrays_coerce_to_complex(values, ndim):
+    coerced = as_carray(values, ndim)
+    assert coerced.dtype == complex
+    assert np.array_equal(coerced, np.array(values, dtype=float))
+
+
+def test_a_complex_array_is_taken_as_it_is():
+    vectors = np.eye(3, dtype=complex)
+    assert as_carray(vectors, 2) is vectors
+
+
+#: (call, error, message) by id: input that ``float``, unpacking or an integer
+#: index refuses, and finite numbers out of range, whose messages stay as they were
 BAD_SCALARS = {
     "bound-string": (lambda: FrameBounds("a", 1), InvalidBoundsError, "bounds must be real numbers, got ('a', 1)"),
     "bound-none": (lambda: FrameBounds(None, 1), InvalidBoundsError, "bounds must be real numbers, got (None, 1)"),
@@ -71,6 +104,49 @@ BAD_SCALARS = {
     "wh-none": (lambda: WHParams(None, 1, 1, 1), DegenerateLatticeError, "P must be a finite real, got None"),
     "lattice-zero": (lambda: LatticeParams(0, 1), DegenerateLatticeError, "a must be a finite positive real, got 0.0"),
     "bound-order": (lambda: FrameBounds(2, 1), InvalidBoundsError, "need 0 < lower <= upper, got (2.0, 1.0)"),
+    "singular-range-string": (
+        lambda: operator_sum_predict((1, "x"), (1, 1), (1, 2), (1, 2)),
+        InvalidBoundsError,
+        "expected a range (low, high) of two finite reals, got (1, 'x')",
+    ),
+    "singular-range-triple": (
+        lambda: operator_sum_predict((1, 1), (1, 1, 1), (1, 2), (1, 2)),
+        InvalidBoundsError,
+        "expected a range (low, high) of two finite reals, got (1, 1, 1)",
+    ),
+    "modulus-range-infinite": (
+        lambda: perturbed_sum_predict((1, float("inf")), (1, 1), (1, 2), (1, 2)),
+        InvalidBoundsError,
+        "expected a range (low, high) of two finite reals, got (1, inf)",
+    ),
+    "modulus-range-huge-integer": (
+        lambda: perturbed_sum_predict((1, 1), (1, 10**400), (1, 2), (1, 2)),
+        InvalidBoundsError,
+        f"expected a range (low, high) of two finite reals, got (1, {10**400})",
+    ),
+    "modulus-range-none": (
+        lambda: perturbed_sum_predict((1, 1), None, (1, 2), (1, 2)),
+        InvalidBoundsError,
+        "expected a range (low, high) of two finite reals, got None",
+    ),
+    "pivot-float": (
+        lambda: finite_sum_predict([(1, 2), (1, 2)], [1, 1], 0.5),
+        DimensionMismatchError,
+        "pivot must be an integer, got 0.5",
+    ),
+    "pivot-out-of-range": (
+        lambda: finite_sum_predict([(1, 2), (1, 2)], [1, 1], np.int64(2)),
+        DimensionMismatchError,
+        "pivot 2 out of range for 2 frames",
+    ),
+    "max-iters-string": (lambda: run(E2, (1, 2), [1, 0], "5"), ValueError, "max_iters must be an integer, got '5'"),
+    "max-iters-float": (lambda: run(E2, (1, 2), [1, 0], 5.0), ValueError, "max_iters must be an integer, got 5.0"),
+    "stop-tol-string": (
+        lambda: run(E2, (1, 2), [1, 0], 5, "1e-3"),
+        ValueError,
+        "stop_tol must be a real number, got '1e-3'",
+    ),
+    "stop-tol-complex": (lambda: run(E2, (1, 2), [1, 0], 5, 1j), ValueError, "stop_tol must be a real number, got 1j"),
 }
 
 
@@ -80,6 +156,14 @@ def test_a_malformed_scalar_is_a_toolkit_error(case):
     with pytest.raises(error) as excinfo:
         call()
     assert str(excinfo.value) == message
+
+
+def test_numpy_integers_and_reals_are_taken_where_integers_and_reals_are():
+    pairs = [(1, 2), (1, 3)]
+    assert finite_sum_predict(pairs, [1, 2], np.int64(1)) == finite_sum_predict(pairs, [1, 2], 1)
+    ranges = [(np.float64(0.5), np.float32(1)), (1, np.int64(1))]
+    assert operator_sum_predict(*ranges, (1, 2), (1, 2)) == operator_sum_predict((0.5, 1.0), (1, 1), (1, 2), (1, 2))
+    assert run(E2, (1, 2), [1, 0], np.int64(3), np.float64(0)) == run(E2, (1, 2), [1, 0], 3, 0.0)
 
 
 def test_frames_that_do_not_align_are_named():
