@@ -71,7 +71,7 @@ from .errors import (
 )
 from .frames import FiniteFrame, FrameBounds, exact_bounds, random_unit_vector, verify_dual
 from .gabor import LatticeParams, Piece, PiecewiseGenerator, WHParams, estimate_bounds, wh_to_gabor
-from .linalg import extreme_singular_values
+from .linalg import as_real, extreme_singular_values
 from .sums import (
     build_operator_sum_frame,
     build_perturbed_sum_frame,
@@ -155,15 +155,10 @@ def _as_array(value, path: str) -> list:
 
 
 def _as_real(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _schema_error(path, f"expected a real number, got {value!r}")
     try:
-        out = float(value)
-    except OverflowError:
-        raise _schema_error(path, "expected a finite number, got an integer beyond the float range") from None
-    if not math.isfinite(out):
-        raise _schema_error(path, f"expected a finite number, got {value!r}")
-    return out
+        return as_real(value)
+    except (TypeError, ValueError) as exc:
+        raise _schema_error(path, str(exc)) from None
 
 
 def _as_complex(value, path: str) -> complex:

@@ -45,11 +45,9 @@ class FrameBounds:
 
     def __post_init__(self):
         try:
-            lo, hi = float(self.lower), float(self.upper)
+            lo, hi = linalg.as_real(self.lower), linalg.as_real(self.upper)
         except (TypeError, ValueError):
             raise InvalidBoundsError(f"bounds must be real numbers, got ({self.lower!r}, {self.upper!r})") from None
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise InvalidBoundsError("bounds must be finite")
         if not (0.0 < lo <= hi):
             raise InvalidBoundsError(f"need 0 < lower <= upper, got ({lo}, {hi})")
         object.__setattr__(self, "lower", lo)

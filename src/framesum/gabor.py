@@ -49,7 +49,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateLatticeError, EmptySupportError, NonPositiveLowerBoundError, NumericRangeError
+from .errors import (
+    DegenerateLatticeError,
+    DimensionMismatchError,
+    EmptySupportError,
+    NonPositiveLowerBoundError,
+    NumericRangeError,
+)
+from .linalg import as_real
 
 #: fallback grid: points per period for the non-vanishing-overlap case.
 GRID_RESOLUTION = 2**14
@@ -62,6 +69,14 @@ REFINE_POINTS = 257
 OVERLAP_SLACK = 1e-12
 
 _KINDS = ("affine", "sqrt-affine")
+
+
+def _read_reals(record, names, error, message: str) -> None:
+    for name in names:
+        try:
+            object.__setattr__(record, name, as_real(getattr(record, name)))
+        except (TypeError, ValueError):
+            raise error(message.format(name, getattr(record, name))) from None
 
 
 @dataclass(frozen=True)
@@ -80,14 +95,7 @@ class Piece:
     beta: float
 
     def __post_init__(self):
-        for name in ("lo", "hi", "alpha", "beta"):
-            try:
-                value = float(getattr(self, name))
-            except (TypeError, ValueError):
-                raise ValueError(f"piece field {name} must be a finite real") from None
-            if not math.isfinite(value):
-                raise ValueError(f"piece field {name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+        _read_reals(self, ("lo", "hi", "alpha", "beta"), ValueError, "piece field {} must be a finite real, got {!r}")
         if not self.lo < self.hi:
             raise ValueError(f"piece needs lo < hi, got [{self.lo}, {self.hi})")
         if self.kind not in _KINDS:
@@ -236,15 +244,10 @@ class LatticeParams:
     b: float
 
     def __post_init__(self):
-        for name in ("a", "b"):
-            raw = getattr(self, name)
-            try:
-                value = float(raw)
-            except (TypeError, ValueError):
-                raise DegenerateLatticeError(f"{name} must be a finite positive real, got {raw!r}") from None
-            if not (math.isfinite(value) and value > 0.0):
+        _read_reals(self, ("a", "b"), DegenerateLatticeError, "{} must be a finite positive real, got {!r}")
+        for name, value in (("a", self.a), ("b", self.b)):
+            if not value > 0.0:
                 raise DegenerateLatticeError(f"{name} must be a finite positive real, got {value}")
-            object.__setattr__(self, name, value)
 
 
 def _shift_range(gen: PiecewiseGenerator, a: float, x_min: float, x_max: float):
@@ -281,18 +284,16 @@ def evaluate_translates(gen: PiecewiseGenerator, a: float, x) -> Translates:
     The slice is where the sorted ``x - n a`` lies in the support, found by
     ``searchsorted``.  Translates that meet no point, or are 0 on every point
     they meet, are left out: each of their terms is an exact 0 in both sums.
+    A NaN or infinite point, which sorts to an end, is a :class:`DimensionMismatchError`.
     """
     if not a > 0.0:
         raise DegenerateLatticeError(f"translation step must be positive, got {a}")
     points, order, shape = _sorted_points(x)
-    # the sorted points' ends are their extremes, unless there is no point or a
-    # NaN (sorted last): min and max then raise, or give NaN, which the range rejects
-    if points.size and not math.isnan(points[-1]):
-        x_min, x_max = float(points[0]), float(points[-1])
-    else:
-        x_min, x_max = float(points.min()), float(points.max())
+    ends = (float(points[0]), float(points[-1])) if points.size else ()
+    if not all(map(math.isfinite, ends)):
+        raise DimensionMismatchError("points must be finite")
     terms = []
-    for n in _shift_range(gen, a, x_min, x_max):
+    for n in _shift_range(gen, a, *ends) if ends else ():
         shifted = points - n * a
         start, stop = _support_slice(gen, shifted)
         if start < stop:
@@ -550,15 +551,7 @@ class WHParams:
     q0: float
 
     def __post_init__(self):
-        for name in ("P", "Q", "p0", "q0"):
-            raw = getattr(self, name)
-            try:
-                value = float(raw)
-            except (TypeError, ValueError):
-                raise DegenerateLatticeError(f"{name} must be a finite real, got {raw!r}") from None
-            if not math.isfinite(value):
-                raise DegenerateLatticeError(f"{name} must be finite, got {value}")
-            object.__setattr__(self, name, value)
+        _read_reals(self, ("P", "Q", "p0", "q0"), DegenerateLatticeError, "{} must be a finite real, got {!r}")
         if self.P == 0.0:
             raise DegenerateLatticeError("P must be nonzero")
         if abs(self.p0 * self.q0) >= 2.0 * math.pi:

@@ -3,11 +3,11 @@
 Frame bounds reduce to the Hermitian eigenproblem solved here, by LAPACK
 through ``numpy.linalg.eigh``; operator norms and residuals take singular
 values from LAPACK's SVD.  This module adds what LAPACK does not check: a
-square shape, and in :func:`as_carray`, the package's one coercion of a caller's
-array, finite entries.  It does not check Hermitian symmetry: the
-eigensolver reads one triangle, so its input must be exactly Hermitian, as
-``frames.frame_operator`` builds it.  A LAPACK convergence failure surfaces as
-:class:`NoConvergenceError`, so it stays inside the package's error hierarchy.
+square shape, and finite entries in the package's two readers of a caller's
+numbers, :func:`as_carray` for arrays and :func:`as_real` for real scalars.
+It does not check Hermitian symmetry: the eigensolver reads one triangle, so
+its input must be exactly Hermitian, as ``frames.frame_operator`` builds it.
+A LAPACK convergence failure surfaces as the toolkit's :class:`NoConvergenceError`.
 
 Conventions
 -----------
@@ -18,6 +18,9 @@ Conventions
 """
 
 from __future__ import annotations
+
+import math
+import numbers
 
 import numpy as np
 
@@ -53,6 +56,21 @@ def as_carray(values, ndim: int) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise DimensionMismatchError(f"{noun} entries must be finite")
     return arr
+
+
+def as_real(value) -> float:
+    """``value``, a finite ``numbers.Real`` other than ``bool``, as a float; text is never
+    parsed.  ``TypeError`` if it is not a real, ``ValueError`` if NaN, infinite or too large."""
+    if type(value) is not float:  # floats and ints skip the slower ABC check
+        if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+            raise TypeError(f"expected a real number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ValueError("expected a finite number, got an integer beyond the float range") from None
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return value
 
 
 def hermitian_eig(matrix):

@@ -25,7 +25,6 @@ holding (the strict xfails ``finite-sum-tie`` and ``operator-sum-tie`` in
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 
@@ -147,17 +146,12 @@ def dual_sum_predict(bounds1, bounds2) -> PredictedBounds:
 
 
 def _as_range(pair) -> tuple[float, float]:
-    """A range ``(low, high)`` of two finite reals, as floats, or
-    :class:`InvalidBoundsError`."""
+    """A range ``(low, high)`` of two finite reals, as floats, or :class:`InvalidBoundsError`."""
     try:
         low, high = pair
-        if isinstance(low, numbers.Real) and isinstance(high, numbers.Real):
-            low, high = float(low), float(high)
-            if math.isfinite(low) and math.isfinite(high):
-                return low, high
-    except (TypeError, ValueError, OverflowError):  # not a pair, or an integer beyond the float range
-        pass
-    raise InvalidBoundsError(f"expected a range (low, high) of two finite reals, got {pair!r}")
+        return linalg.as_real(low), linalg.as_real(high)
+    except (TypeError, ValueError):  # not a pair, or not two finite reals
+        raise InvalidBoundsError(f"expected a range (low, high) of two finite reals, got {pair!r}") from None
 
 
 def operator_sum_predict(sigma1, sigma2, bounds1, bounds2) -> PredictedBounds:

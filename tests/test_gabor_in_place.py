@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from framesum import PiecewiseGenerator
+from framesum import DimensionMismatchError, PiecewiseGenerator
 from framesum.gabor import evaluate_translates, shift_overlap_sum, translate_energy
 
 WINDOWS = {
@@ -71,8 +71,19 @@ def test_sums_leave_the_points_and_the_translates_alone(window, layout, energy_f
     assert not np.shares_memory(energy, overlap)
 
 
-@pytest.mark.parametrize("points", [[0.5, math.nan], [-math.inf, math.nan], [math.nan]])
+@pytest.mark.parametrize(
+    "points", [[0.5, math.nan], [-math.inf, math.nan], [math.nan], [-math.inf, 0.5], [0.5, math.inf], [math.inf]]
+)
 def test_a_nan_point_fails_the_shift_range(points):
-    # NaN sorts last; the shift range must see it, not an infinity before it
-    with pytest.raises(ValueError, match="NaN"):
-        evaluate_translates(WINDOWS["affine"], A, points)
+    # NaN sorts last and -inf first: the check must see either end
+    for layout in (points, points[::-1], np.array(points).reshape(1, -1)):
+        with pytest.raises(DimensionMismatchError, match="points must be finite"):
+            evaluate_translates(WINDOWS["affine"], A, layout)
+
+
+@pytest.mark.parametrize("x", [[], np.empty((2, 0))])
+def test_no_point_gives_no_translate_and_empty_sums(x):
+    translates = evaluate_translates(WINDOWS["affine"], A, x)
+    assert translates.terms == ()
+    for result in (translate_energy(translates), shift_overlap_sum(translates, B), WINDOWS["affine"](x)):
+        assert result.shape == np.shape(x) and result.dtype == float

@@ -1,6 +1,11 @@
 """Malformed input to a library entry point raises a toolkit error, never a
 bare ``ValueError`` or ``TypeError`` from numpy or ``float``; ``algorithm.run``
-raises its documented ``ValueError`` for a malformed cap or tolerance."""
+raises its documented ``ValueError`` for a malformed cap or tolerance, and
+``gabor.Piece`` for a malformed window piece."""
+
+import json
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +17,8 @@ from framesum import (
     FrameBounds,
     InvalidBoundsError,
     LatticeParams,
+    Piece,
+    SpecSchemaError,
     WHParams,
     build_operator_sum_frame,
     build_perturbed_sum_frame,
@@ -24,6 +31,8 @@ from framesum import (
     run,
     verify_dual,
 )
+from framesum.experiments import parse_spec_text
+from framesum.frames import as_frame_bounds
 from framesum.linalg import as_carray
 
 E2 = FiniteFrame(np.eye(2))
@@ -91,6 +100,7 @@ def test_a_complex_array_is_taken_as_it_is():
 BAD_SCALARS = {
     "bound-string": (lambda: FrameBounds("a", 1), InvalidBoundsError, "bounds must be real numbers, got ('a', 1)"),
     "bound-none": (lambda: FrameBounds(None, 1), InvalidBoundsError, "bounds must be real numbers, got (None, 1)"),
+    "bound-pair-text": (lambda: as_frame_bounds("12"), InvalidBoundsError, "bounds must be real numbers, got ('1', '2')"),
     "bound-triple": (
         lambda: finite_sum_predict([(1, 2, 3), (1, 2)], [1, 1], 0),
         InvalidBoundsError,
@@ -156,6 +166,79 @@ def test_a_malformed_scalar_is_a_toolkit_error(case):
     with pytest.raises(error) as excinfo:
         call()
     assert str(excinfo.value) == message
+
+
+#: (read, error) by id for every entry point that reads a real scalar: ``read``
+#: returns what the entry point made of the value, and ``error`` is its documented
+#: error for a value that is not a finite real
+SCALAR_ENTRY_POINTS = {
+    "FrameBounds": (lambda value: FrameBounds(value, 4).lower, InvalidBoundsError),
+    "as_frame_bounds": (lambda value: as_frame_bounds((0.25, value)).upper, InvalidBoundsError),
+    "LatticeParams": (lambda value: LatticeParams(1, value).b, DegenerateLatticeError),
+    "WHParams": (lambda value: WHParams(value, 1, 1, 1).P, DegenerateLatticeError),
+    "Piece": (lambda value: Piece(0, value, "affine", 1, 0).hi, ValueError),
+    "operator_sum_predict": (
+        lambda value: operator_sum_predict((value, 1), (1, 1), (1, 2), (1, 2)),
+        InvalidBoundsError,
+    ),
+    "parse_spec_text": (
+        lambda value: parse_spec_text(json.dumps({"kind": "width", "entries": [{"bounds": [value, 4]}]}))
+        .payload[0][1]
+        .lower,
+        SpecSchemaError,
+    ),
+}
+
+NOT_REALS = {
+    "bool": True,
+    "text": "1",
+    "bytes": b"1",
+    "none": None,
+    "complex": 1j,
+    "decimal": Decimal("1"),
+    "inf": float("inf"),
+    "nan": float("nan"),
+    "huge-integer": 10**400,
+}
+
+REALS = {
+    "int": 1,
+    "float": 1.0,
+    "numpy-int": np.int64(1),
+    "numpy-float32": np.float32(1),
+    "fraction": Fraction(1, 2),
+}
+
+#: JSON writes none of bytes, complex, decimal, numpy or fraction values
+NOT_IN_JSON = (bytes, complex, Decimal, np.generic, Fraction)
+
+
+def _cases(values):
+    """(entry point, value id) for each value an entry point can be given."""
+    return [
+        (entry, name)
+        for entry in SCALAR_ENTRY_POINTS
+        for name, value in values.items()
+        if entry != "parse_spec_text" or not isinstance(value, NOT_IN_JSON)
+    ]
+
+
+@pytest.mark.parametrize("entry, value", _cases(NOT_REALS))
+def test_a_value_that_is_not_a_finite_real_is_refused_everywhere(entry, value):
+    read, error = SCALAR_ENTRY_POINTS[entry]
+    with pytest.raises(error) as excinfo:
+        read(NOT_REALS[value])
+    assert type(excinfo.value) is error
+
+
+@pytest.mark.parametrize("entry, value", _cases(REALS))
+def test_a_finite_real_is_read_as_the_same_float_everywhere(entry, value):
+    read, _ = SCALAR_ENTRY_POINTS[entry]
+    expected = float(REALS[value])
+    got, want = read(REALS[value]), read(expected)
+    assert got == want and type(got) is type(want)
+    if isinstance(want, float):
+        assert want == expected
 
 
 def test_numpy_integers_and_reals_are_taken_where_integers_and_reals_are():
