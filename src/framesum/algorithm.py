@@ -41,8 +41,6 @@ the columns of several runs, named by its ``labels``, for the CSV, and
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,16 +109,20 @@ def run(frame: FiniteFrame, bounds, target, max_iters: int, stop_tol: float | No
     """
     bounds = as_frame_bounds(bounds)
     try:
-        max_iters = operator.index(max_iters)
+        max_iters = linalg.as_index(max_iters)
     except TypeError:
         raise ValueError(f"max_iters must be an integer, got {max_iters!r}") from None
     if max_iters < 1:
         raise ValueError("max_iters must be positive")
     if stop_tol is not None:
-        if not isinstance(stop_tol, numbers.Real):
-            raise ValueError(f"stop_tol must be a real number, got {stop_tol!r}")
-        if not stop_tol >= 0.0:  # NaN too
-            raise ValueError("stop_tol must be nonnegative")
+        try:
+            stop_tol = linalg.as_real(stop_tol)
+        except TypeError:
+            raise ValueError(f"stop_tol must be a real number, got {stop_tol!r}") from None
+        except ValueError:  # NaN, +-inf or an integer beyond the float range
+            stop_tol = math.nan
+        if not stop_tol >= 0.0:
+            raise ValueError("stop_tol must be nonnegative and finite")
     phi = linalg.as_carray(target, 1)
     if phi.shape[0] != frame.dim:
         raise DimensionMismatchError(f"target has length {phi.shape[0]}, frame dimension is {frame.dim}")
@@ -226,10 +228,15 @@ def format_width(delta: float) -> str:
 
     Truncation toward zero matches the reference rendering of values such as
     1283/51205 -> ``0.0250`` and 17/31 -> ``0.5483``; a one-part-in-1e13 guard
-    keeps exactly-representable values like 0.6 from slipping a digit.
+    keeps exactly-representable values like 0.6 from slipping a digit.  A
+    ``delta`` that :func:`~framesum.linalg.as_real` refuses is an :class:`InvalidBoundsError`.
     """
-    if not (math.isfinite(delta) and delta >= 0.0):
-        raise InvalidBoundsError(f"width must be finite and nonnegative, got {delta}")
-    truncated = math.floor(delta * 1e4 + 1e-9) / 1e4
+    try:
+        width = linalg.as_real(delta)
+    except (TypeError, ValueError):
+        width = math.nan
+    if not width >= 0.0:
+        raise InvalidBoundsError(f"width must be finite and nonnegative, got {delta!r}")
+    truncated = math.floor(width * 1e4 + 1e-9) / 1e4
     return f"{truncated:.4f}"
 

@@ -7,13 +7,16 @@ found it: every size that does not line up, whether of a vector, a matrix or
 a family of summed frames, is a :class:`DimensionMismatchError`.
 
 Malformed library input raises a subclass, not numpy's or ``float``'s bare
-``ValueError`` or ``TypeError``.  A real is a finite ``numbers.Real`` but not
-a ``bool`` (``linalg.as_real``), and text is never parsed.  An array that is not
-finite, nonempty and of the expected rank (``linalg.as_carray``), ragged, text
-or non-numeric included, is a :class:`DimensionMismatchError`, and so is a pivot
-that is not an integer; a bound pair or a range ``(m, ||T||)`` that is not two
-reals, an :class:`InvalidBoundsError`; lattice or group parameters that are not
-reals, a :class:`DegenerateLatticeError`.  ``ValueError`` stays where documented:
+``ValueError`` or ``TypeError``.  A real is a finite ``numbers.Real`` but not a
+``bool`` (``linalg.as_real``), an integer an integer but not a ``bool``, numpy's
+included (``linalg.as_index``), and text is never parsed.  An array that is not
+finite, nonempty and of the expected rank (``linalg.as_carray``), ragged, text or
+non-numeric included, window points that are not real by the same rule, and a pivot
+that is not an integer are a :class:`DimensionMismatchError`; a bound pair or a range
+``(m, ||T||)`` that is not two reals, and a width or a prediction field that is not
+a real, an :class:`InvalidBoundsError`; lattice or group parameters that are not
+reals, a :class:`DegenerateLatticeError`.  A prediction that overflows is a
+:class:`NumericRangeError`.  ``ValueError`` stays where documented:
 ``algorithm.run``'s iteration cap and tolerance, and ``gabor``'s window pieces.
 """
 

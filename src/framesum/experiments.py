@@ -71,7 +71,7 @@ from .errors import (
 )
 from .frames import FiniteFrame, FrameBounds, exact_bounds, random_unit_vector, verify_dual
 from .gabor import LatticeParams, Piece, PiecewiseGenerator, WHParams, estimate_bounds, wh_to_gabor
-from .linalg import as_real, extreme_singular_values
+from .linalg import as_index, as_real, extreme_singular_values
 from .sums import (
     build_operator_sum_frame,
     build_perturbed_sum_frame,
@@ -121,6 +121,23 @@ def _schema_error(path: str, message: str) -> SpecSchemaError:
     return SpecSchemaError(message, field=path)
 
 
+def _checked(path: str, make, *args):
+    """``make(*args)``, with a toolkit error or a reader's ``TypeError`` or ``ValueError``
+    turned into a schema error at ``path`` with the same message."""
+    try:
+        return make(*args)
+    except (FrameToolkitError, TypeError, ValueError) as exc:
+        raise _schema_error(path, str(exc)) from None
+
+
+def _as_index(value, path: str, message: str) -> int:
+    """``value`` read by :func:`~framesum.linalg.as_index`, or a schema error at ``path``."""
+    try:
+        return as_index(value)
+    except TypeError:
+        raise _schema_error(path, message) from None
+
+
 def _unique_keys(pairs) -> dict:
     """A JSON object's members as a dict.  A key given twice is a schema error:
     the reader would otherwise keep the last value and drop the first unseen."""
@@ -155,10 +172,7 @@ def _as_array(value, path: str) -> list:
 
 
 def _as_real(value, path: str) -> float:
-    try:
-        return as_real(value)
-    except (TypeError, ValueError) as exc:
-        raise _schema_error(path, str(exc)) from None
+    return _checked(path, as_real, value)
 
 
 def _as_complex(value, path: str) -> complex:
@@ -176,10 +190,7 @@ def _as_bound_pair(value, path: str) -> FrameBounds:
         raise _schema_error(path, f"bound pair must be [lower, upper], got {value!r}")
     lo = _as_real(arr[0], path + "[0]")
     hi = _as_real(arr[1], path + "[1]")
-    try:
-        return FrameBounds(lo, hi)
-    except FrameToolkitError as exc:
-        raise _schema_error(path, str(exc)) from None
+    return _checked(path, FrameBounds, lo, hi)
 
 
 def _as_tolerance(value, path: str) -> float:
@@ -291,10 +302,7 @@ def _as_frame(value, path: str, default_name: str) -> FrameInput:
     obj = _as_record(value, path, {"name", "vectors", "stated_bounds"})
     name = _as_name(obj.get("name", default_name), path + ".name")
     vectors = _as_complex_array(obj.get("vectors"), path + ".vectors", 2)
-    try:
-        frame = FiniteFrame(vectors)
-    except FrameToolkitError as exc:
-        raise _schema_error(path + ".vectors", str(exc)) from None
+    frame = _checked(path + ".vectors", FiniteFrame, vectors)
     stated = None
     if "stated_bounds" in obj:
         stated = _as_bound_pair(obj["stated_bounds"], path + ".stated_bounds")
@@ -474,14 +482,8 @@ def _payload_gabor(doc: dict):
         path = f"generator.pieces[{i}]"
         obj = _as_record(piece, path, {"lo", "hi", "kind", "alpha", "beta"})
         lo, hi, alpha, beta = (_as_real(obj.get(key), f"{path}.{key}") for key in ("lo", "hi", "alpha", "beta"))
-        try:
-            pieces.append(Piece(lo, hi, obj.get("kind"), alpha, beta))
-        except ValueError as exc:
-            raise _schema_error(path, str(exc)) from None
-    try:
-        generator = PiecewiseGenerator(pieces)
-    except (FrameToolkitError, ValueError) as exc:
-        raise _schema_error("generator.pieces", str(exc)) from None
+        pieces.append(_checked(path, Piece, lo, hi, obj.get("kind"), alpha, beta))
+    generator = _checked("generator.pieces", PiecewiseGenerator, pieces)
 
     if ("lattice" in doc) == ("wh" in doc):
         raise _schema_error("", "gabor needs exactly one of lattice or wh")
@@ -489,18 +491,12 @@ def _payload_gabor(doc: dict):
     if "lattice" in doc:
         obj = _as_record(doc["lattice"], "lattice", {"a", "b"})
         a, b = (_as_real(obj.get(key), f"lattice.{key}") for key in ("a", "b"))
-        try:
-            lattice = LatticeParams(a, b)
-        except FrameToolkitError as exc:
-            raise _schema_error("lattice", str(exc)) from None
+        lattice = _checked("lattice", LatticeParams, a, b)
     else:
         obj = _as_record(doc["wh"], "wh", {"P", "Q", "p0", "q0"})
-        params = {key: _as_real(obj.get(key), f"wh.{key}") for key in ("P", "Q", "p0", "q0")}
-        try:
-            wh = WHParams(**params)
-            lattice = wh_to_gabor(wh)
-        except FrameToolkitError as exc:
-            raise _schema_error("wh", str(exc)) from None
+        params = [_as_real(obj.get(key), f"wh.{key}") for key in ("P", "Q", "p0", "q0")]
+        wh = _checked("wh", WHParams, *params)
+        lattice = _checked("wh", wh_to_gabor, wh)
     length = generator.support_length
     terms = (length / lattice.a + 1.0) * (2.0 * length * lattice.b + 1.0)
     if not terms <= MAX_SHIFT_TERMS:
@@ -517,8 +513,9 @@ def _payload_gabor(doc: dict):
 
 def _payload_algo(doc: dict):
     max_iters = doc.get("max_iters", 60)
-    if isinstance(max_iters, bool) or not isinstance(max_iters, int) or not 1 <= max_iters <= MAX_ITERS:
-        raise _schema_error("max_iters", f"must be an integer in 1..{MAX_ITERS}, got {max_iters!r}")
+    message = f"must be an integer in 1..{MAX_ITERS}, got {max_iters!r}"
+    if not 1 <= _as_index(max_iters, "max_iters", message) <= MAX_ITERS:
+        raise _schema_error("max_iters", message)
     runs = []
     # Runs whose parsed vectors are equal in shape and bytes share one
     # FiniteFrame, and with it one eigensolve.  The parsed arrays are compared,
@@ -817,8 +814,7 @@ def _finite_sum_inputs(doc: dict, frames, pairs):
         raise _schema_error("coefficients", "coefficient must be nonzero")
     pivot = doc.get("pivot", "best")
     if pivot != "best":
-        if isinstance(pivot, bool) or not isinstance(pivot, int):
-            raise _schema_error("pivot", f'must be a 1-based index or "best", got {pivot!r}')
+        _as_index(pivot, "pivot", f'must be a 1-based index or "best", got {pivot!r}')
         if not (1 <= pivot <= len(coefficients)):
             raise _schema_error("pivot", f"index {pivot} out of range 1..{len(coefficients)}")
     count, what = (len(frames), "frames") if frames is not None else (len(pairs), "bound pairs")

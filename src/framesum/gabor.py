@@ -56,7 +56,7 @@ from .errors import (
     NonPositiveLowerBoundError,
     NumericRangeError,
 )
-from .linalg import as_real
+from .linalg import as_points, read_reals
 
 #: fallback grid: points per period for the non-vanishing-overlap case.
 GRID_RESOLUTION = 2**14
@@ -69,14 +69,6 @@ REFINE_POINTS = 257
 OVERLAP_SLACK = 1e-12
 
 _KINDS = ("affine", "sqrt-affine")
-
-
-def _read_reals(record, names, error, message: str) -> None:
-    for name in names:
-        try:
-            object.__setattr__(record, name, as_real(getattr(record, name)))
-        except (TypeError, ValueError):
-            raise error(message.format(name, getattr(record, name))) from None
 
 
 @dataclass(frozen=True)
@@ -95,7 +87,7 @@ class Piece:
     beta: float
 
     def __post_init__(self):
-        _read_reals(self, ("lo", "hi", "alpha", "beta"), ValueError, "piece field {} must be a finite real, got {!r}")
+        read_reals(self, ("lo", "hi", "alpha", "beta"), ValueError, "piece field {} must be a finite real, got {!r}")
         if not self.lo < self.hi:
             raise ValueError(f"piece needs lo < hi, got [{self.lo}, {self.hi})")
         if self.kind not in _KINDS:
@@ -130,13 +122,13 @@ def _radicand_within_slack(alpha: float, beta: float, x: float) -> bool:
 
 
 def _sorted_points(x):
-    """``(points, order, shape)``: ``x`` as a nondecreasing 1-d float array.
+    """``(points, order, shape)``: ``x``, read by ``linalg.as_points``, as a nondecreasing 1-d float array.
 
     Nondecreasing 1-d input is used as it is (``order`` is None); anything
     else is flattened and sorted stably, NaN last.  :func:`_in_input_order`
     puts values computed on ``points`` back in the order and ``shape`` of ``x``.
     """
-    xs = np.asarray(x, dtype=float)
+    xs = as_points(x)
     if xs.ndim == 1 and (xs[1:] >= xs[:-1]).all():
         return xs, None, xs.shape
     flat = xs.ravel()
@@ -244,7 +236,7 @@ class LatticeParams:
     b: float
 
     def __post_init__(self):
-        _read_reals(self, ("a", "b"), DegenerateLatticeError, "{} must be a finite positive real, got {!r}")
+        read_reals(self, ("a", "b"), DegenerateLatticeError, "{} must be a finite positive real, got {!r}")
         for name, value in (("a", self.a), ("b", self.b)):
             if not value > 0.0:
                 raise DegenerateLatticeError(f"{name} must be a finite positive real, got {value}")
@@ -551,7 +543,7 @@ class WHParams:
     q0: float
 
     def __post_init__(self):
-        _read_reals(self, ("P", "Q", "p0", "q0"), DegenerateLatticeError, "{} must be a finite real, got {!r}")
+        read_reals(self, ("P", "Q", "p0", "q0"), DegenerateLatticeError, "{} must be a finite real, got {!r}")
         if self.P == 0.0:
             raise DegenerateLatticeError("P must be nonzero")
         if abs(self.p0 * self.q0) >= 2.0 * math.pi:

@@ -3,11 +3,13 @@
 Frame bounds reduce to the Hermitian eigenproblem solved here, by LAPACK
 through ``numpy.linalg.eigh``; operator norms and residuals take singular
 values from LAPACK's SVD.  This module adds what LAPACK does not check: a
-square shape, and finite entries in the package's two readers of a caller's
-numbers, :func:`as_carray` for arrays and :func:`as_real` for real scalars.
-It does not check Hermitian symmetry: the eigensolver reads one triangle, so
-its input must be exactly Hermitian, as ``frames.frame_operator`` builds it.
-A LAPACK convergence failure surfaces as the toolkit's :class:`NoConvergenceError`.
+square shape, and what a number is: the package reads a caller's numbers with
+:func:`as_carray` for arrays (:func:`as_points` for window points), :func:`as_real`
+for reals and :func:`as_index` for integers, and the frozen records their fields
+with :func:`read_reals`.  It does not check Hermitian symmetry: the eigensolver
+reads one triangle, so its input must be exactly Hermitian, as
+``frames.frame_operator`` builds it.  A LAPACK convergence failure surfaces as
+the toolkit's :class:`NoConvergenceError`.
 
 Conventions
 -----------
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 
 import numpy as np
 
@@ -35,6 +38,17 @@ from .errors import (
 RANK_TOLERANCE = 1e-12
 
 
+def _numbers(values, what: str, kinds: str) -> np.ndarray:
+    """``np.asarray(values)`` if its dtype kind is one of ``kinds``, else :class:`DimensionMismatchError`."""
+    try:
+        arr = np.asarray(values)
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatchError(f"expected {what}: {exc}") from None
+    if arr.dtype.kind not in kinds:
+        raise DimensionMismatchError(f"expected {what}, got entries of dtype {arr.dtype}")
+    return arr
+
+
 def as_carray(values, ndim: int) -> np.ndarray:
     """Coerce to a finite nonempty complex array of rank ``ndim`` (1 or 2), or raise
     :class:`DimensionMismatchError`, for ragged and non-numeric input too.
@@ -44,13 +58,7 @@ def as_carray(values, ndim: int) -> np.ndarray:
     parse them, as it parses ``"1"``.
     """
     noun = "vector" if ndim == 1 else "matrix"
-    try:
-        arr = np.asarray(values)
-    except (TypeError, ValueError) as exc:
-        raise DimensionMismatchError(f"expected a {noun} of numbers: {exc}") from None
-    if arr.dtype.kind not in "biufc":
-        raise DimensionMismatchError(f"expected a {noun} of numbers, got entries of dtype {arr.dtype}")
-    arr = arr.astype(complex, copy=False)
+    arr = _numbers(values, f"a {noun} of numbers", "biufc").astype(complex, copy=False)
     if arr.ndim != ndim or arr.size == 0:
         raise DimensionMismatchError(f"expected a nonempty {noun}, got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -58,11 +66,18 @@ def as_carray(values, ndim: int) -> np.ndarray:
     return arr
 
 
+def as_points(values) -> np.ndarray:
+    """``values`` as a float array of any shape, by the rule of :func:`as_carray` less complex
+    numbers; empty or non-finite input is the caller's to judge, and a float array is not copied."""
+    arr = _numbers(values, "real points", "biuf")
+    return arr if arr.dtype == np.float64 else arr.astype(float)
+
+
 def as_real(value) -> float:
     """``value``, a finite ``numbers.Real`` other than ``bool``, as a float; text is never
     parsed.  ``TypeError`` if it is not a real, ``ValueError`` if NaN, infinite or too large."""
-    if type(value) is not float:  # floats and ints skip the slower ABC check
-        if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+    if type(value) is not float:  # floats, numpy's float64 and ints skip the slower ABC check
+        if isinstance(value, bool) or not (isinstance(value, (float, int)) or isinstance(value, numbers.Real)):
             raise TypeError(f"expected a real number, got {value!r}")
         try:
             value = float(value)
@@ -71,6 +86,27 @@ def as_real(value) -> float:
     if not math.isfinite(value):
         raise ValueError(f"expected a finite number, got {value!r}")
     return value
+
+
+def as_index(value) -> int:
+    """``value``, an integer other than ``bool`` (numpy's count), as an ``int``; ``TypeError`` otherwise."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
+def read_reals(record, names, error, message: str, range_error=None) -> None:
+    """Set each field ``names`` of the frozen dataclass ``record`` to :func:`as_real` of it.  A field
+    that is not a real raises ``error``, and one that is NaN, infinite or too large ``range_error``
+    (``error`` if None), each with ``message.format(name, value)``."""
+    fields = vars(record)
+    for name in names:
+        try:
+            fields[name] = as_real(fields[name])
+        except TypeError:
+            raise error(message.format(name, fields[name])) from None
+        except ValueError:
+            raise (range_error or error)(message.format(name, fields[name])) from None
 
 
 def hermitian_eig(matrix):

@@ -25,13 +25,12 @@ holding (the strict xfails ``finite-sum-tie`` and ``operator-sum-tie`` in
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatchError, InvalidBoundsError, ZeroCoefficientError
+from .errors import DimensionMismatchError, InvalidBoundsError, NumericRangeError, ZeroCoefficientError
 from .frames import FiniteFrame, FrameBounds, as_frame_bounds, brackets, check_aligned, exact_bounds
 
 
@@ -41,8 +40,10 @@ class PredictedBounds:
 
     ``condition_margin`` is the left side minus the right side of the strict
     inequality backing the prediction; the condition holds exactly when the
-    margin is positive.  Fields are stored as plain ``float`` (numpy scalars
-    are converted), so reports serialize as JSON.
+    margin is positive.  Fields are stored as plain ``float`` (numpy scalars are
+    converted), so reports serialize as JSON.  A field that is not a real is an
+    :class:`InvalidBoundsError`; one that is not finite, which from finite bounds
+    only an overflow makes, a :class:`NumericRangeError`.
     """
 
     lower: float
@@ -50,9 +51,9 @@ class PredictedBounds:
     condition_margin: float
 
     def __post_init__(self):
-        object.__setattr__(self, "lower", float(self.lower))
-        object.__setattr__(self, "upper", float(self.upper))
-        object.__setattr__(self, "condition_margin", float(self.condition_margin))
+        fields = ("lower", "upper", "condition_margin")
+        message = "predicted {} must be a finite real, got {!r}"
+        linalg.read_reals(self, fields, InvalidBoundsError, message, NumericRangeError)
         if self.condition_holds and not (0.0 < self.lower <= self.upper):
             raise InvalidBoundsError(
                 f"holding condition must give 0 < lower <= upper, got ({self.lower}, {self.upper})"
@@ -93,7 +94,7 @@ def finite_sum_predict(bounds, coefficients, pivot: int) -> PredictedBounds:
     if c.shape[0] != k:
         raise DimensionMismatchError(f"{k} bound pairs but {c.shape[0]} coefficients")
     try:
-        pivot = operator.index(pivot)
+        pivot = linalg.as_index(pivot)
     except TypeError:
         raise DimensionMismatchError(f"pivot must be an integer, got {pivot!r}") from None
     if not (0 <= pivot < k):

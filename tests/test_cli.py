@@ -545,6 +545,27 @@ ALGO = {"kind": "algo", "runs": [{"frame": {"vectors": E2}}]}
             id="pivot-word",
         ),
         pytest.param(
+            "sum",
+            {"kind": "finite-sum", "frame_bounds": [[1, 2], [1, 2]], "coefficients": [1, 1], "pivot": True},
+            "pivot",
+            'must be a 1-based index or "best", got True',
+            id="pivot-true",
+        ),
+        pytest.param(
+            "algo",
+            {**ALGO, "max_iters": True},
+            "max_iters",
+            "must be an integer in 1..100000, got True",
+            id="max-iters-true",
+        ),
+        pytest.param(
+            "algo",
+            {**ALGO, "max_iters": 5.0},
+            "max_iters",
+            "must be an integer in 1..100000, got 5.0",
+            id="max-iters-float",
+        ),
+        pytest.param(
             "op-sum",
             {"kind": "operator-sum", "bounds1": [1, 2], "bounds2": [1, 2], "theta1": E3[:2], "theta2": E2},
             "theta1",
@@ -985,6 +1006,25 @@ def test_cli_finite_sum_near_tie_writes_a_report(tmp_path, capsys, pivot):
             },
             "overflowed",
         ),
+        # sqrt(B1 B2) of finite bounds whose product overflows: the margin would
+        # read -inf, a failing condition, where the true margin is about 1e300
+        (
+            "op-sum",
+            {
+                "kind": "operator-sum",
+                "bounds1": [1e300, 1e300],
+                "bounds2": [1e10, 1e10],
+                "theta1": [[1]],
+                "theta2": [[1]],
+            },
+            "predicted lower",
+        ),
+        (
+            "perturbed-sum",
+            {"kind": "perturbed-sum", "bounds1": [1e300, 1e300], "bounds2": [1e10, 1e10], "alpha": [1], "beta": [1]},
+            "predicted lower",
+        ),
+        ("dual", {"kind": "dual", "bounds1": [1e308, 1.5e308], "bounds2": [1e308, 1.5e308]}, "predicted lower"),
     ],
     ids=[
         "bounds-frame",
@@ -993,16 +1033,25 @@ def test_cli_finite_sum_near_tie_writes_a_report(tmp_path, capsys, pivot):
         "gabor-alpha",
         "gabor-b",
         "perturbed-beta",
+        "operator-sum-given-bounds",
+        "perturbed-sum-given-bounds",
+        "dual-given-bounds",
     ],
 )
 def test_cli_extreme_magnitudes_exit_two_with_a_clear_error(tmp_path, capsys, command, doc, word):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     code = main([command, "--spec", str(path)])
-    err = capsys.readouterr().err
-    assert code == 2
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
     assert "NumericRangeError" in err and word in err
     assert "Traceback" not in err and "RuntimeWarning" not in err
+    # no report, and so no JSON report with Infinity or NaN, which JSON does not have
+    report = tmp_path / "report.json"
+    assert main([command, "--spec", str(path), "--json", "--report", str(report)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "NumericRangeError" in err
+    assert not report.exists()
 
 
 def test_cli_missing_file(capsys):

@@ -1,7 +1,9 @@
 """Malformed input to a library entry point raises a toolkit error, never a
 bare ``ValueError`` or ``TypeError`` from numpy or ``float``; ``algorithm.run``
 raises its documented ``ValueError`` for a malformed cap or tolerance, and
-``gabor.Piece`` for a malformed window piece."""
+``gabor.Piece`` for a malformed window piece.  Every real goes through
+``linalg.as_real``, every integer through ``linalg.as_index``, and every
+array through the dtype rule of ``linalg.as_carray``."""
 
 import json
 from decimal import Decimal
@@ -17,7 +19,10 @@ from framesum import (
     FrameBounds,
     InvalidBoundsError,
     LatticeParams,
+    NumericRangeError,
     Piece,
+    PiecewiseGenerator,
+    PredictedBounds,
     SpecSchemaError,
     WHParams,
     build_operator_sum_frame,
@@ -25,6 +30,7 @@ from framesum import (
     build_sum_frame,
     extreme_singular_values,
     finite_sum_predict,
+    format_width,
     modulus_range,
     operator_sum_predict,
     perturbed_sum_predict,
@@ -33,7 +39,8 @@ from framesum import (
 )
 from framesum.experiments import parse_spec_text
 from framesum.frames import as_frame_bounds
-from framesum.linalg import as_carray
+from framesum.gabor import evaluate_translates
+from framesum.linalg import as_carray, as_points
 
 E2 = FiniteFrame(np.eye(2))
 
@@ -93,6 +100,43 @@ def test_bool_and_int_arrays_coerce_to_complex(values, ndim):
 def test_a_complex_array_is_taken_as_it_is():
     vectors = np.eye(3, dtype=complex)
     assert as_carray(vectors, 2) is vectors
+
+
+WINDOW = PiecewiseGenerator([(0, 1, "affine", 1, 0)])
+
+#: every entry point that reads window points, which may be of any shape,
+#: empty or non-finite, but must be real numbers by the rule of ``as_carray``
+POINT_ENTRY_POINTS = {
+    "PiecewiseGenerator.__call__": WINDOW,
+    "evaluate_translates": lambda x: evaluate_translates(WINDOW, 1.0, x).points,
+}
+
+BAD_POINTS = {
+    "numeric-text": ["0.5"],
+    "numeric-bytes": [b"0.5"],
+    "scalar-text": "0.5",
+    "complex": [0.5j],
+    "object": [0.5, {}],
+}
+
+
+@pytest.mark.parametrize("defect", BAD_POINTS)
+@pytest.mark.parametrize("entry", POINT_ENTRY_POINTS)
+def test_window_points_that_are_not_real_numbers_are_a_dimension_mismatch(entry, defect):
+    with pytest.raises(DimensionMismatchError):
+        POINT_ENTRY_POINTS[entry](BAD_POINTS[defect])
+
+
+@pytest.mark.parametrize("entry", POINT_ENTRY_POINTS)
+def test_bool_and_int_points_read_as_floats(entry):
+    call = POINT_ENTRY_POINTS[entry]
+    for points in ([0, 1], [True, False], np.array([0, 2], dtype=np.int8)):
+        assert np.array_equal(call(points), call(np.array(points, dtype=float)))
+
+
+def test_float_points_are_read_without_a_copy():
+    points = np.linspace(0.0, 1.0, 5)
+    assert as_points(points) is points
 
 
 #: (call, error, message) by id: input that ``float``, unpacking or an integer
@@ -157,6 +201,27 @@ BAD_SCALARS = {
         "stop_tol must be a real number, got '1e-3'",
     ),
     "stop-tol-complex": (lambda: run(E2, (1, 2), [1, 0], 5, 1j), ValueError, "stop_tol must be a real number, got 1j"),
+    "stop-tol-infinite": (
+        lambda: run(E2, (1, 2), [1, 0], 5, float("inf")),
+        ValueError,
+        "stop_tol must be nonnegative and finite",
+    ),
+    "width-text": (lambda: format_width("0.5"), InvalidBoundsError, "width must be finite and nonnegative, got '0.5'"),
+    "width-negative": (
+        lambda: format_width(-0.5),
+        InvalidBoundsError,
+        "width must be finite and nonnegative, got -0.5",
+    ),
+    "prediction-text": (
+        lambda: PredictedBounds("1", 2, 3),
+        InvalidBoundsError,
+        "predicted lower must be a finite real, got '1'",
+    ),
+    "prediction-overflow": (
+        lambda: PredictedBounds(float("-inf"), 1e300, float("-inf")),
+        NumericRangeError,
+        "predicted lower must be a finite real, got -inf",
+    ),
 }
 
 
@@ -181,6 +246,9 @@ SCALAR_ENTRY_POINTS = {
         lambda value: operator_sum_predict((value, 1), (1, 1), (1, 2), (1, 2)),
         InvalidBoundsError,
     ),
+    "run.stop_tol": (lambda value: run(E2, (1, 2), [1, 0], 5, value), ValueError),
+    "format_width": (format_width, InvalidBoundsError),
+    "PredictedBounds": (lambda value: PredictedBounds(value, 4, 1).lower, InvalidBoundsError),
     "parse_spec_text": (
         lambda value: parse_spec_text(json.dumps({"kind": "width", "entries": [{"bounds": [value, 4]}]}))
         .payload[0][1]
@@ -212,20 +280,29 @@ REALS = {
 #: JSON writes none of bytes, complex, decimal, numpy or fraction values
 NOT_IN_JSON = (bytes, complex, Decimal, np.generic, Fraction)
 
+#: a value that is a real but not a finite one is an overflow in a prediction,
+#: which finite bounds produce only by arithmetic
+RANGE_ERRORS = {"PredictedBounds": NumericRangeError}
+NOT_FINITE = ("inf", "nan", "huge-integer")
+
 
 def _cases(values):
-    """(entry point, value id) for each value an entry point can be given."""
+    """(entry point, value id) for each value an entry point can be given;
+    ``None`` is ``run``'s default tolerance, so it is not given there."""
     return [
         (entry, name)
         for entry in SCALAR_ENTRY_POINTS
         for name, value in values.items()
-        if entry != "parse_spec_text" or not isinstance(value, NOT_IN_JSON)
+        if (entry != "parse_spec_text" or not isinstance(value, NOT_IN_JSON))
+        and (entry != "run.stop_tol" or value is not None)
     ]
 
 
 @pytest.mark.parametrize("entry, value", _cases(NOT_REALS))
 def test_a_value_that_is_not_a_finite_real_is_refused_everywhere(entry, value):
     read, error = SCALAR_ENTRY_POINTS[entry]
+    if value in NOT_FINITE:
+        error = RANGE_ERRORS.get(entry, error)
     with pytest.raises(error) as excinfo:
         read(NOT_REALS[value])
     assert type(excinfo.value) is error
@@ -239,6 +316,34 @@ def test_a_finite_real_is_read_as_the_same_float_everywhere(entry, value):
     assert got == want and type(got) is type(want)
     if isinstance(want, float):
         assert want == expected
+
+
+#: (read, error) by id for every entry point that reads an integer
+INTEGER_ENTRY_POINTS = {
+    "run.max_iters": (lambda value: run(E2, (1, 2), [1, 0], value), ValueError),
+    "finite_sum_predict.pivot": (
+        lambda value: finite_sum_predict([(1, 2), (1, 3)], [1, 2], value),
+        DimensionMismatchError,
+    ),
+}
+
+NOT_INTEGERS = {"bool": True, "float": 1.0, "text": "1", "none": None}
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS)
+@pytest.mark.parametrize("entry", INTEGER_ENTRY_POINTS)
+def test_a_value_that_is_not_an_integer_is_refused_everywhere(entry, value):
+    read, error = INTEGER_ENTRY_POINTS[entry]
+    with pytest.raises(error) as excinfo:
+        read(NOT_INTEGERS[value])
+    assert type(excinfo.value) is error
+
+
+@pytest.mark.parametrize("value", [1, np.int64(1)], ids=["int", "numpy-int"])
+@pytest.mark.parametrize("entry", INTEGER_ENTRY_POINTS)
+def test_an_integer_is_taken_everywhere(entry, value):
+    read, _ = INTEGER_ENTRY_POINTS[entry]
+    assert read(value) == read(1)
 
 
 def test_numpy_integers_and_reals_are_taken_where_integers_and_reals_are():

@@ -1,19 +1,32 @@
 """Exact metamorphic relations of the JSON reports.
 
 Scaling by a power of two is exact in floating point, barring underflow and
-overflow, so each relation below holds bit for bit, not within a tolerance:
+overflow, so each relation below holds bit for bit, not within a tolerance,
+except the last, as it says:
 
 * a frame whose vectors are scaled by ``2^k`` has its frame operator scaled
   by ``4^k``, so its optimal bounds are ``4^k`` times as large and its width
   is the same;
 * an affine window dilated by ``T = 2^s``, ``g(x / T)``, on the lattice
   ``(T a, b / T)`` has ``T`` times the estimated bounds, by the closed form
-  and on the grid alike.
+  and on the grid alike;
+* a bounds-only finite sum whose bound pairs are scaled by ``4^s`` and whose
+  coefficients are scaled by ``2^t`` has ``4^(s+t)`` times the predicted
+  bounds and ``4^s 2^t`` times the margin, with the same width and verdict;
+* a bounds-only perturbed sum whose bound pairs are scaled by ``4^s`` and
+  whose scalar sequences are scaled by ``2^t`` has ``4^(s+t)`` times the
+  predicted bounds and margin, with the same verdict.  This relation holds
+  only to a few units in the last place of the formula's terms: its squares
+  are Python's ``x ** 2``, which calls the C library's ``pow``, and that is
+  not correctly rounded on every platform, so the square of a scaled value
+  can differ from the scaled square by one unit.
 
 Each run is compared as ``framesum <kind> --json`` prints it.
 """
 
 import json
+import math
+import sys
 
 from hypothesis import given, settings, strategies as st
 
@@ -98,3 +111,100 @@ def test_a_dilated_window_scales_the_estimate(window, s):
         return
     estimate = base["estimate"]
     assert dilated["estimate"] == {**estimate, "lower": t * estimate["lower"], "upper": t * estimate["upper"]}
+
+
+#: a bound pair ``(A, B)`` with ``A`` from 0.5 to 4 and ``B / A`` from 1 to 3
+BOUND_PAIRS = st.tuples(st.floats(0.5, 4), st.floats(1, 3)).map(lambda p: [p[0], p[0] * p[1]])
+
+#: a nonzero real coefficient of magnitude 0.05 to 2, of either sign
+COEFFICIENTS = st.tuples(st.floats(0.05, 2), st.booleans()).map(lambda c: -c[0] if c[1] else c[0])
+
+
+def _prediction(report):
+    """What a bounds-only sum report predicts, and its verdict."""
+    if isinstance(report, str):
+        return report
+    return report["prediction"], report["status"]
+
+
+@st.composite
+def finite_sums(draw):
+    """One to four bound pairs and their coefficients; the first coefficient is
+    often dominant, so that the condition holds in a fair share of draws."""
+    k = draw(st.integers(1, 4))
+    pairs = [draw(BOUND_PAIRS) for _ in range(k)]
+    coefficients = [draw(COEFFICIENTS) for _ in range(k)]
+    coefficients[0] *= draw(st.sampled_from([1, 10, 100]))
+    return pairs, coefficients
+
+
+@settings(max_examples=150)
+@given(inputs=finite_sums(), s=st.integers(-60, 60), t=st.integers(-60, 60))
+def test_scaled_finite_sum_inputs_scale_the_prediction(inputs, s, t):
+    pairs, coefficients = inputs
+    bounds_scale, coefficient_scale = 4.0**s, 2.0**t
+
+    def report(pairs, coefficients):
+        return _report({"kind": "finite-sum", "frame_bounds": pairs, "coefficients": coefficients})
+
+    base = report(pairs, coefficients)
+    scaled = report(
+        [[bounds_scale * x for x in pair] for pair in pairs], [coefficient_scale * c for c in coefficients]
+    )
+    if isinstance(base, str):
+        assert scaled == base
+        return
+    prediction, status = _prediction(base)
+    assert _prediction(scaled) == (
+        {
+            **prediction,
+            "lower": prediction["lower"] * bounds_scale * coefficient_scale**2,
+            "upper": prediction["upper"] * bounds_scale * coefficient_scale**2,
+            "condition_margin": prediction["condition_margin"] * bounds_scale * coefficient_scale,
+        },
+        status,
+    )
+
+
+@st.composite
+def perturbed_sums(draw):
+    """Two bound pairs, a sequence ``alpha`` of moduli within a factor of 1.5,
+    and a sequence ``beta`` that is often small beside it, so that the
+    condition holds in a fair share of draws."""
+    n = draw(st.integers(1, 4))
+    low = draw(st.floats(0.5, 2))
+    alpha = [draw(st.floats(low, 1.5 * low)) * draw(st.sampled_from([1, -1])) for _ in range(n)]
+    size = draw(st.sampled_from([0.01, 0.1, 1]))
+    beta = [size * draw(COEFFICIENTS) for _ in range(n)]
+    return draw(BOUND_PAIRS), draw(BOUND_PAIRS), alpha, beta
+
+
+@settings(max_examples=150)
+@given(inputs=perturbed_sums(), s=st.integers(-60, 60), t=st.integers(-60, 60))
+def test_scaled_perturbed_sum_inputs_scale_the_prediction(inputs, s, t):
+    bounds1, bounds2, alpha, beta = inputs
+    bounds_scale, sequence_scale = 4.0**s, 2.0**t
+
+    def report(bounds1, bounds2, alpha, beta):
+        doc = {"kind": "perturbed-sum", "bounds1": bounds1, "bounds2": bounds2, "alpha": alpha, "beta": beta}
+        return _report(doc)
+
+    base = report(bounds1, bounds2, alpha, beta)
+    scaled = report(
+        *([bounds_scale * x for x in pair] for pair in (bounds1, bounds2)),
+        *([sequence_scale * x for x in seq] for seq in (alpha, beta)),
+    )
+    if isinstance(base, str):
+        assert scaled == base
+        return
+    (prediction, status), (got, scaled_status) = _prediction(base), _prediction(scaled)
+    # a few units in the last place of the largest term of the margin and of the upper bound
+    (a1, b1), (a2, b2) = bounds1, bounds2
+    terms = a1 * min(map(abs, alpha)) ** 2 + a2 * min(map(abs, beta)) ** 2
+    terms += 2.0 * math.sqrt(b1 * b2) * max(map(abs, alpha)) * max(map(abs, beta)) + prediction["upper"]
+    slack = 8.0 * sys.float_info.epsilon * terms
+    factor = bounds_scale * sequence_scale**2
+    for key in ("lower", "upper", "condition_margin"):
+        assert abs(got[key] / factor - prediction[key]) <= slack, key
+    if abs(prediction["condition_margin"]) > slack:
+        assert (got["condition_holds"], scaled_status) == (prediction["condition_holds"], status)
