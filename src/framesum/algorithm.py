@@ -14,8 +14,9 @@ coming from sums of frames.
 The bound pair is validated against the spectral oracle before a single
 iteration runs; a silently invalid pair would void the convergence guarantee.
 
-Each iteration writes its residual into the next row of a block buffer, and
-the errors of a whole block are evaluated at once after it:
+Each iteration writes its residual into the next row of a block buffer,
+through one view of that row, made with the buffer, which the next iteration
+reads; the errors of a whole block are evaluated at once after it:
 ``sqrt(vecdot(re, re) + vecdot(im, im))`` on the real and imaginary views of
 the block's rows.  ``numpy.vecdot`` makes, row by row, the same BLAS ``ddot``
 call on the same strided view that ``re.dot(re)`` makes on one vector, and the
@@ -35,7 +36,8 @@ first error that reaches it, and the iterations after it are discarded.
 A run's trajectory is kept as columns, unnamed: a list of errors and a list
 of envelopes, indexed by the iteration count.  :class:`ComparisonTable` aligns
 the columns of several runs, named by its ``labels``, for the CSV, and
-:func:`format_width` renders a width as the reports quote it.
+:func:`format_width` renders a width as the reports quote it.  A run is padded
+only after it stops, so the CSV has one row format per stretch of live runs.
 """
 
 from __future__ import annotations
@@ -157,11 +159,12 @@ def run(frame: FiniteFrame, bounds, target, max_iters: int, stop_tol: float | No
     while True:
         if count >= len(block):
             # a longer block than any before: a buffer of count + 1 rows that
-            # starts from the current residual, and its row views, made once
+            # starts from the current residual, and one view of each row, made once
             grown = np.empty((count + 1, phi.shape[0]), dtype=complex)
             grown[0] = block[0]
             block = grown
-            steps = list(zip(block, block[1:]))
+            rows = list(block)
+            steps = list(zip(rows, rows[1:]))
             re, im = block.real, block.imag
         for residual, update in steps[:count]:
             s.dot(residual, step)
@@ -206,6 +209,10 @@ class ComparisonTable:
     labels: tuple
     series: tuple
 
+    def __post_init__(self):
+        if len(self.labels) != len(self.series):
+            raise DimensionMismatchError(f"{len(self.labels)} labels for {len(self.series)} runs")
+
     @property
     def header(self) -> list[str]:
         columns = ["k"]
@@ -215,7 +222,7 @@ class ComparisonTable:
 
     def rows(self) -> list[tuple]:
         """Rows ``(k, err, env, ...)``, padded with ``None`` where a run stopped early."""
-        depth = max(len(s) for s in self.series)
+        depth = max((len(s) for s in self.series), default=0)
         columns = [range(depth)]
         for s in self.series:
             pad = [None] * (depth - len(s))

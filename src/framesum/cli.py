@@ -36,21 +36,24 @@ from .errors import FrameToolkitError, SpecParseError, SpecSchemaError
 from .experiments import COMMANDS, ExperimentResult, parse_spec, parse_spec_text, run_experiment
 
 
-def emit_csv(header, rows, path) -> None:
-    """Write a deterministic CSV: header row, LF line endings, trailing newline.
+def emit_csv(table, path) -> None:
+    """Write a :class:`~framesum.algorithm.ComparisonTable` as a deterministic
+    CSV: header row, LF line endings, trailing newline.
 
-    ``rows`` must all have the header's length.  A cell is empty for ``None``,
-    ``str`` of an ``int``, else 12 significant digits (``%.12g``, the reports'
-    rendering).  The conversions are chosen a column at a time, and the whole
-    body is formatted by one ``%`` over its non-empty cells.
+    Row ``k`` is the ``int`` ``k`` (``%s``), then each run's float error and
+    envelope (``%.12g``, the reports' rendering), empty once the run stopped.
+    Rows with the same runs live share one format, so the body's template is
+    one repeated row per stretch, formatted by one ``%`` over the non-empty
+    cells of ``table.rows()``.
     """
-    specs = [
-        ["" if cell is None else "%s" if isinstance(cell, int) else "%.12g" for cell in column]
-        for column in zip(*rows, strict=True)
-    ]
-    template = "".join([",".join(row) + "\n" for row in zip(*specs)])
+    rows = table.rows()
+    template, start = [], 0
+    for stop in sorted({len(s) for s in table.series}):
+        row = "%s" + "".join([",%.12g,%.12g" if len(s) >= stop else ",," for s in table.series]) + "\n"
+        template.append(row * (stop - start))
+        start = stop
     cells = tuple([cell for row in rows for cell in row if cell is not None])
-    text = ",".join(map(str, header)) + "\n" + template % cells
+    text = ",".join(table.header) + "\n" + "".join(template) % cells
     with open(path, "w", encoding="utf-8", newline="\n") as file:
         file.write(text)
 
@@ -59,7 +62,7 @@ def _write_outputs(result: ExperimentResult, report_path, as_json: bool, csv_pat
     """Write the CSV table, given a path, then the report (to stdout when
     ``report_path`` is None), so that a CSV that cannot be written leaves no report."""
     if csv_path is not None:
-        emit_csv(*result.csv, csv_path)
+        emit_csv(result.csv, csv_path)
     text = result.report_json() if as_json else result.report_text()
     if report_path is None:
         sys.stdout.write(text)

@@ -599,7 +599,7 @@ class ExperimentResult:
     failures, and the values it computed under the ``expect`` keys they answer
     (:meth:`observe`).  :meth:`finish` checks the ``expect`` block, writes the
     flags, notes and failures into both outputs, and sets ``status``.  ``csv``
-    is an ``algo`` run's ``(header, rows)`` table.
+    is an ``algo`` run's :class:`~framesum.algorithm.ComparisonTable`.
     """
 
     def __init__(self, spec: ExperimentSpec):
@@ -1028,7 +1028,7 @@ def _run_algo(spec: ExperimentSpec, rng) -> ExperimentResult:
         if any(not earlier > later for earlier, later in zip(ordered, ordered[1:])):
             rep.fail(f"expected strictly decreasing widths along {order}, got {ordered}")
     rep.observe(envelope_dominates=dominated)
-    rep.csv = (table.header, table.rows())
+    rep.csv = table
     return rep.finish()
 
 

@@ -269,6 +269,21 @@ def test_compare_runs_pads_short_series(rng):
     assert rows[-1][3] is not None
 
 
+def test_table_without_runs_has_no_rows():
+    table = ComparisonTable((), ())
+    assert table.header == ["k"]
+    assert table.rows() == []
+
+
+def test_table_needs_one_label_per_run(rng):
+    # two labels over one run would head 5 columns over rows of 3
+    series = run(BASE_C2, FrameBounds(4, 16), random_unit_vector(rng, 2), 5)
+    with pytest.raises(DimensionMismatchError):
+        ComparisonTable(("a", "b"), (series,))
+    with pytest.raises(DimensionMismatchError):
+        ComparisonTable((), (series,))
+
+
 def test_width_report_reference_values():
     # the operator, perturbed, tight and dual_g entries of the width fixture
     pairs = [(24961 / 6400, 6561 / 1600), (193 / 4, 81), (7, 7), (7 / 8, 3)]
