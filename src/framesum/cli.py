@@ -133,7 +133,7 @@ def _write_suite(args) -> int:
             rows.append((spec.label, spec.kind, "fail"))
             worst = 2
             continue
-        csv_path = None if result.csv is None else out_dir / (spec.csv_name or f"{spec.label}.csv")
+        csv_path = None if result.csv is None else out_dir / f"{spec.label}.csv"
         _write_outputs(result, out_dir / f"{spec.label}.report.{extension}", args.json, csv_path)
         rows.append((spec.label, spec.kind, result.status))
         worst = max(worst, result.exit_code)

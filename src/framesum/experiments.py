@@ -27,12 +27,15 @@ into the first, and three functions into the second: a start writes the lines
 before the summands' bounds and returns what prediction needs, or ``None`` when
 the dual identity (:func:`~framesum.frames.verify_dual`) fails; a predictor
 returns one prediction per list of bound pairs, and where a failing condition
-was taken; a builder builds the summed family.  The runner predicts once, over
-the given pairs, or over the oracle bounds and then any ``stated_bounds``, which
-change only the reported prediction.  It builds the sum only once the
-oracle-basis condition holds, and asks :func:`~framesum.sums.certify` about
-both predictions: the oracle-basis one must bracket the sum's oracle bounds,
-and a stated-basis one whose condition holds and that does not is flagged.
+was taken; a builder builds the summed family, always in :mod:`~framesum.sums`.
+The dual sum is the finite sum with ``c = (1, 1)``, and the perturbed rule is
+the operator rule on modulus ranges (:func:`_report_ranges`,
+:func:`_ranged_predictions`).  The runner predicts once, over the given pairs,
+or over the oracle bounds and then any ``stated_bounds``, which change only the
+reported prediction.  It builds the sum only once the oracle-basis condition
+holds, and asks :func:`~framesum.sums.certify` about both predictions: the
+oracle-basis one must bracket the sum's oracle bounds, and a stated-basis one
+whose condition holds and that does not is flagged.
 
 Every kind is deterministic except ``algo``: the random generator handed to
 :func:`run_experiment` (the CLI's ``--seed``) draws only its runs' targets.
@@ -82,7 +85,6 @@ from .sums import (
     finite_sum_predict,
     modulus_range,
     operator_sum_predict,
-    perturbed_sum_predict,
 )
 
 #: relative tolerance for comparing a stated bound against the oracle value.
@@ -330,7 +332,6 @@ class ExperimentSpec:
     notes: tuple = ()
     discrepancies: tuple = ()
     expect: dict = field(default_factory=dict)  # values parsed by the kind's expect parsers
-    csv_name: str | None = None
 
     def __eq__(self, other):
         return isinstance(other, ExperimentSpec) and self.document == other.document
@@ -372,7 +373,6 @@ def parse_spec_text(text: str, origin="<string>") -> ExperimentSpec:
             key: parsers[key](value, f"expect.{key}")
             for key, value in _as_record(document.get("expect", {}), "expect", parsers).items()
         },
-        csv_name=None if document.get("csv") is None else _as_name(document["csv"], "csv"),
         payload=entry.parse(document),
     )
 
@@ -417,13 +417,15 @@ def _payload_width(doc: dict) -> list[tuple[str, FrameBounds]]:
     return out
 
 
-def _as_summands(doc: dict, kind: str):
-    """The summands of a sum-rule document, parsed once.
+def _payload_sum(kind: str, parse_inputs, doc: dict):
+    """The summands of a sum-rule document and the rule's own inputs, parsed once.
 
-    Returns ``(frames, None)`` when the document gives the frames, which must
-    all have the same dimension and vector count, and ``(None, pairs)`` of
-    ``(name, FrameBounds)`` when it gives only their bound pairs.
+    Returns ``(frames, None, inputs)`` when the document gives the frames, which
+    must all have the same dimension and vector count, and ``(None, pairs,
+    inputs)`` of ``(name, FrameBounds)`` pairs when it gives only their bounds;
+    ``inputs`` is ``parse_inputs(doc, frames, pairs)``.
     """
+    frames = pairs = None
     if kind == "finite-sum":
         if ("frames" in doc) == ("frame_bounds" in doc):
             raise _schema_error("", "finite-sum needs exactly one of frames or frame_bounds")
@@ -441,7 +443,6 @@ def _as_summands(doc: dict, kind: str):
                     pairs.append((name, _as_bound_pair(entry.get("bounds"), path + ".bounds")))
                 else:
                     pairs.append((f"F{i + 1}", _as_bound_pair(entry, path)))
-            return None, pairs
         fields = [(f"frames[{i}]", f"F{i + 1}") for i in range(len(entries))]
     else:
         keys = ("frame", "dual") if kind == "dual" else ("frame1", "frame2")
@@ -449,29 +450,24 @@ def _as_summands(doc: dict, kind: str):
         if has_frames == ("bounds1" in doc or "bounds2" in doc):
             raise _schema_error("", f"{kind} needs either {keys[0]}+{keys[1]} or bounds1+bounds2")
         if not has_frames:
-            return None, [
+            pairs = [
                 ("F", _as_bound_pair(doc.get("bounds1"), "bounds1")),
                 ("G", _as_bound_pair(doc.get("bounds2"), "bounds2")),
             ]
-        if keys[0] not in doc or keys[1] not in doc:
+        elif keys[0] not in doc or keys[1] not in doc:
             raise _schema_error("", f"{kind} needs both {keys[0]} and {keys[1]}")
-        entries = [doc[key] for key in keys]
+        entries = [doc.get(key) for key in keys]
         fields = list(zip(keys, "FG"))
-    frames = [_as_frame(entry, path, name) for entry, (path, name) in zip(entries, fields)]
-    for fi, (path, _) in zip(frames[1:], fields[1:]):
-        first = frames[0].frame
-        if (fi.frame.dim, fi.frame.count) != (first.dim, first.count):
-            raise _schema_error(
-                path + ".vectors",
-                f"{fi.frame.count} vectors in dimension {fi.frame.dim} do not align with "
-                f"the {first.count} vectors in dimension {first.dim} of {fields[0][0]}",
-            )
-    return frames, None
-
-
-def _payload_sum(kind: str, parse_inputs, doc: dict):
-    """The summands and the rule's own inputs, ``parse_inputs(doc, frames, pairs)``."""
-    frames, pairs = _as_summands(doc, kind)
+    if pairs is None:
+        frames = [_as_frame(entry, path, name) for entry, (path, name) in zip(entries, fields)]
+        for fi, (path, _) in zip(frames[1:], fields[1:]):
+            first = frames[0].frame
+            if (fi.frame.dim, fi.frame.count) != (first.dim, first.count):
+                raise _schema_error(
+                    path + ".vectors",
+                    f"{fi.frame.count} vectors in dimension {fi.frame.dim} do not align with "
+                    f"the {first.count} vectors in dimension {first.dim} of {fields[0][0]}",
+                )
     return frames, pairs, parse_inputs(doc, frames, pairs)
 
 
@@ -805,7 +801,7 @@ def _dual_predictions(rep: ExperimentResult, needs, bound_lists):
 
 
 def _dual_build(inputs, frames) -> FiniteFrame:
-    return FiniteFrame(frames[0].vectors + frames[1].vectors)
+    return build_sum_frame(frames, (1, 1))
 
 
 def _finite_sum_inputs(doc: dict, frames, pairs):
@@ -862,17 +858,23 @@ def _operator_sum_inputs(doc: dict, frames, pairs):
     return thetas
 
 
-def _operator_sum_start(rep: ExperimentResult, thetas, frames, pairs):
-    sigmas = tuple(extreme_singular_values(theta) for theta in thetas)
-    for i, (m, norm) in enumerate(sigmas, 1):
-        rep.line(f"operator {i}: sigma range {_interval(m, norm)}")
+def _report_ranges(rep: ExperimentResult, measure, inputs, labels, pairs):
+    """``measure`` of each summand's input, written as one line under each label; returns the ranges."""
+    ranges = tuple(measure(x) for x in inputs)
+    for label, (low, high) in zip(labels, ranges):
+        rep.line(f"{label} {_interval(low, high)}")
     if pairs is not None:
         _report_given(rep, pairs)
-    return sigmas
+    return ranges
 
 
-def _operator_sum_predictions(rep: ExperimentResult, sigmas, bound_lists):
-    return [operator_sum_predict(*sigmas, *bounds) for bounds in bound_lists], ""
+def _ranged_predictions(rep: ExperimentResult, ranges, bound_lists):
+    return [operator_sum_predict(*ranges, *bounds) for bounds in bound_lists], ""
+
+
+def _operator_sum_start(rep: ExperimentResult, thetas, frames, pairs):
+    labels = ("operator 1: sigma range", "operator 2: sigma range")
+    return _report_ranges(rep, extreme_singular_values, thetas, labels, pairs)
 
 
 def _operator_sum_build(thetas, frames) -> FiniteFrame:
@@ -890,16 +892,7 @@ def _perturbed_sum_inputs(doc: dict, frames, pairs):
 
 
 def _perturbed_sum_start(rep: ExperimentResult, sequences, frames, pairs):
-    ranges = tuple(modulus_range(seq) for seq in sequences)
-    rep.line(f"alpha envelope: |.| in {_interval(*ranges[0])}")
-    rep.line(f"beta envelope: |.| in {_interval(*ranges[1])}")
-    if pairs is not None:
-        _report_given(rep, pairs)
-    return ranges
-
-
-def _perturbed_sum_predictions(rep: ExperimentResult, ranges, bound_lists):
-    return [perturbed_sum_predict(*ranges, *bounds) for bounds in bound_lists], ""
+    return _report_ranges(rep, modulus_range, sequences, ("alpha envelope: |.| in", "beta envelope: |.| in"), pairs)
 
 
 def _perturbed_sum_build(sequences, frames) -> FiniteFrame:
@@ -1070,13 +1063,13 @@ _KINDS = {
         "op-sum", {"frame1", "frame2", "bounds1", "bounds2", "theta1", "theta2"},
         _SUM_EXPECT,
         partial(_payload_sum, "operator-sum", _operator_sum_inputs),
-        partial(_run_sum, _operator_sum_start, _operator_sum_predictions, _operator_sum_build),
+        partial(_run_sum, _operator_sum_start, _ranged_predictions, _operator_sum_build),
     ),
     "perturbed-sum": _Kind(
         "perturbed-sum", {"frame1", "frame2", "bounds1", "bounds2", "alpha", "beta"},
         _SUM_EXPECT,
         partial(_payload_sum, "perturbed-sum", _perturbed_sum_inputs),
-        partial(_run_sum, _perturbed_sum_start, _perturbed_sum_predictions, _perturbed_sum_build),
+        partial(_run_sum, _perturbed_sum_start, _ranged_predictions, _perturbed_sum_build),
     ),
     "gabor": _Kind(
         "gabor", {"generator", "lattice", "wh", "stated_bounds"},
@@ -1084,7 +1077,7 @@ _KINDS = {
         _payload_gabor, _run_gabor,
     ),
     "algo": _Kind(
-        "algo", {"runs", "max_iters", "csv"},
+        "algo", {"runs", "max_iters"},
         {"envelope_order": _as_strings, "envelope_dominates": _as_bool},
         _payload_algo, _run_algo,
     ),

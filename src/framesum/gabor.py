@@ -102,7 +102,7 @@ class Piece:
     def squared_coefficients(self) -> tuple[float, float, float]:
         """Coefficients ``(c2, c1, c0)`` of ``g(x)^2`` on this piece."""
         if self.kind == "affine":
-            return (self.alpha**2, 2.0 * self.alpha * self.beta, self.beta**2)
+            return (self.alpha * self.alpha, 2.0 * self.alpha * self.beta, self.beta * self.beta)
         return (0.0, self.alpha, self.beta)
 
 

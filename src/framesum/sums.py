@@ -7,12 +7,12 @@ Four predictors, one per combination rule:
 * operator images ``T1 f_k + T2 g_k``,
 * scalar perturbations ``alpha_k f_k + beta_k g_k``.
 
-Each predictor is pure bound arithmetic; it does not look at the vectors.
-The operator-sum and perturbed-sum predictors take ranges ``(inf, sup)``: of
-the operators' singular values, from
-:func:`~framesum.linalg.extreme_singular_values`, and of the scalar
-sequences' moduli, from :func:`modulus_range`.  A ``build_*`` function builds
-the summed family itself, and :func:`certify` answers one yes/no question:
+Each predictor is pure bound arithmetic; it does not look at the vectors.  The
+perturbed-sum rule is the operator-sum rule with the scalar sequences' modulus
+ranges ``(inf, sup)``, from :func:`modulus_range`, in place of the operators'
+singular ranges, from :func:`~framesum.linalg.extreme_singular_values`.  A
+``build_*`` function builds the summed family itself; the dual sum is the
+finite sum with ``c = (1, 1)``.  :func:`certify` answers one yes/no question:
 does a prediction whose condition holds bracket the spectral oracle bounds of
 that family?  Strict inequalities are evaluated as ``margin > 0`` in plain
 double arithmetic, and ``PredictedBounds.condition_holds`` is that test.  So a
@@ -166,17 +166,18 @@ def operator_sum_predict(sigma1, sigma2, bounds1, bounds2) -> PredictedBounds:
 
         ``A1 m1^2 + A2 m2^2 - 2 sqrt(B1 B2) ||T1|| ||T2||``,
 
-    the upper bound is ``(sqrt(B1) ||T1|| + sqrt(B2) ||T2||)^2``.
+    the upper bound is ``(sqrt(B1) ||T1|| + sqrt(B2) ||T2||)^2``.  Squares are
+    products, since ``x ** 2`` calls ``pow``, which may not be correctly rounded.
     """
     (m1, norm1), (m2, norm2) = _as_range(sigma1), _as_range(sigma2)
     b1, b2 = as_frame_bounds(bounds1), as_frame_bounds(bounds2)
     margin = (
-        b1.lower * m1**2
-        + b2.lower * m2**2
+        b1.lower * (m1 * m1)
+        + b2.lower * (m2 * m2)
         - 2.0 * math.sqrt(b1.upper * b2.upper) * norm1 * norm2
     )
-    upper = (math.sqrt(b1.upper) * norm1 + math.sqrt(b2.upper) * norm2) ** 2
-    return PredictedBounds(margin, upper, margin)
+    root = math.sqrt(b1.upper) * norm1 + math.sqrt(b2.upper) * norm2
+    return PredictedBounds(margin, root * root, margin)
 
 
 def modulus_range(values) -> tuple[float, float]:

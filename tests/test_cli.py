@@ -122,8 +122,9 @@ def test_dual_trials_is_an_unknown_field(tmp_path, capsys):
     assert "trials: unknown field" in capsys.readouterr().err
 
 
-#: one bundled fixture of every kind but algo, the only kind that writes a CSV
+#: one bundled fixture of every kind
 FIXTURE_OF_KIND = {
+    "algo": "algo_dual_sum_c3.json",
     "bounds": "exact_bounds_c2.json",
     "dual": "dual_sum_c3.json",
     "finite-sum": "finite_sum_c2.json",
@@ -134,11 +135,13 @@ FIXTURE_OF_KIND = {
 }
 
 
-@pytest.mark.parametrize("kind", [kind for kind in KINDS if kind != "algo"])
-def test_csv_is_an_unknown_field_outside_algo(tmp_path, capsys, kind):
+@pytest.mark.parametrize("value", ["x.csv", "", None], ids=["name", "empty", "null"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_csv_is_an_unknown_field(tmp_path, capsys, kind, value):
+    # an algo CSV's name comes from --csv, or in paper-suite from the label
     doc = load_bundled_fixture(FIXTURE_OF_KIND[kind]).document
     path = tmp_path / "csv.json"
-    path.write_text(json.dumps({**doc, "csv": "x.csv"}), encoding="utf-8")
+    path.write_text(json.dumps({**doc, "csv": value}), encoding="utf-8")
     assert main([_KINDS[kind].command, "--spec", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: csv: unknown field\n"
@@ -528,7 +531,6 @@ ALGO = {"kind": "algo", "runs": [{"frame": {"vectors": E2}}]}
             "all vectors are zero",
             id="zero-vectors",
         ),
-        pytest.param("algo", {**ALGO, "csv": ""}, "csv", "must be a nonempty string", id="csv-empty"),
         pytest.param("algo", {**ALGO, "runs": []}, "runs", "must be nonempty", id="algo-no-runs"),
         pytest.param(
             "algo",
@@ -642,6 +644,21 @@ def test_cli_frames_that_are_not_a_dual_pair_fail_without_a_prediction(tmp_path,
             "  - dual identity does not hold; the dual-sum rule does not apply\n"
             "status: fail\n"
         )
+
+
+def test_cli_a_dual_pair_with_signed_zeros_sums_and_certifies(tmp_path, capsys):
+    # the sum is built as 1 F + 1 G, which may give a zero entry the other sign
+    path = tmp_path / "signed-zeros.json"
+    doc = {
+        "kind": "dual",
+        "frame": {"vectors": [[1, -0.0], [-0.0, 1], [0.0, -0.0]]},
+        "dual": {"vectors": [[1, 0.0], [-0.0, 1], [-0.0, 0.0]]},
+    }
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["dual", "--spec", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "built sum oracle bounds: [4, 4], width 0.0000" in lines
+    assert "certified: yes (slacks 0, 0)" in lines
 
 
 # The margin is exactly 0 for each rule: a tie fails the condition.
@@ -995,6 +1012,7 @@ def test_cli_finite_sum_near_tie_writes_a_report(tmp_path, capsys, pivot):
             },
             "overflowed",
         ),
+        # sup|beta| squared passes the largest float, so the upper bound reads inf
         (
             "perturbed-sum",
             {
@@ -1004,7 +1022,7 @@ def test_cli_finite_sum_near_tie_writes_a_report(tmp_path, capsys, pivot):
                 "alpha": [1, 1],
                 "beta": [1e200, 1],
             },
-            "overflowed",
+            "predicted upper",
         ),
         # sqrt(B1 B2) of finite bounds whose product overflows: the margin would
         # read -inf, a failing condition, where the true margin is about 1e300
