@@ -15,6 +15,12 @@ Exit codes:
 * 2: a sufficiency condition or a certification failed (the report is still
   written), or a computation raised.
 
+:func:`main` is the one place that turns an error into its message and exit
+code: a parse, schema or I/O error prints ``error: <message>`` and exits 1, and
+any other toolkit error prints ``error: <type>: <message>`` and exits 2.  The
+one other handler is ``paper-suite``'s per-fixture catch, which reports a
+fixture whose computation raised as ``fail`` and goes on to the next.
+
 :func:`main` pauses CPython's cyclic garbage collector for one command and
 restores the caller's setting when the command returns or raises.  The pause
 is safe because a command makes no reference cycles: reference counting frees
@@ -72,29 +78,14 @@ def _write_outputs(result: ExperimentResult, report_path, as_json: bool, csv_pat
 
 
 def _run_single(args) -> int:
-    try:
-        spec = parse_spec(args.spec)
-    except (SpecParseError, SpecSchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    spec = parse_spec(args.spec)
     expected_kind = COMMANDS[args.command]
     if spec.kind != expected_kind:
-        print(
-            f"error: command {args.command!r} expects kind {expected_kind!r}, "
-            f"but {args.spec} has kind {spec.kind!r}",
-            file=sys.stderr,
+        raise SpecSchemaError(
+            f"command {args.command!r} expects kind {expected_kind!r}, but {args.spec} has kind {spec.kind!r}"
         )
-        return 1
-    try:
-        result = run_experiment(spec, args.seed)
-    except FrameToolkitError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    try:
-        _write_outputs(result, args.report, args.json, getattr(args, "csv", None))  # only algo has --csv
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    result = run_experiment(spec, args.seed)
+    _write_outputs(result, args.report, args.json, getattr(args, "csv", None))  # only algo has --csv
     return result.exit_code
 
 
@@ -107,14 +98,6 @@ def bundled_fixture_names() -> list[str]:
 def load_bundled_fixture(name: str):
     root = resources.files("framesum") / "fixtures"
     return parse_spec_text((root / name).read_text(encoding="utf-8"), origin=name)
-
-
-def _run_suite(args) -> int:
-    try:
-        return _write_suite(args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 def _write_suite(args) -> int:
@@ -192,7 +175,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
         "--seed", type=int, default=0, help="seed for the algo runs' random targets (default 0)"
     )
     suite.add_argument("--json", action="store_true", help="write JSON reports instead of text")
-    suite.set_defaults(func=_run_suite)
+    suite.set_defaults(func=_write_suite)
     return parser, sub.choices
 
 
@@ -226,6 +209,12 @@ def main(argv=None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else list(argv))
         return args.func(args)
+    except (SpecParseError, SpecSchemaError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except FrameToolkitError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     finally:
         if collecting:
             gc.enable()

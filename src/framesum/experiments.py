@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
 from pathlib import Path
@@ -300,8 +300,8 @@ class FrameInput:
     stated_bounds: FrameBounds | None = None
 
 
-def _as_frame(value, path: str, default_name: str) -> FrameInput:
-    obj = _as_record(value, path, {"name", "vectors", "stated_bounds"})
+def _as_frame(value, path: str, default_name: str, keys=("name", "vectors", "stated_bounds")) -> FrameInput:
+    obj = _as_record(value, path, keys)
     name = _as_name(obj.get("name", default_name), path + ".name")
     vectors = _as_complex_array(obj.get("vectors"), path + ".vectors", 2)
     frame = _checked(path + ".vectors", FiniteFrame, vectors)
@@ -523,9 +523,9 @@ def _payload_algo(doc: dict):
         label = _as_name(obj.get("label", f"run{i + 1}"), path + ".label")
         if "," in label:  # the label names CSV columns
             raise _schema_error(path + ".label", "must not contain a comma")
-        frame = _as_frame(obj.get("frame"), path + ".frame", label)
-        vectors = frame.frame.vectors
-        frame = replace(frame, frame=shared.setdefault((vectors.shape, vectors.tobytes()), frame.frame))
+        # a run's bounds are its own ``bounds``, so its frame states none
+        frame = _as_frame(obj.get("frame"), path + ".frame", label, ("name", "vectors")).frame
+        frame = shared.setdefault((frame.vectors.shape, frame.vectors.tobytes()), frame)
         bounds_field = obj.get("bounds", "oracle")
         if bounds_field == "oracle":
             bounds = None
@@ -984,17 +984,17 @@ def _run_algo(spec: ExperimentSpec, rng) -> ExperimentResult:
     runs, max_iters = spec.payload
     rng = np.random.default_rng(rng)
     used, targets = [], []
-    for label, fi, bounds in runs:
-        pair = bounds if bounds is not None else exact_bounds(fi.frame)
+    for label, frame, bounds in runs:
+        pair = bounds if bounds is not None else exact_bounds(frame)
         rep.line(
             f"run {label}: bounds {_interval(pair.lower, pair.upper)}"
             + (" (oracle)" if bounds is None else "")
             + f", width {format_width(pair.width)}"
         )
         used.append(pair)
-        targets.append(random_unit_vector(rng, fi.frame.dim))
+        targets.append(random_unit_vector(rng, frame.dim))
     # every oracle and target before the first run: an oracle that fails raises first
-    series = [run(fi.frame, pair, target, max_iters) for (_, fi, _), pair, target in zip(runs, used, targets)]
+    series = [run(frame, pair, target, max_iters) for (_, frame, _), pair, target in zip(runs, used, targets)]
     table = ComparisonTable(tuple(label for label, _, _ in runs), tuple(series))
     for label, s in zip(table.labels, table.series):
         rep.line(

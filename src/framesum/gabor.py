@@ -395,10 +395,12 @@ def _periodized_quadratic_cells(gen: PiecewiseGenerator, a: float):
       starting from +0, as summing its own contributions one by one, so every
       coefficient is bitwise that sum.
     """
-    # a cut's rounding error grows with its ``n a``, which reaches the support's ends
-    tolerance = 1e-12 * max(a, abs(gen.support_lo), abs(gen.support_hi))
-    if tolerance > 1e-6 * a:
+    # cuts within a few rounding errors of ``end + n a``, which grow with ``n a`` out to
+    # the support's ends, are one cut; a piece any wider than that keeps its cell
+    reach = max(abs(gen.support_lo), abs(gen.support_hi))
+    if reach > 1e6 * a:
         raise DegenerateLatticeError(f"{gen} lies over 1e6 lattice steps of {a} from the origin")
+    tolerance = 16 * 2**-52 * max(a, reach)
     lo_list, hi_list = gen._ends.tolist()
     spans, coefficients = [], []
     cuts = {0.0, a}

@@ -540,6 +540,14 @@ ALGO = {"kind": "algo", "runs": [{"frame": {"vectors": E2}}]}
             id="algo-duplicate-labels",
         ),
         pytest.param(
+            # a run is checked against its own ``bounds``; a stated pair on its frame was ignored
+            "algo",
+            {**ALGO, "runs": [{"frame": {"vectors": E2, "stated_bounds": [100, 200]}}]},
+            "runs[0].frame.stated_bounds",
+            "unknown field",
+            id="algo-frame-stated-bounds",
+        ),
+        pytest.param(
             "sum",
             {"kind": "finite-sum", "frame_bounds": [[1, 2], [1, 2]], "coefficients": [1, 1], "pivot": "first"},
             "pivot",
@@ -1343,6 +1351,30 @@ def test_cli_rejects_a_radicand_below_its_rounding_slack(tmp_path, capsys):
     assert err.startswith("error: ") and "generator.pieces[0]: sqrt-affine radicand is negative" in err
 
 
+def _narrow_piece_doc(scale: float) -> dict:
+    # value 100 on [0, 1e-13) and 1 on [1e-13, 1), dilated by ``scale`` with its lattice
+    doc = _gabor_doc(scale, scale, 1 / scale)
+    doc["generator"]["pieces"] = [
+        {"lo": 0, "hi": 1e-13 * scale, "kind": "affine", "alpha": 0, "beta": 100},
+        {"lo": 1e-13 * scale, "hi": scale, "kind": "affine", "alpha": 0, "beta": 1},
+    ]
+    return doc
+
+
+def test_cli_painless_estimate_keeps_a_piece_narrower_than_1e_12_steps(tmp_path, capsys):
+    # cuts merged within 1e-12 of the scale dropped the narrow piece's cell, and the
+    # report passed with [1, 1] marked exact; the optimal bounds are [1, 10000]
+    path = tmp_path / "gabor.json"
+    path.write_text(json.dumps(_narrow_piece_doc(1.0)), encoding="utf-8")
+    assert main(["gabor", "--spec", str(path)]) == 0
+    assert "estimated bounds: [1, 10000] (exact: no overlap term)\n" in capsys.readouterr().out
+    for s in (-40, -10, 10, 40):
+        path.write_text(json.dumps(_narrow_piece_doc(2.0**s)), encoding="utf-8")
+        assert main(["gabor", "--spec", str(path), "--json"]) == 0
+        estimate = json.loads(capsys.readouterr().out)["estimate"]
+        assert (estimate["exact"], estimate["lower"], estimate["upper"]) == (True, 2.0**s, 10000 * 2.0**s), s
+
+
 def test_gabor_shift_cap_admits_windows_up_to_it():
     # (L/a + 1)(2 L b + 1) = 100 * 100 = MAX_SHIFT_TERMS
     spec = parse_spec_text(json.dumps(_gabor_doc(1, 1 / 99, 49.5)))
@@ -1585,6 +1617,19 @@ def test_paper_suite_output_error_exits_one(tmp_path, capsys):
     assert code == 1
     assert captured.err.startswith("error: ") and str(out) in captured.err
     assert captured.out == ""
+
+
+def test_paper_suite_fixture_that_fails_to_parse_exits_one(tmp_path, capsys, monkeypatch):
+    # a schema error anywhere under main is a message and exit 1, not a traceback
+    import framesum.cli
+
+    def parse(text, origin):
+        raise SpecSchemaError("injected", field="kind")
+
+    monkeypatch.setattr(framesum.cli, "parse_spec_text", parse)
+    code = main(["paper-suite", "--out", str(tmp_path / "suite")])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", "error: kind: injected\n")
 
 
 def test_paper_suite_runs_clean(tmp_path, capsys):

@@ -17,7 +17,14 @@ overflow, so each relation below holds bit for bit, not within a tolerance:
   predicted bounds and margin, with the same verdict.  The rule squares
   with products, not ``x ** 2``: that calls the C library's ``pow``, which
   is not correctly rounded on every platform, so the square of a scaled
-  value could differ from the scaled square by one unit.
+  value could differ from the scaled square by one unit;
+* a bounds-only operator sum whose bound pairs are scaled by ``4^s`` and
+  whose operators are scaled by ``2^t`` has ``4^(s+t)`` times the predicted
+  bounds and margin, with the same verdict: LAPACK's singular values of
+  ``2^t T`` are ``2^t`` times those of ``T``;
+* a bounds-only finite sum whose coefficients are each multiplied by one of
+  ``1, -1, i, -i`` has the same report: the rule reads only their moduli,
+  and a quarter turn moves a coefficient's parts without rounding them.
 
 Each run is compared as ``framesum <kind> --json`` prints it.
 """
@@ -208,3 +215,73 @@ def test_scaled_perturbed_sum_inputs_scale_the_prediction(inputs, s, t):
         },
         status,
     )
+
+
+@st.composite
+def operator_sums(draw):
+    """Two bound pairs and two complex operators of one size, the second
+    often small beside the first, so that the condition holds in a fair share
+    of draws."""
+    n = draw(st.integers(1, 4))
+    size = draw(st.sampled_from([0.01, 0.1, 1]))
+    thetas = [
+        [[[scale * draw(ENTRIES), scale * draw(ENTRIES)] for _ in range(n)] for _ in range(n)]
+        for scale in (1.0, size)
+    ]
+    return draw(BOUND_PAIRS), draw(BOUND_PAIRS), *thetas
+
+
+@settings(max_examples=150)
+@given(inputs=operator_sums(), s=st.integers(-60, 60), t=st.integers(-60, 60))
+def test_scaled_operator_sum_inputs_scale_the_prediction(inputs, s, t):
+    bounds1, bounds2, theta1, theta2 = inputs
+    bounds_scale, operator_scale = 4.0**s, 2.0**t
+
+    def report(bounds1, bounds2, theta1, theta2):
+        doc = {"kind": "operator-sum", "bounds1": bounds1, "bounds2": bounds2, "theta1": theta1, "theta2": theta2}
+        return _report(doc)
+
+    base = report(bounds1, bounds2, theta1, theta2)
+    scaled = report(
+        *([bounds_scale * x for x in pair] for pair in (bounds1, bounds2)),
+        *([[[operator_scale * x for x in z] for z in row] for row in theta] for theta in (theta1, theta2)),
+    )
+    if isinstance(base, str):
+        assert scaled == base
+        return
+    prediction, status = _prediction(base)
+    factor = bounds_scale * operator_scale**2
+    assert _prediction(scaled) == (
+        {
+            **prediction,
+            "lower": prediction["lower"] * factor,
+            "upper": prediction["upper"] * factor,
+            "condition_margin": prediction["condition_margin"] * factor,
+        },
+        status,
+    )
+
+
+#: ``(re, im)`` times 1, -1, i and -i
+QUARTER_TURNS = (
+    lambda re, im: [re, im],
+    lambda re, im: [-re, -im],
+    lambda re, im: [-im, re],
+    lambda re, im: [im, -re],
+)
+
+
+@settings(max_examples=150)
+@given(
+    inputs=finite_sums(),
+    imaginary=st.lists(ENTRIES, min_size=4, max_size=4),
+    turns=st.lists(st.sampled_from(QUARTER_TURNS), min_size=4, max_size=4),
+)
+def test_coefficients_turned_by_a_unit_leave_the_finite_sum_report_unchanged(inputs, imaginary, turns):
+    pairs, real = inputs
+    coefficients = [[re, im] for re, im in zip(real, imaginary)]
+
+    def report(coefficients):
+        return _report({"kind": "finite-sum", "frame_bounds": pairs, "coefficients": coefficients})
+
+    assert report([turn(*c) for turn, c in zip(turns, coefficients)]) == report(coefficients)
