@@ -237,7 +237,7 @@ def test_cli_kind_mismatch(tmp_path, capsys):
     path = _fixture_path(tmp_path, "finite_sum_c2.json")
     code = main(["dual", "--spec", str(path)])
     assert code == 1
-    assert "expects kind" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", f"error: command 'dual' expects kind 'dual', but {path} has kind 'finite-sum'\n")
 
 
 @pytest.mark.parametrize(
@@ -482,6 +482,14 @@ ALGO = {"kind": "algo", "runs": [{"frame": {"vectors": E2}}]}
         pytest.param("width", {**WIDTH, "title": 5}, "title", "expected a string, got 5", id="title-number"),
         pytest.param("width", {**WIDTH, "notes": ["x", 3]}, "notes[1]", "expected a string, got 3", id="notes-number"),
         pytest.param("width", {**WIDTH, "entries": []}, "entries", "must be nonempty", id="width-no-entries"),
+        # every real goes through one reader, which never parses text
+        pytest.param(
+            "width",
+            {**WIDTH, "entries": [{"bounds": ["1", 2]}]},
+            "entries[0].bounds[0]",
+            "expected a real number, got '1'",
+            id="width-text-real",
+        ),
         pytest.param(
             "gabor",
             {**GABOR, "generator": {"pieces": [{**PIECE, "kind": "cubic"}]}},
@@ -1033,7 +1041,11 @@ def test_cli_finite_sum_near_tie_writes_a_report(tmp_path, capsys, pivot):
             "predicted upper",
         ),
         # sqrt(B1 B2) of finite bounds whose product overflows: the margin would
-        # read -inf, a failing condition, where the true margin is about 1e300
+        # read -inf, a failing condition, where the true margin is about 1e300.
+        # sqrt(B1) sqrt(B2) alone does not mend it: the root 1e150 + 1e5 rounds to
+        # 1e150 before it is squared, so the upper bound reads 9.999999999999999e299,
+        # while the margin 1e300 + 1e10 - 2e155 rounds back to 1e300; lower > upper
+        # is an InvalidBoundsError, still exit 2.  It needs outward rounding with it.
         (
             "op-sum",
             {
@@ -1070,13 +1082,13 @@ def test_cli_extreme_magnitudes_exit_two_with_a_clear_error(tmp_path, capsys, co
     code = main([command, "--spec", str(path)])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
-    assert "NumericRangeError" in err and word in err
+    assert err.startswith("error: NumericRangeError: ") and word in err
+    assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err and "RuntimeWarning" not in err
     # no report, and so no JSON report with Infinity or NaN, which JSON does not have
     report = tmp_path / "report.json"
     assert main([command, "--spec", str(path), "--json", "--report", str(report)]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and "NumericRangeError" in err
+    assert capsys.readouterr() == ("", err)
     assert not report.exists()
 
 
@@ -1373,6 +1385,19 @@ def test_cli_painless_estimate_keeps_a_piece_narrower_than_1e_12_steps(tmp_path,
         assert main(["gabor", "--spec", str(path), "--json"]) == 0
         estimate = json.loads(capsys.readouterr().out)["estimate"]
         assert (estimate["exact"], estimate["lower"], estimate["upper"]) == (True, 2.0**s, 10000 * 2.0**s), s
+
+
+def test_cli_gabor_estimate_on_the_grid(tmp_path, capsys):
+    # every bundled gabor fixture is painless; this window's shifts overlap, so it takes the grid
+    doc = _gabor_doc(2, 1, 0.6)
+    doc["generator"]["pieces"] = [
+        {"lo": 0, "hi": 1, "kind": "sqrt-affine", "alpha": 2, "beta": 0},
+        {"lo": 1, "hi": 2, "kind": "sqrt-affine", "alpha": 4, "beta": -2},
+    ]
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["gabor", "--spec", str(path)]) == 0
+    assert "estimated bounds: [2.64451643818, 16.6666589843] (grid, 16384 points)\n" in capsys.readouterr().out
 
 
 def test_gabor_shift_cap_admits_windows_up_to_it():

@@ -661,7 +661,7 @@ def _exact_painless_bounds(gen, a, b):
     return min(values) / Fraction(b), max(values) / Fraction(b)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 7: the closed form cancels digits as n a grows")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 23: the closed form cancels digits as n a grows")
 def test_painless_estimate_brackets_the_optimum_far_from_the_origin():
     # c2 (n a)^2 - c1 n a + c0 cancels the digits of g's values: at offset 3000.25
     # the lower bound is 2.0e-7 relative above the optimum, at 300000.25 the upper

@@ -423,7 +423,7 @@ def test_perturbed_sum_certifies_whenever_the_condition_holds(seed, dim, extra, 
 @given(**SMALL_FRAMES, scale=SCALE)
 def test_finite_sum_of_two_certifies_whenever_the_condition_holds(seed, dim, extra, scale):
     # two frames only: for three or more the rule's lower bound can be false
-    # (ROADMAP item 3), which a property over k >= 3 would report
+    # (ROADMAP item 1), which a property over k >= 3 would report
     rng, frames = _draw_frames(seed, dim, extra)
     coefficients = np.array([1.0, scale]) * rng.uniform(0.5, 1.0, 2) * _unit_phases(rng, 2)
     bounds = [exact_bounds(f) for f in frames]
