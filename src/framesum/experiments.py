@@ -180,10 +180,11 @@ def _as_real(value, path: str) -> float:
 def _as_complex(value, path: str) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return complex(_as_real(value, path), 0.0)
-    arr = _as_array(value, path)
-    if len(arr) != 2:
+    if not isinstance(value, list):
+        raise _schema_error(path, f"complex scalar must be a real number or [re, im], got {value!r}")
+    if len(value) != 2:
         raise _schema_error(path, f"complex scalar must be [re, im], got {value!r}")
-    return complex(_as_real(arr[0], path + "[0]"), _as_real(arr[1], path + "[1]"))
+    return complex(_as_real(value[0], path + "[0]"), _as_real(value[1], path + "[1]"))
 
 
 def _as_bound_pair(value, path: str) -> FrameBounds:

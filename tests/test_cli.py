@@ -93,101 +93,6 @@ def test_parse_error_on_json_that_python_cannot_hold(tmp_path, capsys, text):
     assert "invalid JSON" in capsys.readouterr().err
 
 
-def test_parse_error_on_empty_file(tmp_path):
-    path = tmp_path / "empty.json"
-    path.write_text("", encoding="utf-8")
-    with pytest.raises(SpecParseError):
-        parse_spec(path)
-
-
-def test_schema_rejects_unknown_kind():
-    with pytest.raises(SpecSchemaError):
-        parse_spec_text('{"kind": "mystery"}')
-
-
-def test_schema_rejects_unknown_field():
-    with pytest.raises(SpecSchemaError) as excinfo:
-        parse_spec_text(
-            '{"kind": "bounds", "frame": {"vectors": [[[1,0]]]}, "surprise": 1}'
-        )
-    assert "surprise" in str(excinfo.value)
-
-
-def test_dual_trials_is_an_unknown_field(tmp_path, capsys):
-    # the dual identity is checked exactly, so there is no trial count to set
-    doc = load_bundled_fixture("dual_sum_c3.json").document
-    path = tmp_path / "trials.json"
-    path.write_text(json.dumps({**doc, "trials": 100}), encoding="utf-8")
-    assert main(["dual", "--spec", str(path)]) == 1
-    assert "trials: unknown field" in capsys.readouterr().err
-
-
-#: one bundled fixture of every kind
-FIXTURE_OF_KIND = {
-    "algo": "algo_dual_sum_c3.json",
-    "bounds": "exact_bounds_c2.json",
-    "dual": "dual_sum_c3.json",
-    "finite-sum": "finite_sum_c2.json",
-    "operator-sum": "operator_sum_c2.json",
-    "perturbed-sum": "perturbed_sum_c2.json",
-    "gabor": "gabor_tent_window.json",
-    "width": "width_reference.json",
-}
-
-
-@pytest.mark.parametrize("value", ["x.csv", "", None], ids=["name", "empty", "null"])
-@pytest.mark.parametrize("kind", KINDS)
-def test_csv_is_an_unknown_field(tmp_path, capsys, kind, value):
-    # an algo CSV's name comes from --csv, or in paper-suite from the label
-    doc = load_bundled_fixture(FIXTURE_OF_KIND[kind]).document
-    path = tmp_path / "csv.json"
-    path.write_text(json.dumps({**doc, "csv": value}), encoding="utf-8")
-    assert main([_KINDS[kind].command, "--spec", str(path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == "error: csv: unknown field\n"
-
-
-def test_schema_rejects_zero_coefficient():
-    doc = {
-        "kind": "finite-sum",
-        "frame_bounds": [[1, 2], [1, 2]],
-        "coefficients": [[1, 0], [0, 0]],
-    }
-    with pytest.raises(SpecSchemaError) as excinfo:
-        parse_spec_text(json.dumps(doc))
-    assert "nonzero" in str(excinfo.value)
-
-
-def test_schema_rejects_bad_pivot():
-    doc = {
-        "kind": "finite-sum",
-        "frame_bounds": [[1, 2]],
-        "coefficients": [[1, 0]],
-        "pivot": 5,
-    }
-    with pytest.raises(SpecSchemaError):
-        parse_spec_text(json.dumps(doc))
-
-
-def test_schema_requires_exactly_one_input_style():
-    doc = {
-        "kind": "finite-sum",
-        "coefficients": [[1, 0]],
-    }
-    with pytest.raises(SpecSchemaError):
-        parse_spec_text(json.dumps(doc))
-
-
-def test_schema_complex_scalar_shape():
-    doc = {
-        "kind": "finite-sum",
-        "frame_bounds": [[1, 2]],
-        "coefficients": [[1, 0, 0]],
-    }
-    with pytest.raises(SpecSchemaError):
-        parse_spec_text(json.dumps(doc))
-
-
 # --- experiment execution ------------------------------------------------------
 
 
@@ -240,54 +145,6 @@ def test_cli_kind_mismatch(tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: command 'dual' expects kind 'dual', but {path} has kind 'finite-sum'\n")
 
 
-@pytest.mark.parametrize(
-    "fixture,command,key,value,field",
-    [
-        ("width_reference.json", "width", "rtol", "x", "expect.rtol"),
-        ("width_reference.json", "width", "rtol", -1e-9, "expect.rtol"),
-        ("width_reference.json", "width", "rtol", float("inf"), "expect.rtol"),
-        ("width_reference.json", "width", "widths_4dp", 5, "expect.widths_4dp"),
-        ("width_reference.json", "width", None, [], "expect"),
-        ("gabor_sqrt_ramp_window.json", "gabor", "bounds", [1], "expect.bounds"),
-        ("dual_sum_c3.json", "dual", "predicted", [2, 1], "expect.predicted"),
-        ("dual_sum_c3.json", "dual", "sum_bounds", "x", "expect.sum_bounds"),
-        ("finite_sum_c2.json", "sum", "condition_margin", None, "expect.condition_margin"),
-        ("algo_finite_sum_c2.json", "algo", "envelope_order", [1, 2], "expect.envelope_order[0]"),
-        ("exact_bounds_c2.json", "bounds", "tight", "yes", "expect.tight"),
-        ("finite_sum_c2.json", "sum", "predicted_width_4dp", 0.3453, "expect.predicted_width_4dp"),
-    ],
-    ids=[
-        "rtol-string",
-        "rtol-negative",
-        "rtol-infinite",
-        "widths-scalar",
-        "expect-array",
-        "gabor-bounds-short",
-        "predicted-reversed",
-        "sum-bounds-string",
-        "margin-null",
-        "envelope-order-numbers",
-        "tight-string",
-        "predicted-width-number",
-    ],
-)
-def test_cli_rejects_malformed_expect_at_parse_time(tmp_path, capsys, fixture, command, key, value, field):
-    doc = json.loads(render_spec(load_bundled_fixture(fixture)))
-    if key is None:
-        doc["expect"] = value
-    else:
-        doc["expect"][key] = value
-    path = tmp_path / fixture
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    with pytest.raises(SpecSchemaError):
-        parse_spec(path)
-    code = main([command, "--spec", str(path)])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert f"{field}:" in err
-    assert "Traceback" not in err
-
-
 E2 = [[1, 0], [0, 1]]
 E3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
@@ -298,116 +155,17 @@ def _error_line(field: str | None, message: str) -> str:
     return f"error: {field}: {message}\n" if field else f"error: {message}\n"
 
 
-@pytest.mark.parametrize(
-    "command,doc,field,message",
-    [
-        (
-            "sum",
-            {"kind": "finite-sum", "frames": [{"vectors": E2}, {"vectors": E3}], "coefficients": [1, 1]},
-            "frames[1].vectors",
-            "3 vectors in dimension 3 do not align with the 2 vectors in dimension 2 of frames[0]",
-        ),
-        (
-            "sum",
-            {"kind": "finite-sum", "frames": [{"vectors": E2}, {"vectors": E2 + [[1, 1]]}], "coefficients": [1, 1]},
-            "frames[1].vectors",
-            "3 vectors in dimension 2 do not align with the 2 vectors in dimension 2 of frames[0]",
-        ),
-        (
-            "op-sum",
-            {"kind": "operator-sum", "frame1": {"vectors": E2}, "frame2": {"vectors": E2}, "theta1": E3, "theta2": E3},
-            "theta1",
-            "must be 2x2 like the frames, got (3, 3)",
-        ),
-        (
-            "op-sum",
-            {
-                "kind": "operator-sum",
-                "frame1": {"vectors": E2},
-                "frame2": {"vectors": E2 + [[1, 1]]},
-                "theta1": E2,
-                "theta2": E2,
-            },
-            "frame2.vectors",
-            "3 vectors in dimension 2 do not align with the 2 vectors in dimension 2 of frame1",
-        ),
-        (
-            "perturbed-sum",
-            {
-                "kind": "perturbed-sum",
-                "frame1": {"vectors": E2},
-                "frame2": {"vectors": E3[:2]},
-                "alpha": [1, 1],
-                "beta": [1, 1],
-            },
-            "frame2.vectors",
-            "2 vectors in dimension 3 do not align with the 2 vectors in dimension 2 of frame1",
-        ),
-        (
-            "dual",
-            {"kind": "dual", "frame": {"vectors": E2}, "dual": {"vectors": E2 + [[1, 1]]}},
-            "dual.vectors",
-            "3 vectors in dimension 2 do not align with the 2 vectors in dimension 2 of frame",
-        ),
-        (
-            "dual",
-            {"kind": "dual", "frame": {"vectors": E2}, "dual": {"vectors": E3[:2]}},
-            "dual.vectors",
-            "2 vectors in dimension 3 do not align with the 2 vectors in dimension 2 of frame",
-        ),
-        ("sum", {"kind": "finite-sum", "frame_bounds": [], "coefficients": []}, "frame_bounds", "must be nonempty"),
-        ("sum", {"kind": "finite-sum", "frames": [], "coefficients": []}, "frames", "must be nonempty"),
-        # given bounds only: T1 and T2 act on one space, alpha_k and beta_k index one vector
-        (
-            "op-sum",
-            {"kind": "operator-sum", "bounds1": [1, 2], "bounds2": [1, 2], "theta1": E2, "theta2": E3},
-            "theta2",
-            "must be 2x2 like theta1, got (3, 3)",
-        ),
-        (
-            "perturbed-sum",
-            {"kind": "perturbed-sum", "bounds1": [1, 2], "bounds2": [1, 2], "alpha": [1, 1], "beta": [1, 1, 1]},
-            "beta",
-            "must have as many entries as alpha (2), got 3",
-        ),
-        # a document with its summands missing, doubled or halved has no field to name
-        ("dual", {"kind": "dual"}, "", "dual needs either frame+dual or bounds1+bounds2"),
-        (
-            "dual",
-            {"kind": "dual", "frame": {"vectors": E2}, "dual": {"vectors": E2}, "bounds1": [1, 2], "bounds2": [1, 2]},
-            "",
-            "dual needs either frame+dual or bounds1+bounds2",
-        ),
-        ("dual", {"kind": "dual", "frame": {"vectors": E2}}, "", "dual needs both frame and dual"),
-    ],
-    ids=[
-        "sum-dimensions",
-        "sum-counts",
-        "op-sum-theta-size",
-        "op-sum-counts",
-        "perturbed-sum-dimensions",
-        "dual-counts",
-        "dual-dimensions",
-        "sum-no-bound-pairs",
-        "sum-no-frames",
-        "op-sum-bounds-only-theta-sizes",
-        "perturbed-sum-bounds-only-lengths",
-        "dual-no-summands",
-        "dual-frames-and-bounds",
-        "dual-frame-only",
-    ],
-)
-def test_cli_rejects_misaligned_summands_at_parse_time(tmp_path, capsys, command, doc, field, message):
-    path = tmp_path / "misaligned.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    with pytest.raises(SpecSchemaError) as excinfo:
-        parse_spec(path)
-    assert excinfo.value.field == field
-    code = main([command, "--spec", str(path)])
-    captured = capsys.readouterr()
-    assert code == 1 and captured.out == ""
-    assert captured.err == _error_line(field, message)
-
+#: one bundled fixture of every kind
+FIXTURE_OF_KIND = {
+    "algo": "algo_dual_sum_c3.json",
+    "bounds": "exact_bounds_c2.json",
+    "dual": "dual_sum_c3.json",
+    "finite-sum": "finite_sum_c2.json",
+    "operator-sum": "operator_sum_c2.json",
+    "perturbed-sum": "perturbed_sum_c2.json",
+    "gabor": "gabor_tent_window.json",
+    "width": "width_reference.json",
+}
 
 # Documents with one name or label, null here, and the field path of that name.
 NAMED = {
@@ -422,218 +180,531 @@ NAMED = {
     "run-label": ("algo", {"kind": "algo", "runs": [{"label": None, "frame": {"vectors": E2}}]}, "runs[0].label"),
 }
 
-
-def _run_named(tmp_path, capsys, command, doc, value):
-    """Exit code and captured output of ``doc`` with its null name set to ``value``."""
-    text = json.dumps(doc).replace("null", json.dumps(value))
-    path = tmp_path / "named.json"
-    path.write_text(text, encoding="utf-8")
-    return main([command, "--spec", str(path)]), capsys.readouterr()
-
-
-@pytest.mark.parametrize("value", ["", 5], ids=["empty", "number"])
-@pytest.mark.parametrize("command,doc,field", NAMED.values(), ids=NAMED.keys())
-def test_cli_rejects_a_name_that_is_not_a_nonempty_string(tmp_path, capsys, command, doc, field, value):
-    code, captured = _run_named(tmp_path, capsys, command, doc, value)
-    assert code == 1 and captured.out == ""
-    assert captured.err == f"error: {field}: must be a nonempty string\n"
-
-
-# A line break in a name would split the report line that prints it, and a
-# comma in a run label would add cells to the CSV header (k,err_a,b,env_a,b).
-@pytest.mark.parametrize(
-    "command,doc,field,value,message",
-    [
-        *(
-            pytest.param(*named, value, "must not contain a line break", id=f"{key}-{end}")
-            for key, named in NAMED.items()
-            for end, value in (("lf", "a\nb"), ("cr", "a\rb"))
-        ),
-        pytest.param(*NAMED["run-label"], "a,b", "must not contain a comma", id="run-label-comma"),
-    ],
-)
-def test_cli_rejects_a_name_that_would_break_its_output(tmp_path, capsys, command, doc, field, value, message):
-    code, captured = _run_named(tmp_path, capsys, command, doc, value)
-    assert code == 1 and captured.out == ""
-    assert captured.err == f"error: {field}: {message}\n"
-
-
 WIDTH = {"kind": "width", "entries": [{"bounds": [1, 2]}]}
 PIECE = {"lo": 0, "hi": 1, "kind": "affine", "alpha": 0, "beta": 1}
 GABOR = {"kind": "gabor", "generator": {"pieces": [PIECE]}, "lattice": {"a": 1, "b": 0.5}}
 ALGO = {"kind": "algo", "runs": [{"frame": {"vectors": E2}}]}
+#: an algo run whose loose pair would iterate about 1.4e7 times at max_iters 1e8
+LOOSE_ALGO = {"kind": "algo", "runs": [{"label": "loose", "frame": {"vectors": E2 + [[1, 1]]}, "bounds": [1e-6, 1e6]}]}
+HUGE = "1" + "0" * 400  # a JSON integer too large for a float
 
 
-# Each document fails one check at parse time; the line-break cases would
-# split the report line that prints the string.
-@pytest.mark.parametrize(
-    "command,doc,field,message",
-    [
-        *(
-            pytest.param("width", {**WIDTH, **fields}, field, "must not contain a line break", id=name)
-            for name, fields, field in [
-                ("title-lf", {"title": "a\nb", "notes": ["x\ny"]}, "title"),
-                ("title-u2028", {"title": "a\u2028b"}, "title"),
-                ("notes-lf", {"notes": ["x\ny"]}, "notes[0]"),
-                ("discrepancies-lf", {"discrepancies": ["x\ny"]}, "discrepancies[0]"),
-                ("expect-cr", {"expect": {"widths_4dp": ["a\rb"]}}, "expect.widths_4dp[0]"),
-            ]
-        ),
-        pytest.param("width", {**WIDTH, "title": 5}, "title", "expected a string, got 5", id="title-number"),
-        pytest.param("width", {**WIDTH, "notes": ["x", 3]}, "notes[1]", "expected a string, got 3", id="notes-number"),
-        pytest.param("width", {**WIDTH, "entries": []}, "entries", "must be nonempty", id="width-no-entries"),
-        # every real goes through one reader, which never parses text
+def _bounds_text(vectors: str) -> str:
+    return '{"kind": "bounds", "frame": {"vectors": %s}}' % vectors
+
+
+def _sum_text(kind: str, **fields: str) -> str:
+    frames = '"frame1": {"vectors": [[1, 0], [0, 1]]}, "frame2": {"vectors": [[1, 0], [0, 1]]}'
+    if kind == "finite-sum":
+        frames = '"frames": [{"vectors": [[1, 0], [0, 1]]}, {"vectors": [[1, 0], [0, 1]]}]'
+    extra = "".join(f', "{key}": {value}' for key, value in fields.items())
+    return '{"kind": "%s", %s%s}' % (kind, frames, extra)
+
+
+def _gabor_doc(hi: float, a: float, b: float) -> dict:
+    return {
+        "kind": "gabor",
+        "generator": {"pieces": [{"lo": 0, "hi": hi, "kind": "affine", "alpha": 0, "beta": 1}]},
+        "lattice": {"a": a, "b": b},
+    }
+
+
+def _with_expect(fixture: str, key: str | None, value) -> dict:
+    """A bundled fixture's document with ``expect[key]`` set to ``value``, or the
+    whole ``expect`` block when ``key`` is None."""
+    doc = json.loads(render_spec(load_bundled_fixture(fixture)))
+    if key is None:
+        doc["expect"] = value
+    else:
+        doc["expect"][key] = value
+    return doc
+
+
+# Every document the CLI refuses at parse time, one row each: the command, the
+# document (a dict, JSON text or raw bytes), the field path of the error (None
+# for a syntax error, "" for an error about the whole document) and the message,
+# where <path> stands for the document's path.  A new refusal is a new row.
+REFUSED = [
+    # --- the document as a whole
+    pytest.param("bounds", "", None, "<path>: invalid JSON at line 1, column 1: Expecting value", id="empty-file"),
+    pytest.param(
+        "width",
+        b"\xff",
+        None,
+        "<path> is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+        id="not-utf8",
+    ),
+    # a key given twice, where the reader would keep the last value
+    pytest.param(
+        "width",
+        b'{"kind": "width", "entries": [{"bounds": [1, 2]}], "entries": [{"bounds": [1, 3]}]}',
+        "",
+        "repeated key 'entries'",
+        id="repeated-key",
+    ),
+    pytest.param(
+        "algo",
+        b'{"kind": "algo", "runs": [{"frame": {"vectors": [[1, 0], [0, 1]]}, "bounds": [1, 2], "bounds": [1, 3]}]}',
+        "",
+        "repeated key 'bounds'",
+        id="repeated-key-in-a-run",
+    ),
+    pytest.param(
+        "bounds",
+        {"kind": "mystery"},
+        "kind",
+        "must be one of bounds, dual, finite-sum, operator-sum, perturbed-sum, gabor, algo, width, got 'mystery'",
+        id="unknown-kind",
+    ),
+    pytest.param(
+        "bounds",
+        {"kind": "bounds", "frame": {"vectors": [[[1, 0]]]}, "surprise": 1},
+        "surprise",
+        "unknown field",
+        id="unknown-field",
+    ),
+    # the dual identity is checked exactly, so there is no trial count to set
+    pytest.param(
+        "dual",
+        {**load_bundled_fixture("dual_sum_c3.json").document, "trials": 100},
+        "trials",
+        "unknown field",
+        id="dual-trials",
+    ),
+    # an algo CSV's name comes from --csv, or in paper-suite from the label
+    *(
         pytest.param(
-            "width",
-            {**WIDTH, "entries": [{"bounds": ["1", 2]}]},
-            "entries[0].bounds[0]",
-            "expected a real number, got '1'",
-            id="width-text-real",
-        ),
-        pytest.param(
-            "gabor",
-            {**GABOR, "generator": {"pieces": [{**PIECE, "kind": "cubic"}]}},
-            "generator.pieces[0]",
-            "piece kind must be one of ('affine', 'sqrt-affine'), got 'cubic'",
-            id="piece-kind",
-        ),
-        pytest.param(
-            "gabor",
-            {**GABOR, "generator": {"pieces": [{**PIECE, "lo": 1}]}},
-            "generator.pieces[0]",
-            "piece needs lo < hi, got [1.0, 1.0)",
-            id="piece-empty",
-        ),
-        pytest.param(
-            "gabor",
-            {**GABOR, "generator": {"pieces": [{**PIECE, "hi": 1}, {**PIECE, "lo": 0.5, "hi": 2}]}},
-            "generator.pieces",
-            "pieces overlap: [0.0, 1.0) and [0.5, 2.0)",
-            id="pieces-overlap",
-        ),
-        pytest.param(
-            "gabor",
-            {**GABOR, "generator": {"pieces": []}},
-            "generator.pieces",
-            "generator needs at least one piece",
-            id="no-pieces",
-        ),
-        pytest.param(
-            "gabor",
-            {**GABOR, "wh": {"P": 1, "Q": 1, "p0": 1, "q0": 1}},
-            "",
-            "gabor needs exactly one of lattice or wh",
-            id="gabor-lattice-and-wh",
-        ),
-        pytest.param(
-            "gabor",
-            {**GABOR, "lattice": {"a": 0, "b": 1}},
-            "lattice",
-            "a must be a finite positive real, got 0.0",
-            id="lattice-zero-step",
-        ),
-        pytest.param(
-            "bounds",
-            {"kind": "bounds", "frame": {"vectors": [[0, 0], [0, 0]]}},
-            "frame.vectors",
-            "all vectors are zero",
-            id="zero-vectors",
-        ),
-        pytest.param("algo", {**ALGO, "runs": []}, "runs", "must be nonempty", id="algo-no-runs"),
-        pytest.param(
-            "algo",
-            {**ALGO, "runs": [{"label": "r", "frame": {"vectors": E2}}] * 2},
-            "runs",
-            "duplicate run labels in ['r', 'r']",
-            id="algo-duplicate-labels",
-        ),
-        pytest.param(
-            # a run is checked against its own ``bounds``; a stated pair on its frame was ignored
-            "algo",
-            {**ALGO, "runs": [{"frame": {"vectors": E2, "stated_bounds": [100, 200]}}]},
-            "runs[0].frame.stated_bounds",
+            _KINDS[kind].command,
+            {**load_bundled_fixture(FIXTURE_OF_KIND[kind]).document, "csv": value},
+            "csv",
             "unknown field",
-            id="algo-frame-stated-bounds",
-        ),
-        pytest.param(
-            "sum",
-            {"kind": "finite-sum", "frame_bounds": [[1, 2], [1, 2]], "coefficients": [1, 1], "pivot": "first"},
-            "pivot",
-            'must be a 1-based index or "best", got \'first\'',
-            id="pivot-word",
-        ),
-        pytest.param(
-            "sum",
-            {"kind": "finite-sum", "frame_bounds": [[1, 2], [1, 2]], "coefficients": [1, 1], "pivot": True},
-            "pivot",
-            'must be a 1-based index or "best", got True',
-            id="pivot-true",
-        ),
-        pytest.param(
-            "algo",
-            {**ALGO, "max_iters": True},
-            "max_iters",
-            "must be an integer in 1..100000, got True",
-            id="max-iters-true",
-        ),
-        pytest.param(
-            "algo",
-            {**ALGO, "max_iters": 5.0},
-            "max_iters",
-            "must be an integer in 1..100000, got 5.0",
-            id="max-iters-float",
-        ),
-        pytest.param(
-            "op-sum",
-            {"kind": "operator-sum", "bounds1": [1, 2], "bounds2": [1, 2], "theta1": E3[:2], "theta2": E2},
-            "theta1",
-            "must be square, got (2, 3)",
-            id="theta-not-square",
-        ),
-        pytest.param(
-            "perturbed-sum",
-            {
-                "kind": "perturbed-sum",
-                "frame1": {"vectors": E2},
-                "frame2": {"vectors": E2},
-                "alpha": [1],
-                "beta": [1, 1],
+            id=f"csv-{kind}-{end}",
+        )
+        for kind in KINDS
+        for end, value in (("name", "x.csv"), ("empty", ""), ("null", None))
+    ),
+    # --- names and free text: a line break would split the report line that
+    # prints it, and a comma in a run label would add cells to the CSV header
+    *(
+        pytest.param(command, json.dumps(doc).replace("null", json.dumps(value)), field, message, id=f"{key}-{end}")
+        for key, (command, doc, field) in NAMED.items()
+        for end, value, message in (
+            ("empty", "", "must be a nonempty string"),
+            ("number", 5, "must be a nonempty string"),
+            ("lf", "a\nb", "must not contain a line break"),
+            ("cr", "a\rb", "must not contain a line break"),
+        )
+    ),
+    pytest.param(
+        "algo",
+        json.dumps(NAMED["run-label"][1]).replace("null", '"a,b"'),
+        "runs[0].label",
+        "must not contain a comma",
+        id="run-label-comma",
+    ),
+    *(
+        pytest.param("width", {**WIDTH, **fields}, field, "must not contain a line break", id=name)
+        for name, fields, field in [
+            ("title-lf", {"title": "a\nb", "notes": ["x\ny"]}, "title"),
+            ("title-u2028", {"title": "a\u2028b"}, "title"),
+            ("notes-lf", {"notes": ["x\ny"]}, "notes[0]"),
+            ("discrepancies-lf", {"discrepancies": ["x\ny"]}, "discrepancies[0]"),
+            ("expect-cr", {"expect": {"widths_4dp": ["a\rb"]}}, "expect.widths_4dp[0]"),
+        ]
+    ),
+    pytest.param("width", {**WIDTH, "title": 5}, "title", "expected a string, got 5", id="title-number"),
+    pytest.param("width", {**WIDTH, "notes": ["x", 3]}, "notes[1]", "expected a string, got 3", id="notes-number"),
+    # --- numbers: every real goes through one reader, which never parses text
+    pytest.param("width", {**WIDTH, "entries": []}, "entries", "must be nonempty", id="width-no-entries"),
+    pytest.param(
+        "width",
+        {**WIDTH, "entries": [{"bounds": ["1", 2]}]},
+        "entries[0].bounds[0]",
+        "expected a real number, got '1'",
+        id="width-text-real",
+    ),
+    *(
+        pytest.param("bounds", _bounds_text(vectors), field, message, id=name)
+        for name, vectors, field, message in [
+            (
+                "bare-true",
+                "[[true, 0], [0, 1]]",
+                "frame.vectors[0][0]",
+                "complex scalar must be a real number or [re, im], got True",
+            ),
+            (
+                "false-in-pair",
+                "[[[1, 0], [0, 0]], [[0, 0], [false, 1]]]",
+                "frame.vectors[1][1][0]",
+                "expected a real number, got False",
+            ),
+            (
+                "string",
+                '[[1, 0], [0, "1"]]',
+                "frame.vectors[1][1]",
+                "complex scalar must be a real number or [re, im], got '1'",
+            ),
+            (
+                "null-in-pair",
+                "[[[1, 0], [0, null]], [[0, 0], [1, 0]]]",
+                "frame.vectors[0][1][1]",
+                "expected a real number, got None",
+            ),
+            ("nan", "[[1, 0], [NaN, 1]]", "frame.vectors[1][0]", "expected a finite number, got nan"),
+            (
+                "infinity-in-pair",
+                "[[[1, 0], [0, 0]], [[0, 0], [1, Infinity]]]",
+                "frame.vectors[1][1][1]",
+                "expected a finite number, got inf",
+            ),
+            (
+                "three-element-pair",
+                "[[[1, 0, 0], [0, 0]], [[0, 0], [1, 0]]]",
+                "frame.vectors[0][0]",
+                "complex scalar must be [re, im], got [1, 0, 0]",
+            ),
+            ("ragged-vectors", "[[1, 0], [0, 1, 0]]", "frame.vectors", "rows have differing lengths [2, 3]"),
+            ("empty-vector", "[[1, 0], []]", "frame.vectors[1]", "must be nonempty"),
+            ("empty-vectors", "[]", "frame.vectors", "must be nonempty"),
+            (
+                "huge-integer-entry",
+                f"[[{HUGE}, 0], [0, 1]]",
+                "frame.vectors[0][0]",
+                "expected a finite number, got an integer beyond the float range",
+            ),
+            ("zero-vectors", "[[0, 0], [0, 0]]", "frame.vectors", "all vectors are zero"),
+        ]
+    ),
+    pytest.param(
+        "gabor",
+        '{"kind": "gabor", "generator": {"pieces": [%s]}, "lattice": {"a": %s, "b": 1}}' % (json.dumps(PIECE), HUGE),
+        "lattice.a",
+        "expected a finite number, got an integer beyond the float range",
+        id="huge-integer-scalar",
+    ),
+    pytest.param(
+        "op-sum",
+        _sum_text("operator-sum", theta1="[[1, 0], [0]]", theta2="[[1, 0], [0, 1]]"),
+        "theta1",
+        "rows have differing lengths [1, 2]",
+        id="ragged-theta",
+    ),
+    pytest.param(
+        "perturbed-sum",
+        _sum_text("perturbed-sum", alpha='[1, "x"]', beta="[1, 1]"),
+        "alpha[1]",
+        "complex scalar must be a real number or [re, im], got 'x'",
+        id="bad-alpha",
+    ),
+    pytest.param(
+        "sum",
+        _sum_text("finite-sum", coefficients="[[1, 0], [true, 0]]"),
+        "coefficients[1][0]",
+        "expected a real number, got True",
+        id="bad-coefficient",
+    ),
+    pytest.param(
+        "sum",
+        {"kind": "finite-sum", "frame_bounds": [[1, 2]], "coefficients": [[1, 0, 0]]},
+        "coefficients[0]",
+        "complex scalar must be [re, im], got [1, 0, 0]",
+        id="three-element-coefficient",
+    ),
+    # --- sum rules: summands that do not align, and the finite sum's own fields
+    pytest.param(
+        "sum",
+        {"kind": "finite-sum", "frames": [{"vectors": E2}, {"vectors": E3}], "coefficients": [1, 1]},
+        "frames[1].vectors",
+        "3 vectors in dimension 3 do not align with the 2 vectors in dimension 2 of frames[0]",
+        id="sum-dimensions",
+    ),
+    pytest.param(
+        "sum",
+        {"kind": "finite-sum", "frames": [{"vectors": E2}, {"vectors": E2 + [[1, 1]]}], "coefficients": [1, 1]},
+        "frames[1].vectors",
+        "3 vectors in dimension 2 do not align with the 2 vectors in dimension 2 of frames[0]",
+        id="sum-counts",
+    ),
+    pytest.param(
+        "op-sum",
+        {"kind": "operator-sum", "frame1": {"vectors": E2}, "frame2": {"vectors": E2}, "theta1": E3, "theta2": E3},
+        "theta1",
+        "must be 2x2 like the frames, got (3, 3)",
+        id="op-sum-theta-size",
+    ),
+    pytest.param(
+        "op-sum",
+        {
+            "kind": "operator-sum",
+            "frame1": {"vectors": E2},
+            "frame2": {"vectors": E2 + [[1, 1]]},
+            "theta1": E2,
+            "theta2": E2,
+        },
+        "frame2.vectors",
+        "3 vectors in dimension 2 do not align with the 2 vectors in dimension 2 of frame1",
+        id="op-sum-counts",
+    ),
+    pytest.param(
+        "perturbed-sum",
+        {
+            "kind": "perturbed-sum",
+            "frame1": {"vectors": E2},
+            "frame2": {"vectors": E3[:2]},
+            "alpha": [1, 1],
+            "beta": [1, 1],
+        },
+        "frame2.vectors",
+        "2 vectors in dimension 3 do not align with the 2 vectors in dimension 2 of frame1",
+        id="perturbed-sum-dimensions",
+    ),
+    pytest.param(
+        "dual",
+        {"kind": "dual", "frame": {"vectors": E2}, "dual": {"vectors": E2 + [[1, 1]]}},
+        "dual.vectors",
+        "3 vectors in dimension 2 do not align with the 2 vectors in dimension 2 of frame",
+        id="dual-counts",
+    ),
+    pytest.param(
+        "dual",
+        {"kind": "dual", "frame": {"vectors": E2}, "dual": {"vectors": E3[:2]}},
+        "dual.vectors",
+        "2 vectors in dimension 3 do not align with the 2 vectors in dimension 2 of frame",
+        id="dual-dimensions",
+    ),
+    pytest.param(
+        "sum",
+        {"kind": "finite-sum", "frame_bounds": [], "coefficients": []},
+        "frame_bounds",
+        "must be nonempty",
+        id="sum-no-bound-pairs",
+    ),
+    pytest.param(
+        "sum",
+        {"kind": "finite-sum", "frames": [], "coefficients": []},
+        "frames",
+        "must be nonempty",
+        id="sum-no-frames",
+    ),
+    # given bounds only: T1 and T2 act on one space, alpha_k and beta_k index one vector
+    pytest.param(
+        "op-sum",
+        {"kind": "operator-sum", "bounds1": [1, 2], "bounds2": [1, 2], "theta1": E2, "theta2": E3},
+        "theta2",
+        "must be 2x2 like theta1, got (3, 3)",
+        id="op-sum-bounds-only-theta-sizes",
+    ),
+    pytest.param(
+        "perturbed-sum",
+        {"kind": "perturbed-sum", "bounds1": [1, 2], "bounds2": [1, 2], "alpha": [1, 1], "beta": [1, 1, 1]},
+        "beta",
+        "must have as many entries as alpha (2), got 3",
+        id="perturbed-sum-bounds-only-lengths",
+    ),
+    pytest.param(
+        "op-sum",
+        {"kind": "operator-sum", "bounds1": [1, 2], "bounds2": [1, 2], "theta1": E3[:2], "theta2": E2},
+        "theta1",
+        "must be square, got (2, 3)",
+        id="theta-not-square",
+    ),
+    pytest.param(
+        "perturbed-sum",
+        {"kind": "perturbed-sum", "frame1": {"vectors": E2}, "frame2": {"vectors": E2}, "alpha": [1], "beta": [1, 1]},
+        "alpha",
+        "scalar sequences must have one entry per frame vector",
+        id="alpha-short",
+    ),
+    # a document with its summands missing, doubled or halved has no field to name
+    pytest.param(
+        "dual", {"kind": "dual"}, "", "dual needs either frame+dual or bounds1+bounds2", id="dual-no-summands"
+    ),
+    pytest.param(
+        "dual",
+        {"kind": "dual", "frame": {"vectors": E2}, "dual": {"vectors": E2}, "bounds1": [1, 2], "bounds2": [1, 2]},
+        "",
+        "dual needs either frame+dual or bounds1+bounds2",
+        id="dual-frames-and-bounds",
+    ),
+    pytest.param(
+        "dual", {"kind": "dual", "frame": {"vectors": E2}}, "", "dual needs both frame and dual", id="dual-frame-only"
+    ),
+    pytest.param(
+        "sum",
+        {"kind": "finite-sum", "coefficients": [[1, 0]]},
+        "",
+        "finite-sum needs exactly one of frames or frame_bounds",
+        id="sum-no-summands",
+    ),
+    pytest.param(
+        "sum",
+        {"kind": "finite-sum", "frame_bounds": [[1, 2], [1, 2]], "coefficients": [[1, 0], [0, 0]]},
+        "coefficients",
+        "coefficient must be nonzero",
+        id="zero-coefficient",
+    ),
+    pytest.param(
+        "sum",
+        {"kind": "finite-sum", "frame_bounds": [[1, 2]], "coefficients": [[1, 0]], "pivot": 5},
+        "pivot",
+        "index 5 out of range 1..1",
+        id="pivot-out-of-range",
+    ),
+    pytest.param(
+        "sum",
+        {"kind": "finite-sum", "frame_bounds": [[1, 2], [1, 2]], "coefficients": [1, 1], "pivot": "first"},
+        "pivot",
+        'must be a 1-based index or "best", got \'first\'',
+        id="pivot-word",
+    ),
+    pytest.param(
+        "sum",
+        {"kind": "finite-sum", "frame_bounds": [[1, 2], [1, 2]], "coefficients": [1, 1], "pivot": True},
+        "pivot",
+        'must be a 1-based index or "best", got True',
+        id="pivot-true",
+    ),
+    # --- gabor windows and lattices
+    pytest.param(
+        "gabor",
+        {**GABOR, "generator": {"pieces": [{**PIECE, "kind": "cubic"}]}},
+        "generator.pieces[0]",
+        "piece kind must be one of ('affine', 'sqrt-affine'), got 'cubic'",
+        id="piece-kind",
+    ),
+    pytest.param(
+        "gabor",
+        {**GABOR, "generator": {"pieces": [{**PIECE, "lo": 1}]}},
+        "generator.pieces[0]",
+        "piece needs lo < hi, got [1.0, 1.0)",
+        id="piece-empty",
+    ),
+    pytest.param(
+        "gabor",
+        {**GABOR, "generator": {"pieces": [{**PIECE, "hi": 1}, {**PIECE, "lo": 0.5, "hi": 2}]}},
+        "generator.pieces",
+        "pieces overlap: [0.0, 1.0) and [0.5, 2.0)",
+        id="pieces-overlap",
+    ),
+    pytest.param(
+        "gabor",
+        {**GABOR, "generator": {"pieces": []}},
+        "generator.pieces",
+        "generator needs at least one piece",
+        id="no-pieces",
+    ),
+    # radicand -1e-13 on [0, 1): inside an absolute 1e-12 slack, but far below
+    # the rounding of its terms; accepted, it gave an upper bound below the optimal 2
+    pytest.param(
+        "gabor",
+        {
+            **GABOR,
+            "generator": {
+                "pieces": [{**PIECE, "kind": "sqrt-affine", "beta": -1e-13}, {**PIECE, "lo": 1, "hi": 2}]
             },
-            "alpha",
-            "scalar sequences must have one entry per frame vector",
-            id="alpha-short",
-        ),
+        },
+        "generator.pieces[0]",
+        "sqrt-affine radicand is negative at x=0.0: 0.0*x+-1e-13",
+        id="radicand-below-its-rounding-slack",
+    ),
+    pytest.param(
+        "gabor",
+        {**GABOR, "wh": {"P": 1, "Q": 1, "p0": 1, "q0": 1}},
+        "",
+        "gabor needs exactly one of lattice or wh",
+        id="gabor-lattice-and-wh",
+    ),
+    pytest.param(
+        "gabor",
+        {**GABOR, "lattice": {"a": 0, "b": 1}},
+        "lattice",
+        "a must be a finite positive real, got 0.0",
+        id="lattice-zero-step",
+    ),
+    # [0, 1e9) on (0.5, 1) asks for about 4e18 terms, which the loops would never finish
+    *(
         pytest.param(
-            "width",
-            b"\xff",
-            None,
-            "<path> is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
-            id="not-utf8",
-        ),
-        # a key given twice, where the reader would keep the last value
+            "gabor", _gabor_doc(hi, a, b), "generator.pieces", f"support length {needs} shift terms, more than 10000",
+            id=name,
+        )
+        for name, (hi, a, b), needs in [
+            ("huge-support", (1e9, 0.5, 1), "1e+09 on the lattice (a, b) = (0.5, 1) needs about 4e+18"),
+            ("many-translates", (1, 1 / 5000, 0.5), "1 on the lattice (a, b) = (0.0002, 0.5) needs about 10002"),
+            ("many-shifts", (1, 0.5, 5000), "1 on the lattice (a, b) = (0.5, 5000) needs about 30003"),
+            ("tiny-a", (1, 1e-300, 0.5), "1 on the lattice (a, b) = (1e-300, 0.5) needs about 2e+300"),
+        ]
+    ),
+    # --- algo runs
+    pytest.param("algo", {**ALGO, "runs": []}, "runs", "must be nonempty", id="algo-no-runs"),
+    pytest.param(
+        "algo",
+        {**ALGO, "runs": [{"label": "r", "frame": {"vectors": E2}}] * 2},
+        "runs",
+        "duplicate run labels in ['r', 'r']",
+        id="algo-duplicate-labels",
+    ),
+    pytest.param(
+        # a run is checked against its own ``bounds``; a stated pair on its frame was ignored
+        "algo",
+        {**ALGO, "runs": [{"frame": {"vectors": E2, "stated_bounds": [100, 200]}}]},
+        "runs[0].frame.stated_bounds",
+        "unknown field",
+        id="algo-frame-stated-bounds",
+    ),
+    *(
         pytest.param(
-            "width",
-            b'{"kind": "width", "entries": [{"bounds": [1, 2]}], "entries": [{"bounds": [1, 3]}]}',
-            "",
-            "repeated key 'entries'",
-            id="repeated-key",
-        ),
-        pytest.param(
-            "algo",
-            b'{"kind": "algo", "runs": [{"frame": {"vectors": [[1, 0], [0, 1]]}, "bounds": [1, 2], "bounds": [1, 3]}]}',
-            "",
-            "repeated key 'bounds'",
-            id="repeated-key-in-a-run",
-        ),
-    ],
-)
-def test_cli_rejects_a_malformed_document_at_parse_time(tmp_path, capsys, command, doc, field, message):
+            "algo", {**doc, "max_iters": value}, "max_iters", f"must be an integer in 1..100000, got {value}", id=name
+        )
+        for name, doc, value in [
+            ("max-iters-true", ALGO, True),
+            ("max-iters-float", ALGO, 5.0),
+            ("max-iters-past-cap", LOOSE_ALGO, MAX_ITERS + 1),
+            ("max-iters-1e8", LOOSE_ALGO, 10**8),
+        ]
+    ),
+    # --- expect blocks
+    *(
+        pytest.param(command, _with_expect(fixture, key, value), field, message, id=name)
+        for name, fixture, command, key, value, field, message in [
+            ("rtol-string", "width_reference.json", "width", "rtol", "x", "expect.rtol",
+             "expected a real number, got 'x'"),
+            ("rtol-negative", "width_reference.json", "width", "rtol", -1e-9, "expect.rtol",
+             "expected a number >= 0, got -1e-09"),
+            ("rtol-infinite", "width_reference.json", "width", "rtol", math.inf, "expect.rtol",
+             "expected a finite number, got inf"),
+            ("widths-scalar", "width_reference.json", "width", "widths_4dp", 5, "expect.widths_4dp",
+             "expected an array, got int"),
+            ("expect-array", "width_reference.json", "width", None, [], "expect", "expected an object, got list"),
+            ("gabor-bounds-short", "gabor_sqrt_ramp_window.json", "gabor", "bounds", [1], "expect.bounds",
+             "bound pair must be [lower, upper], got [1]"),
+            ("predicted-reversed", "dual_sum_c3.json", "dual", "predicted", [2, 1], "expect.predicted",
+             "need 0 < lower <= upper, got (2.0, 1.0)"),
+            ("sum-bounds-string", "dual_sum_c3.json", "dual", "sum_bounds", "x", "expect.sum_bounds",
+             "expected an array, got str"),
+            ("margin-null", "finite_sum_c2.json", "sum", "condition_margin", None, "expect.condition_margin",
+             "expected a real number, got None"),
+            ("envelope-order-numbers", "algo_finite_sum_c2.json", "algo", "envelope_order", [1, 2],
+             "expect.envelope_order[0]", "expected a string, got 1"),
+            ("tight-string", "exact_bounds_c2.json", "bounds", "tight", "yes", "expect.tight",
+             "expected true or false, got 'yes'"),
+            ("predicted-width-number", "finite_sum_c2.json", "sum", "predicted_width_4dp", 0.3453,
+             "expect.predicted_width_4dp", "expected a string, got 0.3453"),
+        ]
+    ),
+]
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("command,doc,field,message", REFUSED)
+def test_cli_rejects_a_malformed_document_at_parse_time(tmp_path, capsys, command, doc, field, message, flags):
     path = tmp_path / "malformed.json"
-    path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
+    if isinstance(doc, dict):
+        doc = json.dumps(doc)
+    path.write_bytes(doc if isinstance(doc, bytes) else doc.encode())
     with pytest.raises((SpecParseError, SpecSchemaError)) as excinfo:
         parse_spec(path)
     assert getattr(excinfo.value, "field", None) == field  # a SpecParseError has none
-    code = main([command, "--spec", str(path)])
+    code = main([command, "--spec", str(path), *flags])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err == _error_line(field, message.replace("<path>", str(path)))
@@ -754,6 +825,46 @@ def test_cli_a_false_prediction_from_given_bounds_fails(tmp_path, capsys, comman
     assert main([command, "--spec", str(path), *flags]) == 2
 
 
+# A tight first summand and a zero second operator (or sequence): the predicted
+# bounds A1 m^2 and (sqrt(B1) n)^2 are equal, but they round one ulp apart, and
+# the prediction is refused as lower > upper with exit 2.
+ONE_ULP_TIES = [
+    pytest.param(
+        "op-sum",
+        {
+            "kind": "operator-sum",
+            "bounds1": [0.6843777967847977, 0.6843777967847977],
+            "bounds2": [1, 1],
+            "theta1": [[[0, 0.9305156366398388]]],
+            "theta2": [[[0, 0]]],
+        },
+        id="operator-sum",
+    ),
+    pytest.param(
+        "perturbed-sum",
+        {
+            "kind": "perturbed-sum",
+            "bounds1": [0.6843777967847977, 0.6843777967847977],
+            "bounds2": [1, 1],
+            "alpha": [[0, 0.9305156366398388]],
+            "beta": [0],
+        },
+        id="perturbed-sum",
+    ),
+]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: equal predicted bounds that round one ulp apart are refused")
+@pytest.mark.parametrize("command,doc", ONE_ULP_TIES)
+def test_cli_a_tight_summand_and_a_zero_operator_give_a_holding_prediction(tmp_path, capsys, command, doc):
+    path = tmp_path / "tie.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main([command, "--spec", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert "-> holds" in captured.out
+
+
 def test_cli_the_k3_finite_sum_counterexample_fails_certification_given_frames(tmp_path, capsys):
     # F2 = F3, so the sum F1 + 3 F2 - 3 F3 is F1 itself, with bounds (1, 1)
     doc = {"kind": "finite-sum", "frames": [{"vectors": [[1]]}] * 3, "coefficients": [1, 3, -3], "pivot": 1}
@@ -813,76 +924,6 @@ def test_cli_a_sum_whose_vectors_cancel_writes_a_failing_report(tmp_path, capsys
         assert captured.out.startswith(f"experiment: cancel ({doc['kind']})\n")
         assert captured.out.endswith("status: fail\n")
         assert failure is None or f"  - {failure}\n" in captured.out
-
-
-HUGE = "1" + "0" * 400  # a JSON integer too large for a float
-
-
-def _bounds_text(vectors: str) -> str:
-    return '{"kind": "bounds", "frame": {"vectors": %s}}' % vectors
-
-
-def _sum_text(kind: str, **fields: str) -> str:
-    frames = '"frame1": {"vectors": [[1, 0], [0, 1]]}, "frame2": {"vectors": [[1, 0], [0, 1]]}'
-    if kind == "finite-sum":
-        frames = '"frames": [{"vectors": [[1, 0], [0, 1]]}, {"vectors": [[1, 0], [0, 1]]}]'
-    extra = "".join(f', "{key}": {value}' for key, value in fields.items())
-    return '{"kind": "%s", %s%s}' % (kind, frames, extra)
-
-
-@pytest.mark.parametrize(
-    "command,text,field",
-    [
-        ("bounds", _bounds_text("[[true, 0], [0, 1]]"), "frame.vectors[0][0]"),
-        ("bounds", _bounds_text("[[[1, 0], [0, 0]], [[0, 0], [false, 1]]]"), "frame.vectors[1][1][0]"),
-        ("bounds", _bounds_text('[[1, 0], [0, "1"]]'), "frame.vectors[1][1]"),
-        ("bounds", _bounds_text("[[[1, 0], [0, null]], [[0, 0], [1, 0]]]"), "frame.vectors[0][1][1]"),
-        ("bounds", _bounds_text("[[1, 0], [NaN, 1]]"), "frame.vectors[1][0]"),
-        ("bounds", _bounds_text("[[[1, 0], [0, 0]], [[0, 0], [1, Infinity]]]"), "frame.vectors[1][1][1]"),
-        ("bounds", _bounds_text("[[[1, 0, 0], [0, 0]], [[0, 0], [1, 0]]]"), "frame.vectors[0][0]"),
-        ("bounds", _bounds_text("[[1, 0], [0, 1, 0]]"), "frame.vectors"),
-        ("bounds", _bounds_text("[[1, 0], []]"), "frame.vectors[1]"),
-        ("bounds", _bounds_text("[]"), "frame.vectors"),
-        ("bounds", _bounds_text(f"[[{HUGE}, 0], [0, 1]]"), "frame.vectors[0][0]"),
-        (
-            "gabor",
-            '{"kind": "gabor", "generator": {"pieces": [{"lo": 0, "hi": 1, "kind": "affine", "alpha": 0, '
-            '"beta": 1}]}, "lattice": {"a": %s, "b": 1}}' % HUGE,
-            "lattice.a",
-        ),
-        ("op-sum", _sum_text("operator-sum", theta1="[[1, 0], [0]]", theta2="[[1, 0], [0, 1]]"), "theta1"),
-        ("perturbed-sum", _sum_text("perturbed-sum", alpha='[1, "x"]', beta="[1, 1]"), "alpha[1]"),
-        ("sum", _sum_text("finite-sum", coefficients="[[1, 0], [true, 0]]"), "coefficients[1][0]"),
-    ],
-    ids=[
-        "bare-true",
-        "false-in-pair",
-        "string",
-        "null-in-pair",
-        "nan",
-        "infinity-in-pair",
-        "three-element-pair",
-        "ragged-vectors",
-        "empty-vector",
-        "empty-vectors",
-        "huge-integer-entry",
-        "huge-integer-scalar",
-        "ragged-theta",
-        "bad-alpha",
-        "bad-coefficient",
-    ],
-)
-def test_cli_rejects_malformed_numeric_entries_with_their_field_path(tmp_path, capsys, command, text, field):
-    path = tmp_path / "malformed.json"
-    path.write_text(text, encoding="utf-8")
-    with pytest.raises(SpecSchemaError) as excinfo:
-        parse_spec(path)
-    assert excinfo.value.field == field
-    code = main([command, "--spec", str(path)])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert f"{field}:" in err
-    assert "Traceback" not in err
 
 
 def test_cli_algo_unknown_envelope_label_fails_the_expectation(tmp_path, capsys):
@@ -1323,46 +1364,6 @@ def test_cli_algo_checks_the_runs_in_order(tmp_path, capsys):
     assert "InvalidBoundsForFrameError" in err
 
 
-def _gabor_doc(hi: float, a: float, b: float) -> dict:
-    return {
-        "kind": "gabor",
-        "generator": {"pieces": [{"lo": 0, "hi": hi, "kind": "affine", "alpha": 0, "beta": 1}]},
-        "lattice": {"a": a, "b": b},
-    }
-
-
-@pytest.mark.parametrize(
-    "hi,a,b",
-    [(1e9, 0.5, 1), (1, 1 / 5000, 0.5), (1, 0.5, 5000), (1, 1e-300, 0.5)],
-    ids=["huge-support", "many-translates", "many-shifts", "tiny-a"],
-)
-def test_cli_rejects_gabor_shift_loops_beyond_the_cap(tmp_path, capsys, hi, a, b):
-    # [0, 1e9) on (0.5, 1) asks for about 4e18 terms, which the loops would never finish
-    path = tmp_path / "gabor.json"
-    path.write_text(json.dumps(_gabor_doc(hi, a, b)), encoding="utf-8")
-    code = main(["gabor", "--spec", str(path)])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert "generator.pieces:" in err and "shift terms" in err
-    assert "Traceback" not in err
-
-
-def test_cli_rejects_a_radicand_below_its_rounding_slack(tmp_path, capsys):
-    # radicand -1e-13 on [0, 1): inside an absolute 1e-12 slack, but far below
-    # the rounding of its terms; accepted, it gave an upper bound below the optimal 2
-    doc = _gabor_doc(1, 1, 0.5)
-    doc["generator"]["pieces"] = [
-        {"lo": 0, "hi": 1, "kind": "sqrt-affine", "alpha": 0, "beta": -1e-13},
-        {"lo": 1, "hi": 2, "kind": "affine", "alpha": 0, "beta": 1},
-    ]
-    path = tmp_path / "gabor.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    code = main(["gabor", "--spec", str(path), "--json"])
-    out, err = capsys.readouterr()
-    assert code == 1 and out == ""
-    assert err.startswith("error: ") and "generator.pieces[0]: sqrt-affine radicand is negative" in err
-
-
 def _narrow_piece_doc(scale: float) -> dict:
     # value 100 on [0, 1e-13) and 1 on [1e-13, 1), dilated by ``scale`` with its lattice
     doc = _gabor_doc(scale, scale, 1 / scale)
@@ -1408,6 +1409,10 @@ def test_gabor_shift_cap_admits_windows_up_to_it():
     with pytest.raises(SpecSchemaError) as excinfo:
         parse_spec_text(json.dumps(_gabor_doc(1, 1 / 99, 49.6)))
     assert excinfo.value.field == "generator.pieces"
+
+
+def test_max_iters_cap_admits_runs_up_to_it():
+    assert parse_spec_text(json.dumps({**LOOSE_ALGO, "max_iters": MAX_ITERS})).payload[1] == MAX_ITERS
 
 
 def test_every_bundled_gabor_fixture_is_far_below_the_shift_cap():
@@ -1587,25 +1592,6 @@ def test_cli_algo_keeps_percent_signs_in_run_labels_out_of_the_template(tmp_path
     assert text == _per_cell_csv(table.header, table.rows())
 
 
-@pytest.mark.parametrize("max_iters", [MAX_ITERS + 1, 100_000_000])
-def test_cli_rejects_max_iters_beyond_the_cap(tmp_path, capsys, max_iters):
-    # at 1e8 the loose pair below would iterate about 1.4e7 times before stopping
-    doc = {
-        "kind": "algo",
-        "runs": [{"label": "loose", "frame": {"vectors": [[1, 0], [0, 1], [1, 1]]}, "bounds": [1e-6, 1e6]}],
-        "max_iters": max_iters,
-    }
-    path = tmp_path / "algo.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    code = main(["algo", "--spec", str(path)])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert "max_iters:" in err
-    assert "Traceback" not in err
-    doc["max_iters"] = MAX_ITERS
-    assert parse_spec_text(json.dumps(doc)).payload[1] == MAX_ITERS
-
-
 # --- suite ----------------------------------------------------------------------
 
 
@@ -1657,22 +1643,13 @@ def test_paper_suite_fixture_that_fails_to_parse_exits_one(tmp_path, capsys, mon
     assert (code, captured.out, captured.err) == (1, "", "error: kind: injected\n")
 
 
-def test_paper_suite_runs_clean(tmp_path, capsys):
-    code = main(["paper-suite", "--out", str(tmp_path / "suite"), "--seed", "0"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "0 fail" in out
-    assert "flagged" in out
-    summary = (tmp_path / "suite" / "summary.txt").read_text(encoding="utf-8")
-    assert summary in out or summary == out
-
-
 @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
 def test_paper_suite_deterministic(tmp_path, capsys, flags):
     for out in ("one", "two"):
-        code = main(["paper-suite", "--out", str(tmp_path / out), "--seed", "0", *flags])
-        assert code == 0
-    assert "13 pass, 6 flagged, 0 fail" in capsys.readouterr().out
+        assert main(["paper-suite", "--out", str(tmp_path / out), "--seed", "0", *flags]) == 0
+        summary = (tmp_path / out / "summary.txt").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == summary
+        assert "13 pass, 6 flagged, 0 fail" in summary
     one, two = tmp_path / "one", tmp_path / "two"
     names_one = sorted(p.name for p in one.iterdir())
     names_two = sorted(p.name for p in two.iterdir())
