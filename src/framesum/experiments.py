@@ -10,11 +10,13 @@ leaves whole, since a report prints each in one line.
 
 Frame vectors, ``theta1``/``theta2``, ``alpha``/``beta`` and ``coefficients``
 are read by :func:`_as_complex_array` in one flat pass when they hold only
-finite numbers, all bare reals or all pairs: one check per nesting level, one
-type check of the chained leaves, and one ``np.fromiter`` conversion.  Anything
-else goes through a per-entry walk, which reads mixed input and names the path
-of a bad entry.  The runs of an ``algo`` document whose parsed vectors are
-equal share one frame, so its spectrum is solved once.
+finite numbers, all bare reals or all pairs: one check per nesting level and
+one ``array("d")`` conversion of the chained leaves, which refuses every other
+JSON value in C.  It takes ``true`` and ``false`` as 1.0 and 0.0, so the leaves'
+types are looked at only when a leaf reads 0.0 or 1.0.  Anything else goes
+through a per-entry walk, which reads mixed input and names the path of a bad
+entry.  The runs of an ``algo`` document whose parsed vectors are equal share
+one frame, so its spectrum is solved once.
 
 Each experiment kind is declared once, in the registry ``_KINDS``: its CLI
 command, its document fields, its ``expect`` keys with a parser for each
@@ -57,6 +59,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
@@ -234,14 +237,18 @@ def _as_complex_array(value, path: str, ndim: int) -> np.ndarray:
 
     The flat read takes one pass per nesting level: every item of a level must
     be an array, all of one nonzero length.  Below the ``ndim`` array levels the
-    entries must be all bare reals, or all ``[re, im]`` pairs, and every leaf an
-    ``int`` or a ``float``.  The leaves, chained into one sequence, become one
-    float array with ``np.fromiter``; that array is reshaped, and then viewed as
-    complex (pairs) or cast to it (bare reals).  Every bit matches the
-    per-entry read, signed zeros included, since both convert each leaf with
-    ``float``.  Anything else, a non-finite value or an integer beyond the
-    float range included, goes through :func:`_walk_complex`, which reads mixed
-    input and names the path of a bad entry.
+    entries must be all bare reals, or all ``[re, im]`` pairs, as the first
+    entry says.  The leaves, chained into one sequence, become one float array
+    through ``array("d")``, which refuses in C every leaf that is not a number:
+    text, ``null``, an array, an object and an integer beyond the float range.
+    So an object of two keys or a string of two characters where a pair goes is
+    refused too.  A ``bool`` is the one other JSON value it takes, as exactly
+    0.0 or 1.0, so the leaves' types are checked only when a leaf reads 0.0 or
+    1.0.  The array is reshaped, and then viewed as complex (pairs) or cast to
+    it (bare reals).  Every bit matches the per-entry read, signed zeros
+    included, since both convert each leaf as ``float`` does.  Anything else, a
+    non-finite value included, goes through :func:`_walk_complex`, which reads
+    mixed input and names the path of a bad entry.
     """
     arr = _flat_read(value, ndim)
     return arr if arr is not None else np.array(_walk_complex(value, path, ndim), dtype=complex)
@@ -259,20 +266,21 @@ def _flat_read(value, ndim: int) -> np.ndarray | None:
             return None
         shape.append(lengths.pop())
         level = list(chain.from_iterable(level))
-    types = set(map(type, level))
-    if types == {list}:  # [re, im] pairs
-        if set(map(len, level)) != {2}:
+    if type(level[0]) is list:  # [re, im] pairs
+        try:
+            if set(map(len, level)) != {2}:
+                return None
+        except TypeError:  # a number among the pairs
             return None
         level = list(chain.from_iterable(level))
-        types = set(map(type, level))
         shape.append(2)
-    if not types <= {int, float}:
-        return None
     try:
-        flat = np.fromiter(level, float, len(level))
-    except OverflowError:  # an integer beyond the float range
+        flat = np.frombuffer(array("d", level))
+    except (TypeError, OverflowError):  # not a number, or an integer beyond the float range
         return None
     if not np.isfinite(flat).all():
+        return None
+    if ((flat == 0.0) | (flat == 1.0)).any() and bool in set(map(type, level)):
         return None
     arr = flat.reshape(shape)
     return arr.astype(complex) if len(shape) == ndim else arr.view(complex)[..., 0]
@@ -836,9 +844,14 @@ def _finite_sum_start(rep: ExperimentResult, inputs, frames, pairs):
 def _finite_sum_predictions(rep: ExperimentResult, needs, bound_lists):
     """The pivot is chosen on the first list, named once, and used for every list."""
     coefficients, pivot, names = needs
-    index = finite_sum_best_pivot(bound_lists[0], coefficients)[0] if pivot == "best" else pivot - 1
+    if pivot == "best":
+        index, best = finite_sum_best_pivot(bound_lists[0], coefficients)
+        predictions = [best]
+    else:
+        index, predictions = pivot - 1, []
     rep.line(f"pivot: {names[index]} (index {index + 1})")
-    return [finite_sum_predict(bounds, coefficients, index) for bounds in bound_lists], f" at pivot {index + 1}"
+    predictions += [finite_sum_predict(bounds, coefficients, index) for bounds in bound_lists[len(predictions) :]]
+    return predictions, f" at pivot {index + 1}"
 
 
 def _finite_sum_build(inputs, frames) -> FiniteFrame:

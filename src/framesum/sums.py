@@ -75,6 +75,38 @@ def _coerce_coefficients(coefficients) -> np.ndarray:
     return c
 
 
+def _finite_sum_terms(bounds, coefficients) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lower bounds ``A_i``, the upper bounds ``B_i`` and the weights ``|c_i|``, checked."""
+    blist = [as_frame_bounds(pair) for pair in bounds]
+    c = _coerce_coefficients(coefficients)
+    if c.shape[0] != len(blist):
+        raise DimensionMismatchError(f"{len(blist)} bound pairs but {c.shape[0]} coefficients")
+    return np.array([b.lower for b in blist]), np.array([b.upper for b in blist]), np.abs(c)
+
+
+def _finite_sum_rule(a, b, mags, pivots) -> list[PredictedBounds]:
+    """The finite-sum rule of :func:`finite_sum_predict` at each of ``pivots``, all at once.
+
+    Row ``r`` of ``others`` holds the ``k - 1`` indices other than ``pivots[r]``
+    in index order, so each sum over them adds the same terms in the same order
+    as a sum over the vector with the pivot's entry deleted.
+    """
+    k = len(mags)
+    pivots = np.asarray(pivots)
+    others = np.arange(k - 1) + (np.arange(k - 1) >= pivots[:, None])
+    m, sqrt_b, weighted = mags[pivots], np.sqrt(b), mags**2 * a
+    cross = (mags * sqrt_b)[others].sum(axis=1)
+    lhs = m * a[pivots] + weighted[others].sum(axis=1) / m
+    margins = lhs - 2.0 * sqrt_b[pivots] * cross
+    lowers = float(np.sum(weighted)) - 2.0 * m * sqrt_b[pivots] * cross
+    upper = k * float(np.sum(mags**2 * b))
+    # a lower bound is |c_j| margin up to round-off: a sign split is a tie
+    return [
+        PredictedBounds(lower, upper, min(margin, 0.0) if lower <= 0.0 else margin)
+        for lower, margin in zip(lowers.tolist(), margins.tolist())
+    ]
+
+
 def finite_sum_predict(bounds, coefficients, pivot: int) -> PredictedBounds:
     """Predicted bounds for a weighted sum of k frames, pivoting on index ``pivot``.
 
@@ -86,47 +118,30 @@ def finite_sum_predict(bounds, coefficients, pivot: int) -> PredictedBounds:
 
         ``(sum_i |c_i|^2 A_i - 2 sum_{i != j} |c_j c_i| sqrt(B_j B_i),  k sum_i |c_i|^2 B_i)``.
 
-    ``pivot`` is 0-based.
+    ``pivot`` is 0-based.  The rule is the one :func:`finite_sum_best_pivot`
+    evaluates at every pivot at once, here at ``pivot`` alone.
     """
-    blist = [as_frame_bounds(pair) for pair in bounds]
-    c = _coerce_coefficients(coefficients)
-    k = len(blist)
-    if c.shape[0] != k:
-        raise DimensionMismatchError(f"{k} bound pairs but {c.shape[0]} coefficients")
+    a, b, mags = _finite_sum_terms(bounds, coefficients)
+    k = len(mags)
     try:
         pivot = linalg.as_index(pivot)
     except TypeError:
         raise DimensionMismatchError(f"pivot must be an integer, got {pivot!r}") from None
     if not (0 <= pivot < k):
         raise DimensionMismatchError(f"pivot {pivot} out of range for {k} frames")
-
-    mags = np.abs(c)
-    a = np.array([b.lower for b in blist])
-    b = np.array([b.upper for b in blist])
-    sqrt_b = np.sqrt(b)
-
-    cross = float(np.sum(np.delete(mags * sqrt_b, pivot)))
-    lhs = mags[pivot] * a[pivot] + float(np.sum(np.delete(mags**2 * a, pivot))) / mags[pivot]
-    rhs = 2.0 * sqrt_b[pivot] * cross
-    margin = lhs - rhs
-
-    lower = float(np.sum(mags**2 * a)) - 2.0 * mags[pivot] * sqrt_b[pivot] * cross
-    upper = k * float(np.sum(mags**2 * b))
-    if lower <= 0.0:  # lower is |c_j| margin up to round-off: a sign split is a tie
-        margin = min(margin, 0.0)
-    return PredictedBounds(lower, upper, margin)
+    return _finite_sum_rule(a, b, mags, [pivot])[0]
 
 
 def finite_sum_best_pivot(bounds, coefficients) -> tuple[int, PredictedBounds]:
     """The pivot whose holding condition gives the largest predicted lower bound.
 
     Falls back to the largest-margin pivot when no pivot makes the condition
-    hold.
+    hold; the lowest index wins a tie.  Every pivot's prediction is computed at
+    once, in one pass over arrays, and built in index order, so the first pivot
+    whose prediction is invalid raises.
     """
-    blist = [as_frame_bounds(pair) for pair in bounds]
-    predictions = [
-        finite_sum_predict(blist, coefficients, j) for j in range(len(blist))
-    ]
+    a, b, mags = _finite_sum_terms(bounds, coefficients)
+    predictions = _finite_sum_rule(a, b, mags, range(len(mags)))
     holding = [(j, p) for j, p in enumerate(predictions) if p.condition_holds]
     if holding:
         return max(holding, key=lambda jp: jp[1].lower)

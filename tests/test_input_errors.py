@@ -29,6 +29,7 @@ from framesum import (
     build_perturbed_sum_frame,
     build_sum_frame,
     extreme_singular_values,
+    finite_sum_best_pivot,
     finite_sum_predict,
     format_width,
     modulus_range,
@@ -54,12 +55,14 @@ ARRAY_ENTRY_POINTS = {
     "modulus_range": (modulus_range, 1),
     "extreme_singular_values": (extreme_singular_values, 2),
     "finite_sum_predict": (lambda bad: finite_sum_predict([(1, 2), (1, 2)], bad, 0), 1),
+    # one bound pair per coefficient, so the empty case is finite_sum_best_pivot([], [])
+    "finite_sum_best_pivot": (lambda bad: finite_sum_best_pivot([(1, 2)] * len(bad), bad), 1),
     "run": (lambda bad: run(E2, (1, 1), bad, 5), 1),
 }
 
 #: malformed arrays by rank: ragged, a non-numeric string, numbers written as
-#: text and as bytes, which ``complex`` would parse, a non-numeric object, and
-#: the other rank
+#: text and as bytes, which ``complex`` would parse, a non-numeric object, the
+#: other rank, and no entries
 BAD_ARRAYS = {
     1: {
         "ragged": [1, [2]],
@@ -68,6 +71,7 @@ BAD_ARRAYS = {
         "numeric-bytes": [b"1", b"2"],
         "object": [1, {}],
         "rank": [[1, 1]],
+        "empty": [],
     },
     2: {
         "ragged": [[1, 2], [3]],
@@ -76,11 +80,12 @@ BAD_ARRAYS = {
         "numeric-bytes": [[b"1", b"0"], [b"0", b"1"]],
         "object": [[1, {}], [0, 1]],
         "rank": [1, 1],
+        "empty": [[]],
     },
 }
 
 
-@pytest.mark.parametrize("defect", ["ragged", "string", "numeric-text", "numeric-bytes", "object", "rank"])
+@pytest.mark.parametrize("defect", ["ragged", "string", "numeric-text", "numeric-bytes", "object", "rank", "empty"])
 @pytest.mark.parametrize("entry", ARRAY_ENTRY_POINTS)
 def test_a_malformed_array_is_a_dimension_mismatch(entry, defect):
     call, rank = ARRAY_ENTRY_POINTS[entry]

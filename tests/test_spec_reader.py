@@ -164,6 +164,11 @@ def _walked(value, ndim):
         ([[1, 0], [0, 10**400]], 2, False),
         ([True, 1], 1, False),
         ([[1, True]], 1, False),
+        ([[0.5, True]], 1, False),
+        ([[1, "x"]], 1, False),
+        ([[1, 2], 3], 1, False),
+        ([[1, 2], {"re": 1, "im": 2}], 1, False),
+        ([[1, 2], "12"], 1, False),
         (["1", 2], 1, False),
         ([[1, 0], [0, "x"]], 2, False),
         ([None, 1], 1, False),
@@ -177,6 +182,8 @@ def _walked(value, ndim):
         ([[1, 2], [3, 4]], 1, True),
         ([[1, 2], [3, 4]], 2, True),
         ([[[0, -0.0], [-0.0, 0]]], 2, True),
+        ([[0, 1], [1, 0]], 2, True),
+        ([0.0, -0.0, 1.0], 1, True),
         ([2**64 + 1, -(2**70), 5e-324], 1, True),
     ],
 )

@@ -149,6 +149,66 @@ def test_pivot_freedom_all_holding_pivots_certify(rng):
     )
 
 
+def _finite_sum_at_pivot(bounds, coefficients, pivot):
+    """The finite-sum rule at one pivot, each sum over the other indices taken
+    over the vector with the pivot's entry deleted: the reference for the
+    all-pivots pass, as ``(lower, upper, margin)``."""
+    mags = np.abs(np.asarray(coefficients, dtype=complex))
+    a, b = (np.array(side, dtype=float) for side in zip(*bounds))
+    sqrt_b = np.sqrt(b)
+    cross = float(np.sum(np.delete(mags * sqrt_b, pivot)))
+    lhs = mags[pivot] * a[pivot] + float(np.sum(np.delete(mags**2 * a, pivot))) / mags[pivot]
+    margin = lhs - 2.0 * sqrt_b[pivot] * cross
+    lower = float(np.sum(mags**2 * a)) - 2.0 * mags[pivot] * sqrt_b[pivot] * cross
+    upper = len(bounds) * float(np.sum(mags**2 * b))
+    if lower <= 0.0:
+        margin = min(margin, 0.0)
+    return float(lower), float(upper), float(margin)
+
+
+@st.composite
+def _finite_sum_inputs(draw):
+    """k = 1..16 bound pairs and complex coefficients, each drawn from a small
+    pool so that entries repeat (pivot ties); pairs may be tight, and the
+    coefficients' moduli span six decades."""
+    k = draw(st.integers(1, 16))
+    lower = st.floats(1e-3, 1e3)
+    pair = st.tuples(lower, st.floats(1.0, 10.0), st.booleans()).map(
+        lambda t: (t[0], t[0] if t[2] else t[0] * t[1])
+    )
+    coefficient = st.tuples(st.floats(-3.0, 3.0), st.floats(0.0, 2 * math.pi)).map(
+        lambda t: 10.0 ** t[0] * complex(math.cos(t[1]), math.sin(t[1]))
+    )
+    pairs = draw(st.lists(pair, min_size=1, max_size=k))
+    coefficients = draw(st.lists(coefficient, min_size=1, max_size=k))
+    return (
+        [draw(st.sampled_from(pairs)) for _ in range(k)],
+        [draw(st.sampled_from(coefficients)) for _ in range(k)],
+    )
+
+
+def _bits(lower, upper, margin):
+    return tuple(float(x).hex() for x in (lower, upper, margin))
+
+
+@given(inputs=_finite_sum_inputs())
+def test_every_pivot_at_once_matches_the_rule_at_each_pivot(inputs):
+    bounds, coefficients = inputs
+    want = [_finite_sum_at_pivot(bounds, coefficients, j) for j in range(len(bounds))]
+    for j, expected in enumerate(want):
+        got = finite_sum_predict(bounds, coefficients, j)
+        assert _bits(got.lower, got.upper, got.condition_margin) == _bits(*expected)
+    holding = [(j, w) for j, w in enumerate(want) if w[2] > 0.0]
+    # max keeps the first of equal keys: the lowest index wins a tie
+    if holding:
+        index, expected = max(holding, key=lambda jw: jw[1][0])
+    else:
+        index, expected = max(enumerate(want), key=lambda jw: jw[1][2])
+    pivot, best = finite_sum_best_pivot(bounds, coefficients)
+    assert pivot == index
+    assert _bits(best.lower, best.upper, best.condition_margin) == _bits(*expected)
+
+
 # --- dual sums ---------------------------------------------------------------
 
 
