@@ -36,14 +36,16 @@ first error that reaches it, and the iterations after it are discarded.
 A run's trajectory is kept as columns, unnamed: a list of errors and a list
 of envelopes, indexed by the iteration count.  :class:`ComparisonTable` aligns
 the columns of several runs, named by its ``labels``, for the CSV, and
-:func:`format_width` renders a width as the reports quote it.  A run is padded
-only after it stops, so the CSV has one row format per stretch of live runs.
+:func:`format_width` renders a width as the reports quote it.  The table's
+:func:`itertools.zip_longest` pads a run with ``None`` only after it stops, so
+the CSV has one row format per stretch of live runs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -184,7 +186,7 @@ def run(frame: FiniteFrame, bounds, target, max_iters: int, stop_tol: float | No
             break
         block[0] = block[count]
         count = min(left, _next_block(count, entering, errors[-1], stop_tol))
-    envelopes = list(map(norm_phi.__rmul__, map(delta.__pow__, range(len(errors)))))
+    envelopes = [norm_phi * delta**k for k in range(len(errors))]
     return RunSeries(width=delta, errors=errors, envelopes=envelopes)
 
 
@@ -221,13 +223,12 @@ class ComparisonTable:
         return columns
 
     def rows(self) -> list[tuple]:
-        """Rows ``(k, err, env, ...)``, padded with ``None`` where a run stopped early."""
+        """Rows ``(k, err, env, ...)``, which ``zip_longest`` pads with ``None`` where a run stopped early."""
         depth = max((len(s) for s in self.series), default=0)
         columns = [range(depth)]
         for s in self.series:
-            pad = [None] * (depth - len(s))
-            columns += [s.errors + pad, s.envelopes + pad]
-        return list(zip(*columns))
+            columns += (s.errors, s.envelopes)
+        return list(zip_longest(*columns))
 
 
 def format_width(delta: float) -> str:

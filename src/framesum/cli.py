@@ -36,6 +36,7 @@ import functools
 import gc
 import sys
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 
 from .errors import FrameToolkitError, SpecParseError, SpecSchemaError
@@ -49,17 +50,16 @@ def emit_csv(table, path) -> None:
     Row ``k`` is the ``int`` ``k`` (``%s``), then each run's float error and
     envelope (``%.12g``, the reports' rendering), empty once the run stopped.
     Rows with the same runs live share one format, so the body's template is
-    one repeated row per stretch, formatted by one ``%`` over the non-empty
-    cells of ``table.rows()``.
+    one repeated row per stretch, formatted by one ``%`` over every cell of
+    ``table.rows()``: a stopped run's cells are ``%.0s``, which renders its
+    ``None`` padding as nothing.
     """
-    rows = table.rows()
     template, start = [], 0
     for stop in sorted({len(s) for s in table.series}):
-        row = "%s" + "".join([",%.12g,%.12g" if len(s) >= stop else ",," for s in table.series]) + "\n"
+        row = "%s" + "".join([",%.12g,%.12g" if len(s) >= stop else ",%.0s,%.0s" for s in table.series]) + "\n"
         template.append(row * (stop - start))
         start = stop
-    cells = tuple([cell for row in rows for cell in row if cell is not None])
-    text = ",".join(table.header) + "\n" + "".join(template) % cells
+    text = ",".join(table.header) + "\n" + "".join(template) % tuple(chain.from_iterable(table.rows()))
     with open(path, "w", encoding="utf-8", newline="\n") as file:
         file.write(text)
 

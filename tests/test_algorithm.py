@@ -12,6 +12,7 @@ from framesum import (
     FrameBounds,
     InvalidBoundsError,
     InvalidBoundsForFrameError,
+    RunSeries,
     build_sum_frame,
     exact_bounds,
     format_width,
@@ -267,6 +268,21 @@ def test_compare_runs_pads_short_series(rng):
     assert len(rows) == 31
     assert rows[-1][1] is None  # tight run stopped after one step
     assert rows[-1][3] is not None
+
+
+@given(lengths=st.lists(st.integers(1, 300), max_size=4))
+@example(lengths=[])
+@example(lengths=[3, 300, 1, 40])
+def test_rows_pad_each_stopped_run_with_none(lengths):
+    # each entry names its run, column and iteration, so a misaligned cell shows
+    series = tuple(
+        RunSeries(0.5, [1000.0 * i + k for k in range(n)], [-1000.0 * i - k for k in range(n)])
+        for i, n in enumerate(lengths)
+    )
+    depth = max(lengths, default=0)
+    padded = [column + [None] * (depth - len(column)) for s in series for column in (s.errors, s.envelopes)]
+    table = ComparisonTable(tuple(f"r{i}" for i in range(len(series))), series)
+    assert table.rows() == list(zip(range(depth), *padded))
 
 
 def test_table_without_runs_has_no_rows():

@@ -1133,6 +1133,17 @@ def test_cli_extreme_magnitudes_exit_two_with_a_clear_error(tmp_path, capsys, co
     assert not report.exists()
 
 
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+def test_cli_overflow_error_names_no_numpy_operation(tmp_path, capsys, mode):
+    # the squared coefficient times the bound overflows inside numpy; the message
+    # is the same whichever loop numpy names for it
+    path = tmp_path / "huge.json"
+    doc = {"kind": "finite-sum", "frame_bounds": [[1e300, 1e300], [1, 1]], "coefficients": [1e10, 1]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["sum", "--spec", str(path)] + mode) == 2
+    assert capsys.readouterr() == ("", "error: NumericRangeError: a value overflowed the floating-point range\n")
+
+
 def test_cli_missing_file(capsys):
     code = main(["bounds", "--spec", "/nonexistent/nowhere.json"])
     assert code == 1
@@ -1567,6 +1578,8 @@ def _table(*columns):
 @example(table=_table(EDGE_FLOATS + [-5e-324, np.float32(0.1)]))
 # a run that stops 100 rows before the other
 @example(table=_table([0.9**k for k in range(200)], [0.95**k for k in range(300)]))
+# three runs of distinct lengths: two stretches write padding through %.0s
+@example(table=_table([0.5**k for k in range(4)], [0.7**k for k in range(9)], [0.6**k for k in range(6)]))
 def test_emit_csv_matches_the_per_cell_writer_byte_for_byte(tmp_path_factory, table):
     path = tmp_path_factory.mktemp("csv") / "table.csv"
     emit_csv(table, path)
@@ -1770,22 +1783,27 @@ def _finite_sum_path(tmp_path, k: int, d: int = 8):
     return path
 
 
-def test_main_leaves_no_cycle_that_grows_with_the_document(tmp_path):
-    """Once a first command has built the argument parser, a ``--json``
-    finite-sum command leaves no unreachable object, however many frames its
-    document holds: nothing it builds, the report included, sits in a
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("document", bundled_fixture_names() + ["finite_sum_k16"])
+def test_main_leaves_no_cycle_that_grows_with_the_document(tmp_path, document, mode):
+    """Once a warm-up run of the same command has built the argument parser,
+    a command leaves no unreachable object: every bundled fixture and a
+    16-frame finite sum, in text and with ``--json``, and with ``--csv`` for
+    ``algo``.  Nothing a command builds, report and CSV included, sits in a
     reference cycle, so reference counting frees it all when the command
     ends, also while the collector is paused."""
-
-    def unreachable_after(path):
-        gc.collect()
-        main(["sum", "--spec", str(path), "--report", str(tmp_path / "report.json"), "--json"])
-        return gc.collect()
-
-    small, large = _finite_sum_path(tmp_path, 2), _finite_sum_path(tmp_path, 16)
-    unreachable_after(small)  # the argument parser is built on first use
-    assert unreachable_after(small) == 0
-    assert unreachable_after(large) == 0
+    if document in bundled_fixture_names():
+        path, kind = FIXTURES / document, load_bundled_fixture(document).kind
+    else:
+        path, kind = _finite_sum_path(tmp_path, 16), "finite-sum"
+    command = next(command for command, of in COMMANDS.items() if of == kind)
+    argv = [command, "--spec", str(path), "--report", str(tmp_path / "report")] + mode
+    if kind == "algo":
+        argv += ["--csv", str(tmp_path / "table.csv")]
+    assert main(argv) in (0, 2)
+    gc.collect()
+    main(argv)
+    assert gc.collect() == 0
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["caller-collecting", "caller-paused"])
